@@ -17,7 +17,8 @@ Grammar:
 
 where `rational` is `NUMBER` or `NUMBER "/" NUMBER`, and an integer base
 may be written `(-2)^x`.  Parse errors carry line, column and the set of
-token kinds that would have been accepted.
+token kinds that would have been accepted.  At most MAX_NESTING levels
+of '(' and unary '-' may nest; deeper input is a ParseError.
 
 `classify` normalizes every equation to "left side minus right side"
 and reports the most specific class: LinearSystem, TwoVarPolySystem,
@@ -37,6 +38,9 @@ from .polyexp import PolyExpEquation, PolyExpTerm
 
 MAX_VARIABLES = 26
 MAX_POLY_DEGREE = 10_000
+# nested '(' and unary '-' levels; each '(' costs the recursive parser
+# three frames, far below Python's default recursion limit of 1000
+MAX_NESTING = 100
 
 
 class ParseError(Exception):
@@ -187,6 +191,7 @@ class _Parser:
     def __init__(self, toks: List[_Token]):
         self.toks = toks
         self.i = 0
+        self.depth = 0
         self.seen_vars: List[str] = []
 
     def peek(self) -> _Token:
@@ -264,26 +269,15 @@ class _Parser:
 
     def parse_factor(self) -> Expr:
         t = self.peek()
-        if t.kind == "-":
-            self.advance()
-            return Neg(self.parse_factor())
-        if t.kind == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(")", "')'")
-            if self.peek().kind == "^":
-                # (-2)^x style exponential: the parenthesized part must
-                # reduce to a nonzero integer literal.
-                caret = self.advance()
-                base = _const_int(inner)
-                if base is None:
-                    raise ParseError(
-                        "only integer literals may be raised to a variable",
-                        caret.line,
-                        caret.col,
-                    )
-                return self._finish_exponential(base, caret)
-            return inner
+        if t.kind in ("-", "("):
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    "more than %d nested '(' or unary '-'" % MAX_NESTING, t.line, t.col
+                )
+            self.depth += 1
+            node = self._parse_nested()
+            self.depth -= 1
+            return node
         if t.kind == "NUM":
             self.advance()
             num = int(t.text)
@@ -330,6 +324,26 @@ class _Parser:
             t.col,
             expected={"number", "variable", "'('", "'-'"},
         )
+
+    def _parse_nested(self) -> Expr:
+        """A unary '-' or a parenthesized factor; the caller counts depth."""
+        if self.advance().kind == "-":
+            return Neg(self.parse_factor())
+        inner = self.parse_expr()
+        self.expect(")", "')'")
+        if self.peek().kind == "^":
+            # (-2)^x style exponential: the parenthesized part must
+            # reduce to a nonzero integer literal.
+            caret = self.advance()
+            base = _const_int(inner)
+            if base is None:
+                raise ParseError(
+                    "only integer literals may be raised to a variable",
+                    caret.line,
+                    caret.col,
+                )
+            return self._finish_exponential(base, caret)
+        return inner
 
     def _finish_exponential(self, base: int, caret: _Token) -> Expr:
         if base == 0:

@@ -8,13 +8,23 @@ proves that every r-coloring of [1, N] contains a monochromatic
 solution.  Both outcomes are machine-checkable, and `verify_coloring`
 rechecks any claimed avoiding coloring against a fresh enumeration.
 
+Enumeration of polynomial systems, linear ones included, is exact
+integer back-substitution: the first k-1 variables run over the grid,
+and each prefix turns every polynomial, scaled once to integer
+coefficients, into integer coefficients in the last variable, solved
+by one exact division when linear and by testing the divisors of the
+constant term otherwise.  No rational arithmetic and no factoring run
+per prefix.
+
 The search assigns colors to 1, 2, .., N in order, prunes a color as
 soon as it would complete a monochromatic solution (solutions are
 indexed by their largest element, so each is checked exactly once,
 when its last element is colored), and breaks color symmetry by
 allowing at most one brand-new color per step.  The first coloring
 found is therefore the lexicographically least canonical avoiding
-coloring.
+coloring.  The search keeps its state in arrays indexed by element,
+not on the call stack, so N is not limited by Python's recursion
+limit.
 
 Budgets guard both enumeration (grid cells) and search (assignment
 nodes); the PRTOOLKIT_BUDGET environment variable overrides the node
@@ -23,13 +33,14 @@ default, with a tenth of it used for cells.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import MultiPoly, UniPoly, integer_roots
+from .algebra import MultiPoly
 from .equations import (
     GeneralPolySystem,
     LinearSystem,
@@ -41,6 +52,8 @@ DEFAULT_NODE_BUDGET = 100_000_000
 DEFAULT_CELL_BUDGET = 10_000_000
 
 Coloring = Tuple[int, ...]
+# an integer coefficient times prod(point[j]**e) over its (j, e) pairs
+Term = Tuple[int, Tuple[Tuple[int, int], ...]]
 
 
 class BudgetExceeded(Exception):
@@ -76,19 +89,55 @@ def _system_polys(cls) -> Tuple[Tuple[str, ...], List[MultiPoly]]:
     raise TypeError("unsupported class for polynomial enumeration: %r" % (cls,))
 
 
-def _residual(poly: MultiPoly, prefix: Sequence[int]) -> UniPoly:
-    """Substitute all variables but the last; returns a polynomial in it."""
-    k = len(poly.vars)
-    coeffs: Dict[int, Fraction] = {}
-    for exps, c in poly.terms.items():
-        val = c
-        for j in range(k - 1):
-            if exps[j]:
-                val *= Fraction(prefix[j]) ** exps[j]
-        d = exps[k - 1]
-        coeffs[d] = coeffs.get(d, Fraction(0)) + val
-    top = max(coeffs, default=0)
-    return UniPoly([coeffs.get(i, Fraction(0)) for i in range(top + 1)])
+def _scaled_terms(poly: MultiPoly) -> List[Tuple[int, Tuple[int, ...]]]:
+    """Terms of `poly` times the lcm of its coefficient denominators."""
+    scale = math.lcm(*(c.denominator for c in poly.terms.values()))
+    return [(c.numerator * (scale // c.denominator), exps)
+            for exps, c in poly.terms.items()]
+
+
+def _sparse(exps: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+    return tuple((j, e) for j, e in enumerate(exps) if e)
+
+
+def _value(terms: Sequence[Term], point: Sequence[int]) -> int:
+    """Sum of c * prod(point[j]**e) over the (c, ((j, e), ..)) terms."""
+    total = 0
+    for c, powers in terms:
+        for j, e in powers:
+            c *= point[j] ** e
+        total += c
+    return total
+
+
+def _horner(cs: Sequence[int], t: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * t + c
+    return acc
+
+
+def _roots(cs: Sequence[int], N: int) -> Optional[List[int]]:
+    """Roots in [1, N] of sum cs[d] t^d, ascending; None if every cs[d] is 0.
+
+    A nonzero constant or a lone monomial c t^d has none.  After
+    dividing out t^low, a linear remainder gives its root by one exact
+    division; otherwise every integer root divides the nonzero constant
+    term, so the divisors up to N are tried by Horner evaluation.
+    """
+    support = [d for d, c in enumerate(cs) if c]
+    if not support:
+        return None
+    low, top = support[0], support[-1]
+    if low == top:
+        return []
+    c0 = cs[low]
+    if top == low + 1:
+        q, r = divmod(-c0, cs[top])
+        return [q] if r == 0 and 1 <= q <= N else []
+    rest = cs[low:top + 1]
+    return [t for t in range(1, min(N, abs(c0)) + 1)
+            if c0 % t == 0 and _horner(rest, t) == 0]
 
 
 def enumerate_solutions(
@@ -98,11 +147,17 @@ def enumerate_solutions(
 ) -> Tuple[Tuple[int, ...], ...]:
     """All solutions of the system with every variable in [1, N].
 
-    Polynomial classes are enumerated by back-substitution: iterate the
-    first k-1 variables and read the last one off the integer roots of
-    the residual polynomial (a zero residual leaves it unconstrained,
-    a nonzero constant kills the prefix).  Exponential equations are
-    scanned directly.  Output is in lexicographic order.
+    Polynomial classes, linear ones included, are enumerated by exact
+    integer back-substitution.  Each polynomial is scaled once to
+    integer coefficients and its terms grouped by the exponent of the
+    last variable.  For every prefix of the first k-1 variables the
+    groups evaluate to the integer coefficients of a polynomial in the
+    last variable: all zero leaves it unconstrained, a nonzero constant
+    kills the prefix, and otherwise its roots in [1, N] (see `_roots`)
+    are the candidates, which the remaining polynomials filter.  Every
+    accepted tuple is re-checked by evaluating each scaled polynomial
+    exactly.  Exponential equations are scanned directly.  Output is
+    in lexicographic order.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -123,33 +178,33 @@ def enumerate_solutions(
     if N ** max(k - 1, 0) > cells_max:
         raise BudgetExceeded("enumeration needs %d prefix cells" % (N ** (k - 1)))
 
+    # per polynomial: its scaled terms for the final check, and the
+    # groups of prefix terms by the exponent of the last variable
+    checks: List[List[Term]] = []
+    groups: List[List[List[Term]]] = []
+    for poly in polys:
+        terms = _scaled_terms(poly)
+        checks.append([(c, _sparse(exps)) for c, exps in terms])
+        top = max((exps[-1] for _, exps in terms), default=-1)
+        by_degree: List[List[Term]] = [[] for _ in range(top + 1)]
+        for c, exps in terms:
+            by_degree[exps[-1]].append((c, _sparse(exps[:-1])))
+        groups.append(by_degree)
+
     sols: List[Tuple[int, ...]] = []
     for prefix in product(range(1, N + 1), repeat=k - 1):
         candidates: Optional[List[int]] = None
-        dead = False
-        for poly in polys:
-            res = _residual(poly, prefix)
-            if res.is_zero():
-                continue
-            if res.degree == 0:
-                dead = True
+        for by_degree in groups:
+            cs = [_value(g, prefix) for g in by_degree]
+            if candidates is None:
+                candidates = _roots(cs, N)
+            else:
+                candidates = [t for t in candidates if _horner(cs, t) == 0]
+            if candidates is not None and not candidates:
                 break
-            roots = [r for r in integer_roots(res) if 1 <= r <= N]
-            candidates = roots if candidates is None else [
-                r for r in candidates if r in roots
-            ]
-            if not candidates:
-                dead = True
-                break
-        if dead:
-            continue
-        if candidates is None:
-            candidates = list(range(1, N + 1))
-        for last in sorted(candidates):
+        for last in range(1, N + 1) if candidates is None else candidates:
             full = prefix + (last,)
-            if all(
-                p.eval([Fraction(v) for v in full]) == 0 for p in polys
-            ):
+            if all(_value(terms, full) == 0 for terms in checks):
                 sols.append(full)
     return tuple(sols)
 
@@ -255,7 +310,11 @@ def search_avoiding_coloring(
         if support not in by_max[top]:
             by_max[top].append(support)
 
+    # color[e] is the color of e; used[e] the number of colors among
+    # 1..e-1; tried[e] the number of colors already tried for e
     color = [0] * (N + 1)
+    used = [0] * (N + 2)
+    tried = [0] * (N + 2)
     nodes = 0
 
     def ok(e: int, c: int) -> bool:
@@ -264,31 +323,27 @@ def search_avoiding_coloring(
                 return False
         return True
 
-    def dfs(e: int, used: int) -> bool:
-        nonlocal nodes
-        if e > N:
-            return True
-        limit = min(used + 1, colors)
-        for c in range(limit):
-            nodes += 1
-            if nodes > nodes_max:
-                raise BudgetExceeded(
-                    "coloring search exceeded %d nodes" % nodes_max
-                )
-            if ok(e, c):
-                color[e] = c
-                if dfs(e + 1, max(used, c + 1)):
-                    return True
-        return False
+    e = 1
+    while 0 < e <= N:
+        c = tried[e]
+        if c == min(used[e] + 1, colors):
+            e -= 1  # every color failed: backtrack
+            continue
+        tried[e] = c + 1
+        nodes += 1
+        if nodes > nodes_max:
+            return SearchResult(
+                status="UNKNOWN", coloring=None, N=N, colors=colors, nodes=nodes,
+                solution_count=len(solutions),
+                note="coloring search exceeded %d nodes" % nodes_max,
+            )
+        if ok(e, c):
+            color[e] = c
+            used[e + 1] = max(used[e], c + 1)
+            tried[e + 1] = 0
+            e += 1
 
-    try:
-        found = dfs(1, 0)
-    except BudgetExceeded as e:
-        return SearchResult(
-            status="UNKNOWN", coloring=None, N=N, colors=colors, nodes=nodes,
-            solution_count=len(solutions), note=str(e),
-        )
-    if found:
+    if e > N:
         return SearchResult(
             status="AVOIDING",
             coloring=tuple(color[1:]),

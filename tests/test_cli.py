@@ -223,6 +223,15 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_deep_nesting_is_a_one_line_error(capsys):
+    for text in ("(" * 2000 + "x" + ")" * 2000 + " = y", "-" * 3000 + "x = y"):
+        assert main(["decide", "--expr", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: more than 100 nested")
+
+
 def test_group_needs_three_variable_equation(capsys):
     assert main(["decide", "--expr", "x + y = z ; x - y = 0", "--group=2"]) == 1
     capsys.readouterr()

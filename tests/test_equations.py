@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from prtoolkit.equations import (
+    MAX_NESTING,
     MAX_VARIABLES,
     ClassifyError,
     GeneralPolySystem,
@@ -107,6 +108,31 @@ def test_variable_cap():
     text = " + ".join(vars_) + " = 0"
     with pytest.raises(ParseError):
         parse_equation_text(text)
+
+
+def test_nesting_cap():
+    # exactly MAX_NESTING levels of '(' or unary '-' parse and classify
+    for text in (
+        "(" * MAX_NESTING + "x" + ")" * MAX_NESTING + " = y",
+        "-" * MAX_NESTING + "x = y",
+        "-(" * (MAX_NESTING // 2) + "x" + ")" * (MAX_NESTING // 2) + " = y",
+    ):
+        ast = parse_equation_text(text)
+        assert isinstance(classify(ast), LinearSystem)
+        printed = format_system(ast)
+        assert format_system(parse_equation_text(printed)) == printed
+    # one level more, or the far deeper inputs that used to exhaust the
+    # interpreter stack, raise ParseError at the offending token
+    for text, col in (
+        ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1) + " = y", MAX_NESTING + 1),
+        ("-" * (MAX_NESTING + 1) + "x = y", MAX_NESTING + 1),
+        ("x = " + "(" * 2000 + "y" + ")" * 2000, MAX_NESTING + 5),
+        ("-" * 3000 + "x = y", MAX_NESTING + 1),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_equation_text(text)
+        assert (e.value.line, e.value.col) == (1, col)
+        assert "nested" in str(e.value)
 
 
 # --- JSON schema ---------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 
 from prtoolkit.algebra import RatMatrix
 from prtoolkit.equations import LinearSystem, classify, parse_equation_text
+from prtoolkit.polyexp import PolyExpEquation, polyexp_eval
 from prtoolkit.ramsey import (
     BudgetExceeded,
     canonical_coloring,
@@ -39,6 +40,11 @@ SCHUR = linsys((1, 1, -1))
 # --- enumeration -------------------------------------------------------------
 
 
+def scan(holds, k, N):
+    """The tuples of [1, N]^k satisfying `holds`, in lexicographic order."""
+    return tuple(s for s in itertools.product(range(1, N + 1), repeat=k) if holds(*s))
+
+
 def test_schur_solutions_n4():
     assert enumerate_solutions(SCHUR, 4) == (
         (1, 1, 2), (1, 2, 3), (1, 3, 4), (2, 1, 3), (2, 2, 4), (3, 1, 4),
@@ -46,19 +52,45 @@ def test_schur_solutions_n4():
 
 
 def test_enumeration_matches_product_scan():
+    # one- or two-row systems with Fraction entries built through RatMatrix,
+    # right-hand sides that are mostly nonzero (half of them planted at a
+    # point of the grid, so that multi-row systems have solutions too),
+    # and in about a fifth a zero last column, which leaves the last
+    # variable unconstrained
     rng = random.Random(701)
-    for _ in range(30):
-        n = rng.randint(1, 3)
-        coeffs = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)]
-        rhs = rng.randint(-4, 4)
-        N = rng.randint(1, 8)
-        sys_ = linsys(coeffs, rhs)
-        brute = tuple(
-            s
-            for s in itertools.product(range(1, N + 1), repeat=n)
-            if sum(c * x for c, x in zip(coeffs, s)) == rhs
+    seen = {"multirow": 0, "zero_last_column": 0, "inhomogeneous": 0}
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        rows = [
+            [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(k)]
+            for _ in range(rng.randint(1, 2))
+        ]
+        zero_last = rng.random() < 0.2
+        if zero_last:
+            for row in rows:
+                row[-1] = Fraction(0)
+        N = rng.choice((1, 5, 9) if k < 4 else (1, 5))
+        if rng.random() < 0.5:
+            point = [rng.randint(1, N) for _ in range(k)]
+            rhs = tuple(sum(a * v for a, v in zip(row, point)) for row in rows)
+        else:
+            rhs = tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in rows)
+        sys_ = LinearSystem(
+            variables=tuple("xyzw"[:k]), matrix=RatMatrix(rows), rhs=rhs
         )
-        assert enumerate_solutions(sys_, N) == brute
+
+        def holds(*s):
+            return all(
+                sum(a * v for a, v in zip(row, s)) == b for row, b in zip(rows, rhs)
+            )
+
+        want = scan(holds, k, N)
+        assert enumerate_solutions(sys_, N) == want, (rows, rhs, N)
+        if want:
+            seen["multirow"] += len(rows) > 1
+            seen["zero_last_column"] += zero_last
+            seen["inhomogeneous"] += any(rhs)
+    assert min(seen.values()) >= 3, seen
 
 
 def test_enumeration_two_variable_polynomial():
@@ -69,17 +101,64 @@ def test_enumeration_two_variable_polynomial():
 
 def test_enumeration_polyexp_direct_scan():
     eq = classify(parse_equation_text("(y - 2*x)*2^x - 0*y = 0"))
-    # guard: whatever the class, solutions must satisfy the relation
+    assert isinstance(eq, PolyExpEquation)
     sols = enumerate_solutions(eq, 8)
-    for s in sols:
-        vals = dict(zip(eq.variables if hasattr(eq, "variables") else (), s))
-    assert all(len(s) >= 1 for s in sols)
+    assert sols == scan(lambda *s: polyexp_eval(eq, s) == 0, len(eq.variables), 8)
+    named = [dict(zip(eq.variables, s)) for s in sols]
+    assert named == [{"x": a, "y": 2 * a} for a in range(1, 5)]
 
 
 def test_multirow_enumeration():
     # x + y = z and y = 2x: solutions (a, 2a, 3a)
     sys_ = classify(parse_equation_text("x + y - z = 0 ; 2*x - y = 0"))
     assert enumerate_solutions(sys_, 9) == ((1, 2, 3), (2, 4, 6), (3, 6, 9))
+
+
+def test_enumeration_identically_zero_rows():
+    # x - x = 0 holds everywhere; a zero row beside a real one changes
+    # nothing; a zero row with a nonzero right-hand side has no solutions
+    always = classify(parse_equation_text("x - x = 0"))
+    assert enumerate_solutions(always, 4) == ((1,), (2,), (3,), (4,))
+    zero_and_schur = LinearSystem(
+        variables=("x", "y", "z"),
+        matrix=RatMatrix([[0, 0, 0], [1, 1, -1]]),
+        rhs=(Fraction(0), Fraction(0)),
+    )
+    assert enumerate_solutions(zero_and_schur, 6) == enumerate_solutions(SCHUR, 6)
+    never = LinearSystem(
+        variables=("x", "y"), matrix=RatMatrix([[0, 0]]), rhs=(Fraction(1),)
+    )
+    assert enumerate_solutions(never, 5) == ()
+
+
+POLY_CASES = (
+    # z = -3 is negative, z = 2x a double root, z = x + y + 20 above N
+    ("(z + 3)*(z - 2*x)*(z - 2*x)*(z - x - y - 20) = 0",
+     lambda x, y, z: (z + 3) * (z - 2 * x) ** 2 * (z - x - y - 20) == 0),
+    ("x^2 + y^2 = z^2", lambda x, y, z: x * x + y * y == z * z),
+    ("x*y*z = 24", lambda x, y, z: x * y * z == 24),
+    # roots 1, 2, 3 where x = y, fewer or none elsewhere
+    ("z^3 - 6*z^2 + 11*z - 6 = x - y",
+     lambda x, y, z: z ** 3 - 6 * z ** 2 + 11 * z - 6 == x - y),
+    # the factor z^2 carries only the root 0
+    ("z^2*y = x*z^3", lambda x, y, z: z * z * y == x * z ** 3),
+    ("1/2*x*y - 1/3*z^2 = 0", lambda x, y, z: 3 * x * y == 2 * z * z),
+    ("y^2 = 4*x", lambda x, y: y * y == 4 * x),
+    ("x^2 = 4", lambda x: x * x == 4),
+    ("(y - x)*(y - x) = 0", lambda x, y: x == y),
+    ("x*y - z^2 = 0; x + y - 2*z = 0", lambda x, y, z: x * y == z * z and x + y == 2 * z),
+    ("x^2 = y*z; y + z = 2*w", lambda x, y, z, w: x * x == y * z and y + z == 2 * w),
+)
+
+
+@pytest.mark.parametrize("text,holds", POLY_CASES)
+def test_polynomial_enumeration_matches_scan(text, holds):
+    # variables come in order of first appearance; `holds` takes them by name
+    cls = classify(parse_equation_text(text))
+    k = len(cls.variables)
+    for N in (1, 7, 15) if k < 4 else (1, 7):
+        want = scan(lambda *s: holds(**dict(zip(cls.variables, s))), k, N)
+        assert enumerate_solutions(cls, N) == want, (text, N)
 
 
 def test_cell_budget():
@@ -173,6 +252,27 @@ def test_quadruple_boundary():
     assert r9.status == "AVOIDING"
     assert r9.coloring == (0, 1, 1, 0, 0, 0, 1, 1, 0)
     assert search_avoiding_coloring(ls, 10, 2).status == "FORCED"
+
+
+def test_dfs_node_counts_pinned():
+    # van der Waerden W(3;3) = 27 and W(4;2) = 35: the exhaustive search
+    # tries exactly these many colors
+    ap3 = classify(parse_equation_text("x + z = 2*y"))
+    r = search_avoiding_coloring(ap3, 27, 3, min_injectivity=2)
+    assert (r.status, r.nodes, r.solution_count) == ("FORCED", 337640, 338)
+    ap4 = classify(parse_equation_text("x + z = 2*y; y + w = 2*z"))
+    r = search_avoiding_coloring(ap4, 35, 2, min_injectivity=2)
+    assert (r.status, r.nodes, r.solution_count) == ("FORCED", 20351, 374)
+
+
+def test_long_search_needs_no_recursion():
+    # a recursive search would need a stack frame per element of [1..1500]
+    doubling = classify(parse_equation_text("y = 2*x"))
+    r = search_avoiding_coloring(doubling, 1500, 2)
+    assert (r.status, r.nodes, r.solution_count) == ("AVOIDING", 1999, 750)
+    ok, _ = verify_coloring(r.coloring, enumerate_solutions(doubling, 1500))
+    assert ok
+    assert all(r.coloring[x - 1] != r.coloring[2 * x - 1] for x in range(1, 751))
 
 
 def test_constant_solutions_force_trivially():
