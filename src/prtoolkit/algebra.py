@@ -18,7 +18,7 @@ across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -362,12 +362,37 @@ class UniPoly:
         return UniPoly([c * v for v in self.coeffs])
 
     def compose_linear(self, a: Rat, b: Rat) -> "UniPoly":
-        """Return self(a*w + b), computed by exact Horner evaluation."""
-        lin = UniPoly([b, a])
-        out = UniPoly(())
-        for c in reversed(self.coeffs):
-            out = out * lin + UniPoly([c])
-        return out
+        """Return self(a*w + b), by the binomial expansion over the integers.
+
+        With b = 0 the coefficients are just c_k * a^k.  Otherwise write
+        c_k = n_k / D and a*w + b = (A*w + B) / L with integers; then
+        coefficient j is A^j * sum_{k>=j} n_k C(k, j) B^(k-j) L^(d-k),
+        divided by D * L^d, where d is the degree.
+        """
+        if not self.coeffs or b == 0:
+            return UniPoly([c * _as_fraction(a) ** k for k, c in enumerate(self.coeffs)])
+        a, b = _as_fraction(a), _as_fraction(b)
+        L = a.denominator * b.denominator
+        A = a.numerator * b.denominator
+        B = b.numerator * a.denominator
+        D = 1
+        for c in self.coeffs:
+            D = D * c.denominator // _gcd(D, c.denominator)
+        n = [c.numerator * (D // c.denominator) for c in self.coeffs]
+        d = len(n) - 1
+        bpow = [1] * (d + 1)
+        lpow = [1] * (d + 1)
+        for k in range(1, d + 1):
+            bpow[k] = bpow[k - 1] * B
+            lpow[k] = lpow[k - 1] * L
+        den = D * lpow[d]
+        out = []
+        apow = 1
+        for j in range(d + 1):
+            total = sum(n[k] * comb(k, j) * bpow[k - j] * lpow[d - k] for k in range(j, d + 1))
+            out.append(Fraction(apow * total, den))
+            apow *= A
+        return UniPoly(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPoly):
@@ -508,6 +533,8 @@ def integer_roots(p: UniPoly, budget: int = DEFAULT_FACTOR_BUDGET) -> List[int]:
     Denominators are cleared, powers of w stripped (recording 0 as a root
     when present), candidate roots are read off the divisors of the
     constant term, and every candidate is verified by exact evaluation.
+    A stripped body c0 + cn*w^n needs no factoring: its only candidates
+    are the exact integer n-th roots of -c0/cn.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every integer as a root")
@@ -523,15 +550,35 @@ def integer_roots(p: UniPoly, budget: int = DEFAULT_FACTOR_BUDGET) -> List[int]:
         roots.add(0)
     body = ints[k:]
     if len(body) > 1:
-        _, factors = factor_integer(body[0], budget)
-        for d in divisors_from_factors(factors):
-            for cand in (d, -d):
-                total = 0
-                for c in reversed(body):
-                    total = total * cand + c
-                if total == 0:
-                    roots.add(cand)
+        if not any(body[1:-1]):
+            # c0 + cn*w^n = 0 forces |w|^n = |c0/cn|: an exact n-th root or none
+            c0, cn = abs(body[0]), abs(body[-1])
+            w = _iroot(c0 // cn, len(body) - 1)
+            candidates = [w, -w] if cn * w ** (len(body) - 1) == c0 else []
+        else:
+            _, factors = factor_integer(body[0], budget)
+            candidates = [c for d in divisors_from_factors(factors) for c in (d, -d)]
+        for cand in candidates:
+            total = 0
+            for c in reversed(body):
+                total = total * cand + c
+            if total == 0:
+                roots.add(cand)
     return sorted(roots)
+
+
+def _iroot(x: int, n: int) -> int:
+    """floor(x^(1/n)) for x >= 0, by integer Newton steps from above."""
+    if n == 2:
+        return isqrt(x)
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def divides_x_minus_y(p: MultiPoly) -> bool:

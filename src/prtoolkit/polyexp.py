@@ -30,7 +30,12 @@ Deciding whether g has an integer zero is done with exact arithmetic
 only: a dominance certificate confines all zeros to a finite window
 which is then scanned, and an independent modular certificate (all
 residues of g nonzero modulo some M coprime to the bases) can confirm
-emptiness a second way.
+emptiness a second way.  The scan works in integers: it carries g(s)
+modulo the primes 2^61 - 1 and 2^31 - 1 (negative s through the
+integer sum g(-k) * (prod |a_i|)^k), and evaluates g exactly only
+where both residues are 0, which every true zero satisfies.  The
+dominance thresholds are found by doubling and bisection, since each
+defining inequality is monotone past its starting point.
 """
 
 from __future__ import annotations
@@ -52,6 +57,19 @@ from .algebra import (
 
 DEFAULT_PARTITION_CAP = 12
 DEFAULT_MODULUS_CAP = 200
+
+# Budget of the certified window.  The exact comparisons of the dominance
+# threshold search build integers of about t * log2|b_1| bits, and the scan
+# costs a few microseconds per point, so a window wider than MAX_WINDOW
+# points, or a threshold whose comparison needs more than
+# MAX_THRESHOLD_BITS bits, is not computed: decide_constant_solution then
+# answers UNKNOWN.
+MAX_WINDOW = 1 << 20
+MAX_THRESHOLD_BITS = 1 << 22
+
+# Residues are carried modulo the product of the primes 2^61 - 1 and
+# 2^31 - 1, that is modulo both at once.
+_SCAN_MODULUS = ((1 << 61) - 1) * ((1 << 31) - 1)
 
 
 # ---------------------------------------------------------------------
@@ -435,6 +453,10 @@ class DominanceCertificate:
     zero_parities: Tuple[str, ...]
 
 
+class WindowTooWide(ValueError):
+    """The certified window would exceed MAX_WINDOW or MAX_THRESHOLD_BITS."""
+
+
 def _int_coeffs(p: UniPoly) -> Tuple[int, ...]:
     out = []
     for c in p.coeffs:
@@ -503,27 +525,43 @@ def _branch(
     b1 = abs(bases[0])
     b2 = abs(bases[1])
 
-    t = 1
-    while 2 * _abs_eval(c1[:-1], t) > cd * t ** d1:
-        t += 1
-    t1 = t
-
     dmax = max(len(c) - 1 for c in coeffs[1:])
-    t = 1
-    while (t + 1) ** dmax * b2 >= t ** dmax * b1:
-        t += 1
-    tstar = t
+    limit = min(MAX_WINDOW, MAX_THRESHOLD_BITS // b1.bit_length())
+    t1 = _least(lambda t: 2 * _abs_eval(c1[:-1], t) <= cd * t ** d1, 1, limit)
+    tstar = _least(lambda t: (t + 1) ** dmax * b2 < t ** dmax * b1, 1, limit)
+    T = _least(
+        lambda t: 2 * sum(
+            _abs_eval(c, t) * abs(b) ** t for b, c in zip(bases[1:], coeffs[1:])
+        ) < cd * t ** d1 * b1 ** t,
+        max(t1, tstar, 1),
+        limit,
+    )
+    return BranchCertificate(parity, direction, bases, coeffs, "ratio", T, t1, tstar)
 
-    t = max(t1, tstar, 1)
-    guard = 0
-    while 2 * sum(
-        _abs_eval(c, t) * abs(b) ** t for b, c in zip(bases[1:], coeffs[1:])
-    ) >= cd * t ** d1 * b1 ** t:
-        t += 1
-        guard += 1
-        if guard > 500_000:
-            raise RuntimeError("dominance threshold search failed to converge")
-    return BranchCertificate(parity, direction, bases, coeffs, "ratio", t, t1, tstar)
+
+def _least(holds: Callable[[int], bool], start: int, limit: int) -> int:
+    """Least t in [start, limit] with holds(t); WindowTooWide if none.
+
+    holds must be monotone from start on (once true, true for every
+    larger t), so doubling steps find a true point and bisection then
+    finds the least one: the same t as a linear search, in O(log t)
+    evaluations.
+    """
+    lo, hi, step = start - 1, start, 1
+    while hi > limit or not holds(hi):
+        if hi >= limit:
+            raise WindowTooWide(
+                "a dominance threshold exceeds %d (MAX_WINDOW = %d, MAX_THRESHOLD_BITS = %d)"
+                % (limit, MAX_WINDOW, MAX_THRESHOLD_BITS)
+            )
+        lo, hi, step = hi, min(hi + step, limit), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _branch_pairs(g: ExpSum) -> Tuple[List[Tuple[str, Tuple[Tuple[int, UniPoly], ...]]], List[str]]:
@@ -567,7 +605,9 @@ def dominance_bound(g: ExpSum) -> DominanceCertificate:
     """Certificate confining every integer zero of g to a finite window.
 
     Raises ValueError on the identically zero sum (no finite window
-    exists; every integer is a zero).
+    exists; every integer is a zero), and WindowTooWide (a ValueError)
+    when the window would exceed MAX_WINDOW points or a threshold search
+    would compare integers beyond MAX_THRESHOLD_BITS bits.
     """
     if g.is_zero():
         raise ValueError("the zero sum vanishes everywhere; no finite window")
@@ -581,6 +621,11 @@ def dominance_bound(g: ExpSum) -> DominanceCertificate:
         branches.extend((plus, minus))
         s_plus = max(s_plus, _map_to_s(parity, "plus", plus.threshold))
         s_minus = max(s_minus, _map_to_s(parity, "minus", minus.threshold))
+    if s_plus + s_minus + 1 > MAX_WINDOW:
+        raise WindowTooWide(
+            "the certified window [%d, %d] exceeds MAX_WINDOW = %d points"
+            % (-s_minus, s_plus, MAX_WINDOW)
+        )
     return DominanceCertificate(
         s_plus=s_plus,
         s_minus=s_minus,
@@ -782,7 +827,8 @@ class ConstantSolutionResult:
     zeros ("all", "even", "odd").  status NONE: the dominance window was
     scanned exhaustively and is empty, and `modular`, when present, is
     an independent second proof.  status UNKNOWN: only a user-supplied
-    window was scanned; nothing outside it is claimed.
+    window was scanned, or the certified window exceeds MAX_WINDOW and
+    none was; nothing outside a scanned window is claimed.
     """
 
     status: str
@@ -804,6 +850,48 @@ def _least_witness(candidates: Iterable[int]) -> Optional[int]:
     return None if best is None else best[1]
 
 
+def _residue_zeros(terms: Sequence[Tuple[int, UniPoly]], start: int, stop: int) -> List[int]:
+    """The k in [start, stop] (start >= 0) where sum b^k * C(k) is 0 mod _SCAN_MODULUS.
+
+    Bases and coefficients are integers, so each value is an integer and
+    its residue is exact.  Base powers are carried incrementally; each
+    coefficient polynomial is evaluated by its nonzero terms.
+    """
+    M = _SCAN_MODULUS
+    bases = [base % M for base, _ in terms]
+    powers = [pow(base, start, M) for base in bases]
+    polys = [
+        [(e, c % M) for e, c in enumerate(_int_coeffs(poly)) if c]
+        for _, poly in terms
+    ]
+    out = []
+    for k in range(start, stop + 1):
+        total = 0
+        for i, poly in enumerate(polys):
+            total += powers[i] * sum(c * pow(k, e, M) for e, c in poly)
+            powers[i] = powers[i] * bases[i] % M
+        if total % M == 0:
+            out.append(k)
+    return out
+
+
+def _zeros_between(g: ExpSum, lo: int, hi: int) -> List[int]:
+    """Every integer zero of g in [lo, hi], ascending.
+
+    A residue filter finds the candidates: s >= 0 on g's own terms, and
+    s = -k < 0 on the terms of g(-k) * (prod |a_i|)^k, which are integers
+    too.  A zero of g has both residues 0, so none is missed, and each
+    candidate is confirmed by exact evaluation.
+    """
+    candidates = []
+    if lo < 0:
+        negated = _negation_transform(g.terms)
+        candidates += [-k for k in reversed(_residue_zeros(negated, max(1, -hi), -lo))]
+    if hi >= 0:
+        candidates += _residue_zeros(g.terms, max(0, lo), hi)
+    return [s for s in candidates if g.eval(s) == 0]
+
+
 def decide_constant_solution(
     g: ExpSum,
     user_bound: Optional[int] = None,
@@ -812,9 +900,13 @@ def decide_constant_solution(
     """Decide whether g(s) = 0 for some integer s, with certificates.
 
     Without `user_bound` the decision is complete: a dominance
-    certificate confines zeros to a finite window which is scanned
-    exactly.  With `user_bound` only [-user_bound, user_bound] is
-    scanned and an empty scan yields UNKNOWN.
+    certificate confines zeros to a finite window, which is scanned with
+    a residue filter (g(s) modulo 2^61 - 1 and 2^31 - 1, in integers)
+    and every candidate confirmed by exact evaluation.  With
+    `user_bound` only [-user_bound, user_bound] is scanned, the same
+    way, and an empty scan yields UNKNOWN.  A window beyond MAX_WINDOW
+    points (or MAX_THRESHOLD_BITS) is not scanned: UNKNOWN, with a note
+    naming the cap.
     """
     if g.is_zero():
         return ConstantSolutionResult(
@@ -830,7 +922,7 @@ def decide_constant_solution(
     if user_bound is not None:
         if user_bound < 0:
             raise ValueError("user bound must be nonnegative")
-        zeros = [s for s in range(-user_bound, user_bound + 1) if g.eval(s) == 0]
+        zeros = _zeros_between(g, -user_bound, user_bound)
         if zeros:
             return ConstantSolutionResult(
                 status="FOUND",
@@ -853,11 +945,23 @@ def decide_constant_solution(
             note="no solution within the user bound; nothing outside it is claimed",
         )
 
-    cert = dominance_bound(g)
+    try:
+        cert = dominance_bound(g)
+    except WindowTooWide as e:
+        return ConstantSolutionResult(
+            status="UNKNOWN",
+            witness=None,
+            solutions_in_window=(),
+            families=(),
+            window=None,
+            dominance=None,
+            modular=None,
+            note="no window scanned: %s" % e,
+        )
     if not verify_dominance(g, cert):
         raise RuntimeError("internal error: dominance certificate failed re-verification")
     window = (-cert.s_minus, cert.s_plus)
-    zeros = [s for s in range(window[0], window[1] + 1) if g.eval(s) == 0]
+    zeros = _zeros_between(g, window[0], window[1])
     families = tuple(cert.zero_parities)
     if zeros or families:
         family_reps = [0 if f in ("all", "even") else 1 for f in families]

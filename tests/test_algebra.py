@@ -87,6 +87,23 @@ def test_unipoly_compose_linear():
         assert p.compose_linear(a, b).eval(t) == p.eval(a * t + b)
 
 
+def horner_compose(p, a, b):
+    lin = UniPoly([b, a])
+    out = UniPoly(())
+    for c in reversed(p.coeffs):
+        out = out * lin + UniPoly([c])
+    return out
+
+
+def test_unipoly_compose_linear_matches_horner():
+    rng = random.Random(104)
+    rats = [Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(20)] + [0, 1, -1, 2]
+    for _ in range(300):
+        p = UniPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 7))])
+        a, b = rng.choice(rats), rng.choice(rats)
+        assert p.compose_linear(a, b) == horner_compose(p, a, b)
+
+
 # --- rank --------------------------------------------------------------
 
 
@@ -188,6 +205,39 @@ def test_integer_roots_against_brute_scan():
         got = integer_roots(p)
         # a degree <= 4 integer polynomial has all roots within the scan
         assert got == brute
+
+
+def test_integer_roots_binomial_needs_no_factoring(monkeypatch):
+    import prtoolkit.algebra as algebra
+
+    def no_factoring(*args):
+        raise AssertionError("factor_integer called on a binomial")
+
+    monkeypatch.setattr(algebra, "factor_integer", no_factoring)
+    # (10^9 + 7)(10^9 + 9) is not a square, and trial division cannot factor it
+    assert integer_roots(UniPoly([-1000000016000000063, 0, 1])) == []
+    assert integer_roots(UniPoly([-1000000016000000064, 0, 1])) == [-1000000008, 1000000008]
+    assert integer_roots(UniPoly([8, 0, 0, 1])) == [-2]
+    assert integer_roots(UniPoly([-162, 0, 0, 0, 2])) == [-3, 3]
+    assert integer_roots(UniPoly([0, 0, 162, 0, 0, 0, 2])) == [0]
+    assert integer_roots(UniPoly([-33, 0, 0, 0, 0, 1])) == []
+    assert integer_roots(UniPoly([Fraction(-9, 2), Fraction(1, 2)])) == [9]
+    assert integer_roots(UniPoly([-(3 ** 40)] + [0] * 39 + [1])) == [-3, 3]
+    assert integer_roots(UniPoly([7, 0, 2])) == []
+
+
+def test_integer_roots_binomial_against_brute_scan():
+    rng = random.Random(108)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        cn = rng.choice([c for c in range(-4, 5) if c])
+        if rng.random() < 0.5:
+            w = rng.randint(-6, 6) or 1
+            c0 = -cn * w ** n
+        else:
+            c0 = rng.choice([c for c in range(-200, 201) if c])
+        p = UniPoly([c0] + [0] * (n - 1) + [cn])
+        assert integer_roots(p) == [s for s in range(-200, 201) if p.eval(s) == 0]
 
 
 def test_integer_roots_rational_coefficients():

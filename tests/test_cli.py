@@ -79,6 +79,18 @@ def test_decide_polyexp_not_pr(capsys):
     assert rep["hypothesis"]["trivial_for_all"] is True
 
 
+def test_decide_large_square_without_factoring(capsys):
+    # (10^9 + 7)(10^9 + 9) = 1000000008^2 - 1: no integer root, no factoring
+    code, rep = run_cli(capsys, "decide", "--expr", "x^2 - 1000000016000000063 = 0")
+    assert code == 0
+    assert rep["status"] == "NOT_PR"
+    assert rep["witnesses"] == []
+    code, rep = run_cli(capsys, "decide", "--expr", "x^2 = 1000000016000000064")
+    assert code == 0
+    assert rep["status"] == "PR_CONSTANT"
+    assert rep["witnesses"] == ["1000000008"]
+
+
 def test_decide_general_system_unknown(capsys):
     code, rep = run_cli(capsys, "decide", "--expr", "x*y + z = 4")
     assert code == 2

@@ -12,8 +12,10 @@ import pytest
 
 from prtoolkit.algebra import IncompleteFactorization, MultiPoly, UniPoly
 from prtoolkit.equations import classify, parse_equation_text
+from prtoolkit import polyexp
 from prtoolkit.polyexp import (
     ExpSum,
+    WindowTooWide,
     PolyExpEquation,
     PolyExpTerm,
     bell_number,
@@ -32,6 +34,7 @@ from prtoolkit.polyexp import (
     solution_count_bound,
     verify_dominance,
     verify_modular,
+    _zeros_between,
 )
 
 
@@ -267,6 +270,62 @@ def test_dominance_printed_example_thresholds():
     assert verify_dominance(g, cert)
 
 
+def linear_thresholds(br):
+    """(t1, tstar, T) of a ratio branch by the plain t += 1 searches."""
+    def abs_eval(coeffs, t):
+        return sum(abs(c) * t ** e for e, c in enumerate(coeffs))
+
+    c1 = br.coeffs[0]
+    d1 = len(c1) - 1
+    cd = abs(c1[-1])
+    b1, b2 = abs(br.bases[0]), abs(br.bases[1])
+    t = 1
+    while 2 * abs_eval(c1[:-1], t) > cd * t ** d1:
+        t += 1
+    t1 = t
+    dmax = max(len(c) - 1 for c in br.coeffs[1:])
+    t = 1
+    while (t + 1) ** dmax * b2 >= t ** dmax * b1:
+        t += 1
+    tstar = t
+    t = max(t1, tstar, 1)
+    while 2 * sum(
+        abs_eval(c, t) * abs(b) ** t for b, c in zip(br.bases[1:], br.coeffs[1:])
+    ) >= cd * t ** d1 * b1 ** t:
+        t += 1
+    return t1, tstar, t
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bisected_threshold_is_the_least_one_close_bases(k):
+    g = expsum((101, [0] * k + [1]), (100, [1]))
+    cert = dominance_bound(g)
+    ratios = [br for br in cert.branches if br.kind == "ratio"]
+    assert ratios
+    for br in ratios:
+        assert (br.t1, br.tstar, br.threshold) == linear_thresholds(br)
+    assert verify_dominance(g, cert)
+
+
+def test_bisected_threshold_is_the_least_one():
+    sums = [expsum((6, [2, -1, 1]), (35, [2, 2]), (143, [3, -1, 1]))]
+    rng = random.Random(607)
+    while len(sums) < 60:
+        terms = []
+        for base in rng.sample([b for b in range(-13, 14) if b != 0], rng.randint(2, 3)):
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+            coeffs[-1] = coeffs[-1] or 1
+            terms.append((base, coeffs))
+        sums.append(expsum(*terms))
+    checked = 0
+    for g in sums:
+        for br in dominance_bound(g).branches:
+            if br.kind == "ratio":
+                assert (br.t1, br.tstar, br.threshold) == linear_thresholds(br)
+                checked += 1
+    assert checked >= 100
+
+
 def test_dominance_zero_sum_rejected():
     with pytest.raises(ValueError):
         dominance_bound(ExpSum([]))
@@ -381,6 +440,114 @@ def test_decide_against_brute_force():
             assert verify_dominance(g, res.dominance)
         if res.modular is not None:
             assert verify_modular(g, res.modular)
+
+
+def fraction_scan(g, lo, hi):
+    return [s for s in range(lo, hi + 1) if g.eval(s) == 0]
+
+
+def planted_sum(rng, s0):
+    """A random sum with a zero planted at s0: the last term cancels the rest there."""
+    bases = rng.sample([b for b in range(-13, 14) if b != 0], rng.randint(2, 4))
+    terms = []
+    for base in bases[:-1]:
+        terms.append((base, UniPoly([Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(1, 4))])))
+    rest = sum((Fraction(b) ** s0 * p.eval(s0) for b, p in terms), Fraction(0))
+    last = bases[-1]
+    free = UniPoly([Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(0, 2))])
+    tail = free * UniPoly([Fraction(-s0), Fraction(1)]) + UniPoly([-rest / Fraction(last) ** s0])
+    return ExpSum(terms + [(last, tail)])
+
+
+def test_window_scan_matches_fraction_scan():
+    rng = random.Random(611)
+    sums = []
+    for _ in range(120):  # random sums, negative bases included
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            base = rng.choice([b for b in range(-13, 14) if b != 0])
+            coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 4))]
+            terms.append((base, UniPoly(coeffs)))
+        sums.append(ExpSum(terms))
+    for _ in range(60):  # a and -a in one sum: parity collisions
+        a = rng.randint(2, 9)
+        sign = rng.choice((1, -1))
+        p = UniPoly([Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 3))])
+        terms = [(a, p), (-a, p.scale(sign))]
+        if rng.random() < 0.5:
+            terms.append((rng.choice((3, 5, 7, 11)) * a, UniPoly([Fraction(rng.randint(-9, 9))])))
+        sums.append(ExpSum(terms))
+    for _ in range(80):  # zeros planted at negative and nonnegative s
+        sums.append(planted_sum(rng, rng.randint(-12, 6)))
+    sums += [expsum((2, [1]), (-2, [1])), expsum((2, [1]), (-2, [-1])),
+             expsum((3, [1, 1]), (-3, [1, 1]), (9, [2]))]
+    planted_negative = families = 0
+    for g in sums:
+        if g.is_zero():
+            continue
+        want = fraction_scan(g, -20, 20)
+        assert _zeros_between(g, -20, 20) == want
+        assert _zeros_between(g, -20, -3) == fraction_scan(g, -20, -3)
+        assert _zeros_between(g, 2, 20) == fraction_scan(g, 2, 20)
+        planted_negative += any(s < 0 for s in want)
+        families += len(want) >= 10
+    assert planted_negative >= 60 and families >= 3
+
+
+def test_constant_solution_scan_reports_planted_zeros():
+    # planting at s0 < 0 gives coefficients near |base|^-s0, and the window
+    # grows with them; a window beyond MAX_WINDOW is UNKNOWN, never wrong
+    rng = random.Random(613)
+    found = 0
+    for _ in range(40):
+        s0 = rng.randint(-3, 8)
+        g = planted_sum(rng, s0)
+        if g.is_zero():
+            continue
+        res = decide_constant_solution(g)
+        if res.status == "UNKNOWN":
+            assert "MAX_WINDOW" in res.note
+            continue
+        assert res.status == "FOUND"
+        found += 1
+        if not res.families:
+            assert s0 in res.solutions_in_window
+            lo, hi = max(res.window[0], -300), min(res.window[1], 300)
+            inside = [z for z in res.solutions_in_window if lo <= z <= hi]
+            assert inside == fraction_scan(g, lo, hi)
+    assert found >= 30
+
+
+def test_large_degree_windows():
+    g400 = diagonalize(parse_eq("x^400*2^x + 3^x = 0"))
+    res = decide_constant_solution(g400)
+    assert res.status == "NONE" and res.window == (-2, 8982)
+    v = decide_polyexp_pr(parse_eq("x^2000*2^x + 3^x = 0"))
+    assert v.status == "NOT_PR"
+    assert v.result.status == "NONE" and v.result.window == (-2, 53726)
+
+
+def test_window_beyond_the_cap_is_unknown(monkeypatch):
+    g = expsum((6, [2, -1, 1]), (35, [2, 2]), (143, [3, -1, 1]))  # window [-4, 4]
+    monkeypatch.setattr(polyexp, "MAX_WINDOW", 8)
+    with pytest.raises(WindowTooWide):
+        dominance_bound(g)
+    res = decide_constant_solution(g)
+    assert res.status == "UNKNOWN" and res.dominance is None and res.window is None
+    assert "MAX_WINDOW = 8" in res.note
+    v = decide_polyexp_pr(parse_eq(
+        "(x*y - z + 2)*2^x*3^y + (x - y + 2*z + 2)*5^x*7^y + (x*y - z + 3)*11^x*13^y = 0"))
+    assert v.status == "UNKNOWN"
+    monkeypatch.setattr(polyexp, "MAX_WINDOW", 9)
+    assert decide_constant_solution(g).status == "NONE"
+
+
+def test_threshold_beyond_the_bit_cap_is_unknown(monkeypatch):
+    g = expsum((101, [0, 0, 1]), (100, [1]))
+    monkeypatch.setattr(polyexp, "MAX_THRESHOLD_BITS", 7 * 100)  # t <= 100 for base 101
+    res = decide_constant_solution(g)
+    assert res.status == "UNKNOWN"
+    assert "MAX_THRESHOLD_BITS = 700" in res.note
 
 
 def test_user_bound_gives_unknown_not_none():
