@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
     d.add_argument("--group", help="comma-separated generators: decide over this subgroup of Q*")
     d.add_argument("--bound", type=int, help="user search bound for the constant-solution scan")
     d.add_argument("--mmax", type=int, default=200, help="modulus cap for modular certificates")
-    d.add_argument("--cap", type=int, default=12, help="column/partition enumeration cap")
+    d.add_argument("--cap", type=int, default=12, help="column enumeration cap")
 
     s = sub.add_parser("search", help="search for an avoiding coloring of [1..N]")
     add_input(s)
@@ -304,9 +304,7 @@ def _cmd_decide(args) -> int:
                 "polyexponential equations are decided over Z (ground set of "
                 "the constant-solution criterion)"
             )
-        verdict = decide_polyexp_pr(
-            cls, user_bound=args.bound, m_max=args.mmax, partition_cap=args.cap
-        )
+        verdict = decide_polyexp_pr(cls, user_bound=args.bound, m_max=args.mmax)
         report["status"] = verdict.status
         if verdict.hypothesis is not None:
             report["hypothesis"] = _hypothesis_json(verdict.hypothesis)

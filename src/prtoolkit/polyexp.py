@@ -24,7 +24,11 @@ trivial for every partition with at least one block of size >= 2
 G is trivial exactly when the matrix of prime-exponent differences
 v_p(a_{i,k}) - v_p(a_{j,k}) over all in-block pairs has full rank n:
 sign conditions alone cannot rescue triviality, since a finite-index
-subgroup of a nontrivial lattice is nontrivial.
+subgroup of a nontrivial lattice is nontrivial.  A partition's rows are
+the union of the rows of the pairs inside its blocks, and the partition
+whose one non-singleton block is {i, j} has exactly that pair's rows.
+So the hypothesis holds for every partition exactly when it holds for
+every such pair partition, which takes C(m, 2) rank checks, not Bell(m).
 
 Deciding whether g has an integer zero is done with exact arithmetic
 only: a dominance certificate confines all zeros to a finite window
@@ -40,8 +44,10 @@ defining inequality is monotone past its starting point.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd, lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -70,6 +76,11 @@ MAX_THRESHOLD_BITS = 1 << 22
 # Residues are carried modulo the product of the primes 2^61 - 1 and
 # 2^31 - 1, that is modulo both at once.
 _SCAN_MODULUS = ((1 << 61) - 1) * ((1 << 31) - 1)
+
+# Bit bound on the lcm of one block of moduli in the joint residue scan
+# of modular_certificate_search (the lcm of 2..200 has 288 bits), so the
+# cost of one step stays bounded for large m_max.
+_JOINT_BITS = 2048
 
 
 # ---------------------------------------------------------------------
@@ -187,9 +198,12 @@ class ExpSum:
         return not self.terms
 
     def eval(self, s: int) -> Fraction:
+        """g(s), exactly; a^s is not computed where A(s) = 0."""
         total = Fraction(0)
         for base, poly in self.terms:
-            total += Fraction(base) ** s * poly.eval(s)
+            c = poly.eval(s)
+            if c:
+                total += Fraction(base) ** s * c
         return total
 
     def __eq__(self, other):
@@ -467,10 +481,8 @@ def _int_coeffs(p: UniPoly) -> Tuple[int, ...]:
 
 
 def _abs_eval(coeffs: Sequence[int], t: int) -> int:
-    total = 0
-    for c in reversed(coeffs):
-        total = total * t + abs(c)
-    return total
+    """sum |c_e| * t^e over the nonzero coefficients only."""
+    return sum(abs(c) * t ** e for e, c in enumerate(coeffs) if c)
 
 
 def _split_parity(g: ExpSum) -> Tuple[Optional[ExpSum], Optional[ExpSum]]:
@@ -606,8 +618,11 @@ def dominance_bound(g: ExpSum) -> DominanceCertificate:
 
     Raises ValueError on the identically zero sum (no finite window
     exists; every integer is a zero), and WindowTooWide (a ValueError)
-    when the window would exceed MAX_WINDOW points or a threshold search
-    would compare integers beyond MAX_THRESHOLD_BITS bits.
+    when the window of a sum of two or more terms would exceed
+    MAX_WINDOW points or a threshold search would compare integers
+    beyond MAX_THRESHOLD_BITS bits.  A one-term sum's window is spanned
+    by the integer roots of its coefficient polynomial, which are its
+    zeros, so it is never scanned and has no width cap.
     """
     if g.is_zero():
         raise ValueError("the zero sum vanishes everywhere; no finite window")
@@ -621,7 +636,7 @@ def dominance_bound(g: ExpSum) -> DominanceCertificate:
         branches.extend((plus, minus))
         s_plus = max(s_plus, _map_to_s(parity, "plus", plus.threshold))
         s_minus = max(s_minus, _map_to_s(parity, "minus", minus.threshold))
-    if s_plus + s_minus + 1 > MAX_WINDOW:
+    if len(g.terms) > 1 and s_plus + s_minus + 1 > MAX_WINDOW:
         raise WindowTooWide(
             "the certified window [%d, %d] exceeds MAX_WINDOW = %d points"
             % (-s_minus, s_plus, MAX_WINDOW)
@@ -748,14 +763,11 @@ def _modular_period(g: ExpSum, m: int) -> int:
     return period
 
 
-def _residues(
-    g: ExpSum, m: int, start: int, count: int, early_abort: bool = False
-) -> Optional[List[int]]:
+def _residues(g: ExpSum, m: int, start: int, count: int) -> List[int]:
     """Residues g(start), ..., g(start+count-1) mod m.
 
     Base powers are carried incrementally, one modular product per term
-    and step.  With early_abort, returns None at the first zero residue
-    instead of finishing the scan."""
+    and step."""
     terms = [
         (base % m, [int(c) % m for c in reversed(_int_coeffs(poly))])
         for base, poly in g.terms
@@ -771,8 +783,6 @@ def _residues(
                 c = (c * sm + coeff) % m
             total = (total + powers[i] * c) % m
             powers[i] = powers[i] * base % m
-        if early_abort and total == 0:
-            return None
         out.append(total)
     return out
 
@@ -785,17 +795,88 @@ def modular_certificate_search(
     Only moduli coprime to every base are usable (otherwise g(s) mod M
     is undefined for negative s).  Returns None when no modulus works;
     absence proves nothing.
+
+    One scan over s = 0, 1, 2, ... serves every usable modulus at once:
+    it carries g(s) modulo Q, the lcm of the moduli still alive, and a
+    modulus dies at the first s where it divides gcd(g(s) mod Q, Q).
+    Since g mod m is periodic, a modulus that gets through its whole
+    period without a zero never dies, so the scan returns the least
+    live modulus as soon as s reaches its period: every smaller modulus
+    has already shown a zero.  That is the modulus a search over m in
+    ascending order would return, with the same residue table.  The
+    moduli are scanned in ascending blocks whose lcm stays within
+    _JOINT_BITS bits; the first block with a survivor holds the answer.
     """
     if g.is_zero():
         return None
+    product = 1
+    for base, _ in g.terms:
+        product *= base
+    blocks: List[List[int]] = []
+    Q = 1
     for m in range(2, m_max + 1):
-        if any(gcd(base, m) != 1 for base, _ in g.terms):
+        if gcd(product, m) != 1:
             continue
-        period = _modular_period(g, m)
-        residues = _residues(g, m, 0, period, early_abort=True)
-        if residues is not None:
-            return ModularCertificate(modulus=m, period=period, residues=tuple(residues))
+        Q = lcm(Q, m)
+        if not blocks or Q.bit_length() > _JOINT_BITS:
+            blocks.append([])
+            Q = m
+        blocks[-1].append(m)
+    for block in blocks:
+        found = _least_surviving(g, block)
+        if found is not None:
+            m, period = found
+            residues = tuple(_residues(g, m, 0, period))
+            return ModularCertificate(modulus=m, period=period, residues=residues)
     return None
+
+
+def _least_surviving(g: ExpSum, moduli: List[int]) -> Optional[Tuple[int, int]]:
+    """(least m in `moduli` with no zero of g mod m over its period, that period).
+
+    `moduli` ascend and are coprime to every base; None when every one
+    of them has a zero.  Each coefficient polynomial is evaluated at s
+    as an exact integer, by Horner over its nonzero terms.
+    """
+    terms = []
+    for base, poly in g.terms:
+        # Horner over the nonzero terms, highest exponent first: a = (a + c_e) * s^gap,
+        # gap being e minus the next exponent (the last one's gap is e itself)
+        coeffs = _int_coeffs(poly)
+        exps = [e for e, c in enumerate(coeffs) if c][::-1]
+        gaps = [e - f for e, f in zip(exps, exps[1:] + [0])]
+        terms.append((base, [(coeffs[e], gap) for e, gap in zip(exps, gaps)]))
+    live = list(moduli)
+    Q = lcm(*live)
+    powers = [1] * len(terms)
+    least, period = live[0], _modular_period(g, live[0])
+    rebuild_at = len(live) // 2
+    s = 0
+    while True:
+        v = 0
+        for i, (base, horner) in enumerate(terms):
+            a = 0
+            for c, gap in horner:
+                a = (a + c) * s ** gap
+            v += powers[i] * a
+            powers[i] = powers[i] * base % Q
+        G = gcd(v, Q)
+        if G >= live[0]:
+            cut = bisect_right(live, G)
+            kept = [m for m in live[:cut] if G % m]
+            if len(kept) < cut:
+                live = kept + live[cut:]
+                if not live:
+                    return None
+                if len(live) <= rebuild_at:
+                    # the powers, reduced modulo the old Q, stay right modulo its divisor
+                    Q = lcm(*live)
+                    rebuild_at = len(live) // 2
+                if live[0] != least:
+                    least, period = live[0], _modular_period(g, live[0])
+        s += 1
+        if s >= period:
+            return least, period
 
 
 def verify_modular(g: ExpSum, cert: ModularCertificate) -> bool:
@@ -902,7 +983,9 @@ def decide_constant_solution(
     Without `user_bound` the decision is complete: a dominance
     certificate confines zeros to a finite window, which is scanned with
     a residue filter (g(s) modulo 2^61 - 1 and 2^31 - 1, in integers)
-    and every candidate confirmed by exact evaluation.  With
+    and every candidate confirmed by exact evaluation.  A one-term sum
+    a^s * A(s) is not scanned: its zeros are the integer roots of A,
+    each confirmed by exact evaluation.  With
     `user_bound` only [-user_bound, user_bound] is scanned, the same
     way, and an empty scan yields UNKNOWN.  A window beyond MAX_WINDOW
     points (or MAX_THRESHOLD_BITS) is not scanned: UNKNOWN, with a note
@@ -961,7 +1044,10 @@ def decide_constant_solution(
     if not verify_dominance(g, cert):
         raise RuntimeError("internal error: dominance certificate failed re-verification")
     window = (-cert.s_minus, cert.s_plus)
-    zeros = _zeros_between(g, window[0], window[1])
+    if len(g.terms) == 1:
+        zeros = [s for s in integer_roots(g.terms[0][1]) if g.eval(s) == 0]
+    else:
+        zeros = _zeros_between(g, window[0], window[1])
     families = tuple(cert.zero_parities)
     if zeros or families:
         family_reps = [0 if f in ("all", "even") else 1 for f in families]
@@ -999,10 +1085,16 @@ class HypothesisReport:
 
     `trivial_for_all` covers every partition of the term set having at
     least one block of size >= 2 (all-singleton partitions impose no
-    pair constraints and are skipped).  `degenerate_possible` flags
-    whether the pure polynomial system {P_k = 0 for all k} might
-    contribute solution families outside the exponential analysis; it
-    is reported, not decided.
+    pair constraints and are skipped).  It is decided pair by pair: the
+    partition whose one non-singleton block is {i, j} has exactly that
+    pair's constraint rows, and every other partition has a union of
+    such rows, so G is trivial for all partitions iff it is for all
+    pair partitions.  `checked_partitions` is the number of partitions
+    this covers, Bell(m) - 1, and `failing_partition` the first failing
+    pair, written as its partition (blocks ordered by least element).
+    `degenerate_possible` flags whether the pure polynomial system
+    {P_k = 0 for all k} might contribute solution families outside the
+    exponential analysis; it is reported, not decided.
     """
 
     checked_partitions: int
@@ -1024,29 +1116,32 @@ class PolyExpVerdict:
 
 def check_hypothesis(
     eq: PolyExpEquation,
-    partition_cap: int = DEFAULT_PARTITION_CAP,
     budget: int = DEFAULT_FACTOR_BUDGET,
 ) -> HypothesisReport:
+    """Audit the character-group hypothesis with one rank check per pair.
+
+    Pairs {i, j} are taken in lexicographic order, each as the partition
+    whose only non-singleton block is {i, j}, up to the first pair whose
+    group is nontrivial; HypothesisReport says why that is exact.
+    Raises IncompleteFactorization when an entry cannot be factored
+    within the budget.
+    """
     chars = [t.characters for t in eq.terms]
     m = len(chars)
-    checked = 0
-    trivial = True
     failing = None
-    for partition in enumerate_partitions(m, cap=partition_cap):
-        if all(len(b) < 2 for b in partition):
-            continue
-        checked += 1
-        if trivial and not character_group_trivial(chars, partition, budget):
-            trivial = False
+    for i, j in combinations(range(m), 2):
+        partition = tuple(sorted([(i, j)] + [(k,) for k in range(m) if k not in (i, j)]))
+        if not character_group_trivial(chars, partition, budget):
             failing = partition
+            break
     coprime, unit = mutually_coprime(chars)
     safe = any(
         t.poly.degree() == 0 and (t.f is None or (isinstance(t.f, UniPoly) and t.f.degree == 0))
         for t in eq.terms
     )
     return HypothesisReport(
-        checked_partitions=checked,
-        trivial_for_all=trivial,
+        checked_partitions=bell_number(m) - 1,
+        trivial_for_all=failing is None,
         failing_partition=failing,
         coprime=coprime,
         unit_entry_warning=unit,
@@ -1058,7 +1153,6 @@ def decide_polyexp_pr(
     eq: PolyExpEquation,
     user_bound: Optional[int] = None,
     m_max: int = DEFAULT_MODULUS_CAP,
-    partition_cap: int = DEFAULT_PARTITION_CAP,
 ) -> PolyExpVerdict:
     """Decide partition regularity over the integers via the diagonal.
 
@@ -1069,7 +1163,7 @@ def decide_polyexp_pr(
     """
     notes: List[str] = []
     try:
-        hypothesis = check_hypothesis(eq, partition_cap=partition_cap)
+        hypothesis = check_hypothesis(eq)
     except IncompleteFactorization as e:
         return PolyExpVerdict(
             status="UNKNOWN",

@@ -6,7 +6,9 @@ defining inequalities before the search code existed.
 """
 
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -628,5 +630,214 @@ def test_incomplete_factorization_gives_unknown():
         characters=(3,),
     )
     eq = PolyExpEquation(variables=("x",), exp_vars=("x",), param_var=None, terms=(term, term2))
-    v = decide_polyexp_pr(eq, partition_cap=12)
+    v = decide_polyexp_pr(eq)
     assert v.status in ("UNKNOWN", "NOT_PR")
+
+
+# --- the joint residue scan ---------------------------------------------------
+
+
+def per_modulus_search(g, m_max):
+    """The search modular_certificate_search replaced: one modulus at a
+    time, each scanned until its first zero residue or its full period."""
+    if g.is_zero():
+        return None
+    for m in range(2, m_max + 1):
+        if any(gcd(base, m) != 1 for base, _ in g.terms):
+            continue
+        period = polyexp._modular_period(g, m)
+        terms = [
+            (base % m, [int(c) % m for c in reversed(polyexp._int_coeffs(poly))])
+            for base, poly in g.terms
+        ]
+        powers = [1] * len(terms)
+        residues = []
+        for s in range(period):
+            total = 0
+            for i, (base, rev_coeffs) in enumerate(terms):
+                c = 0
+                for coeff in rev_coeffs:
+                    c = (c * (s % m) + coeff) % m
+                total = (total + powers[i] * c) % m
+                powers[i] = powers[i] * base % m
+            if total == 0:
+                break
+            residues.append(total)
+        else:
+            return polyexp.ModularCertificate(modulus=m, period=period, residues=tuple(residues))
+    return None
+
+
+def random_modular_sums(rng, count):
+    # negative bases, and bases sharing factors with many moduli
+    bases = [b for b in range(-13, 14) if b != 0] + [6, -10, 12, 30, -42, 210, 2310]
+    for _ in range(count):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+            terms.append((rng.choice(bases), UniPoly([Fraction(c) for c in coeffs])))
+        g = ExpSum(terms)
+        if not g.is_zero():
+            yield g
+
+
+@pytest.mark.parametrize("m_max", [2, 3, 10, 200])
+def test_joint_scan_matches_per_modulus_search(m_max):
+    rng = random.Random(6100 + m_max)
+    found = none = 0
+    for g in random_modular_sums(rng, 80):
+        cert = modular_certificate_search(g, m_max)
+        assert cert == per_modulus_search(g, m_max), g
+        if cert is None:
+            none += 1
+        else:
+            found += 1
+            assert verify_modular(g, cert)
+    assert none > 0
+    if m_max > 2:
+        assert found > 0
+
+
+def test_joint_scan_blocks_match_per_modulus_search(monkeypatch):
+    # a small lcm bound splits 2..200 into many blocks
+    monkeypatch.setattr(polyexp, "_JOINT_BITS", 16)
+    rng = random.Random(6105)
+    for g in random_modular_sums(rng, 40):
+        assert modular_certificate_search(g, 200) == per_modulus_search(g, 200), g
+
+
+def test_joint_scan_known_certificates():
+    # 2^s + 3^s + ... + 23^s: every modulus below 29 shares a prime with a
+    # base or has a zero; 29 survives its period
+    g = ExpSum([(p, UniPoly([Fraction(1)])) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)])
+    cert = modular_certificate_search(g)
+    assert cert == per_modulus_search(g, 200)
+    assert cert.modulus == 29
+    # a sum with a zero has no certificate at any cap
+    assert modular_certificate_search(expsum((2, [-1]), (4, [1]))) is None
+
+
+# --- the hypothesis, pair by pair ---------------------------------------------
+
+
+def hypothesis_by_partitions(chars):
+    """The walk check_hypothesis replaced: every partition with a pair block."""
+    for partition in enumerate_partitions(len(chars)):
+        if any(len(block) > 1 for block in partition):
+            if not character_group_trivial(chars, partition):
+                return False
+    return True
+
+
+def constant_equation(chars):
+    n = len(chars[0])
+    names = ("x", "y")[:n]
+    terms = tuple(
+        PolyExpTerm(poly=MultiPoly.constant(names, Fraction(1)), f=None, characters=c)
+        for c in chars
+    )
+    return PolyExpEquation(variables=names, exp_vars=names, param_var=None, terms=terms)
+
+
+def test_pair_check_matches_partition_walk():
+    # entries with +-a collisions and shared primes
+    entries = [-12, -6, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 9, 12]
+    rng = random.Random(612)
+    outcomes = set()
+    for _ in range(120):
+        n = rng.randint(1, 2)
+        m = rng.randint(1, 6)
+        chars = list({tuple(rng.choice(entries) for _ in range(n)) for _ in range(m)})
+        rng.shuffle(chars)
+        report = check_hypothesis(constant_equation(chars))
+        expected = hypothesis_by_partitions(chars)
+        assert report.trivial_for_all == expected, chars
+        assert report.checked_partitions == bell_number(len(chars)) - 1
+        outcomes.add(expected)
+        if expected:
+            assert report.failing_partition is None
+            continue
+        # the first failing pair, as its partition, blocks by least element
+        pairs = [block for block in report.failing_partition if len(block) > 1]
+        assert len(pairs) == 1 and len(pairs[0]) == 2
+        assert sorted(i for block in report.failing_partition for i in block) == list(range(len(chars)))
+        assert list(report.failing_partition) == sorted(report.failing_partition)
+        assert not character_group_trivial(chars, report.failing_partition)
+        i, j = pairs[0]
+        for a in range(len(chars)):
+            for b in range(a + 1, len(chars)):
+                if (a, b) < (i, j):
+                    assert character_group_trivial(chars, ((a, b),))
+    assert outcomes == {True, False}
+
+
+def test_failing_pair_is_reported_as_its_partition():
+    # 2 and -2 agree at every even z; 3 is independent of both
+    report = check_hypothesis(constant_equation([(3,), (2,), (-2,)]))
+    assert not report.trivial_for_all
+    assert report.failing_partition == ((0,), (1, 2))
+    assert report.checked_partitions == 4
+
+
+@pytest.mark.parametrize("count", [9, 12])
+def test_many_bases_decided_quickly(count):
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)[:count]
+    eq = parse_eq(" + ".join("%d^x" % p for p in primes) + " = 0")
+    start = time.perf_counter()
+    v = decide_polyexp_pr(eq)
+    assert time.perf_counter() - start < 1.0
+    assert v.status == "NOT_PR"
+    assert v.hypothesis.checked_partitions == bell_number(count) - 1
+    assert verify_modular(v.diagonal, v.result.modular)
+
+
+# --- one-term sums ------------------------------------------------------------
+
+
+def test_one_term_sum_far_root():
+    v = decide_polyexp_pr(parse_eq("(x - 1000000000)*2^x = 0"))
+    assert v.status == "PR_CONSTANT"
+    assert v.result.witness == 10 ** 9
+    assert v.result.solutions_in_window == (10 ** 9,)
+    assert v.result.window == (0, 10 ** 9)
+    assert verify_dominance(v.diagonal, v.result.dominance)
+    g = expsum((-3, [10 ** 9, 1]), (1, [0]))  # (s + 10^9) * (-3)^s
+    res = decide_constant_solution(g)
+    assert (res.status, res.witness, res.window) == ("FOUND", -10 ** 9, (-10 ** 9, 0))
+
+
+def test_one_term_sums_match_the_scan():
+    rng = random.Random(613)
+    for _ in range(150):
+        base = rng.choice([b for b in range(-13, 14) if b != 0])
+        roots = [rng.randint(-20, 20) for _ in range(rng.randint(0, 3))]
+        poly = UniPoly([Fraction(rng.choice([-3, -1, 1, 2]))])
+        for r in roots:
+            poly = poly * UniPoly([Fraction(-r), Fraction(1)])
+        if rng.random() < 0.3:
+            poly = poly * UniPoly([Fraction(1), Fraction(0), Fraction(1)])  # s^2 + 1: no root
+        g = ExpSum([(base, poly)])
+        res = decide_constant_solution(g)
+        lo, hi = res.window
+        assert list(res.solutions_in_window) == fraction_scan(g, lo, hi)
+        assert fraction_scan(g, -25, 25) == sorted(set(roots))
+        assert res.status == ("FOUND" if roots else "NONE")
+
+
+# --- sparse absolute evaluation -----------------------------------------------
+
+
+def test_sparse_abs_eval_matches_dense_horner():
+    def dense(coeffs, t):
+        total = 0
+        for c in reversed(coeffs):
+            total = total * t + abs(c)
+        return total
+
+    rng = random.Random(614)
+    for _ in range(200):
+        coeffs = [rng.choice([0, 0, 0, rng.randint(-50, 50)]) for _ in range(rng.randint(1, 40))]
+        for t in (0, 1, 2, rng.randint(3, 1000), 10 ** 12):
+            assert polyexp._abs_eval(coeffs, t) == dense(coeffs, t)
+    monomial = (0,) * 5000 + (-7,)
+    assert polyexp._abs_eval(monomial, 3) == dense(monomial, 3) == 7 * 3 ** 5000
