@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, isqrt
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -565,6 +565,11 @@ def integer_roots(p: UniPoly, budget: int = DEFAULT_FACTOR_BUDGET) -> List[int]:
             if total == 0:
                 roots.add(cand)
     return sorted(roots)
+
+
+def least_witness(candidates: Iterable[int]) -> Optional[int]:
+    """The candidate of least absolute value, the nonnegative one on a tie."""
+    return min(candidates, key=lambda w: (abs(w), w < 0), default=None)
 
 
 def _iroot(x: int, n: int) -> int:

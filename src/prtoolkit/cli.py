@@ -521,22 +521,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _UsageError as e:
+    except (_UsageError, ParseError, ClassifyError, SchemaError, FileNotFoundError,
+            ValueError, json.JSONDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ClassifyError, SchemaError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, json.JSONDecodeError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
-    except IncompleteFactorization as e:
-        print("unknown: %s" % e, file=sys.stderr)
-        return EXIT_UNKNOWN
-    except BudgetExceeded as e:
+    except (IncompleteFactorization, BudgetExceeded) as e:
         print("unknown: %s" % e, file=sys.stderr)
         return EXIT_UNKNOWN
 

@@ -16,11 +16,10 @@ every P_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .algebra import MultiPoly, UniPoly, integer_roots
-from .equations import LinearSystem, TwoVarPolySystem
+from .algebra import MultiPoly, UniPoly, integer_roots, least_witness
+from .equations import LinearSystem, TwoVarPolySystem, linear_polys
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ def decide_twovar(system: TwoVarPolySystem, domain: str = "N") -> TwoVarVerdict:
     return TwoVarVerdict(
         status="PR_CONSTANT" if witnesses else "NOT_PR",
         witnesses=witnesses,
-        witness=min(witnesses, key=lambda w: (abs(w), 0 if w >= 0 else 1)) if witnesses else None,
+        witness=least_witness(witnesses),
         infinitely_pr=False,
         all_divisible_by_x_minus_y=False,
         domain=domain,
@@ -101,21 +100,8 @@ def twovar_from_linear(system: LinearSystem) -> TwoVarPolySystem:
     if len(system.variables) > 2:
         raise ValueError("only systems in at most two variables convert")
     vars_ = system.variables
-    polys = []
-    for row, b in zip(system.matrix.rows, system.rhs):
-        terms = {}
-        for j, a in enumerate(row):
-            if a != 0:
-                exps = tuple(1 if t == j else 0 for t in range(len(vars_)))
-                terms[exps] = Fraction(a)
-        if b != 0:
-            terms[tuple(0 for _ in vars_)] = -Fraction(b)
-        poly = MultiPoly(vars_, terms)
-        if not poly.is_zero():
-            polys.append(poly)
-    if not polys:
-        polys = [MultiPoly.zero(vars_)]
-    return TwoVarPolySystem(variables=vars_, polys=tuple(polys))
+    polys = [p for p in linear_polys(system) if not p.is_zero()]
+    return TwoVarPolySystem(variables=vars_, polys=tuple(polys) or (MultiPoly.zero(vars_),))
 
 
 def decide_infinitely_pr(system: TwoVarPolySystem) -> bool:

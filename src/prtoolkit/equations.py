@@ -20,10 +20,15 @@ may be written `(-2)^x`.  Parse errors carry line, column and the set of
 token kinds that would have been accepted.  At most MAX_NESTING levels
 of '(' and unary '-' may nest; deeper input is a ParseError.
 
-`classify` normalizes every equation to "left side minus right side"
-and reports the most specific class: LinearSystem, TwoVarPolySystem,
-PolyExpEquation, or GeneralPolySystem.  Exact integers are serialized
-as decimal strings in JSON so no value is ever truncated to 64 bits.
+`classify` normalizes every equation to "left side minus right side",
+one map from (exponents, bases) to coefficient with like terms combined
+at every '+', '-' and '*', and reports the most specific class:
+LinearSystem, TwoVarPolySystem, PolyExpEquation, or GeneralPolySystem.
+One '*' may form at most MAX_EXPANSION term products; more is a
+ClassifyError.  Chains of '+', '-' and '*' are parsed, printed and
+classified in loops, so their length is not bounded by the interpreter
+stack.  Exact integers are serialized as decimal strings in JSON so no
+value is ever truncated to 64 bits.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ MAX_POLY_DEGREE = 10_000
 # nested '(' and unary '-' levels; each '(' costs the recursive parser
 # three frames, far below Python's default recursion limit of 1000
 MAX_NESTING = 100
+# term products one '*' may form while classify multiplies out; like
+# terms combine at every product, so (x + y)^40 needs at most 80 per '*'
+MAX_EXPANSION = 10_000
 
 
 class ParseError(Exception):
@@ -376,6 +384,8 @@ _ATOMIC = (Num, Var, VarPow, ExpPow)
 
 
 def format_expr(e: Expr) -> str:
+    """Text of `e`; chains of '+'/'-' or of '*' are walked down their left
+    spine in a loop, so only parenthesized operands recurse."""
     if isinstance(e, Num):
         return str(e.value)
     if isinstance(e, Var):
@@ -389,22 +399,27 @@ def format_expr(e: Expr) -> str:
         if isinstance(e.arg, _ATOMIC) or isinstance(e.arg, Neg):
             return "-" + inner
         return "-(%s)" % inner
+    if not isinstance(e, (Add, Sub, Mul)):
+        raise TypeError("not an expression node: %r" % (e,))
+    # a '*' operand is parenthesized when it is a sum, and on the right
+    # also when it is a product; a '+'/'-' operand only on the right
     if isinstance(e, Mul):
-        left = format_expr(e.left)
-        if isinstance(e.left, (Add, Sub)):
-            left = "(%s)" % left
-        right = format_expr(e.right)
-        if isinstance(e.right, (Add, Sub, Mul)):
+        chain, wrap_right = (Mul,), (Add, Sub, Mul)
+    else:
+        chain, wrap_right = (Add, Sub), (Add, Sub)
+    spine = []
+    while isinstance(e, chain):
+        spine.append(e)
+        e = e.left
+    left = format_expr(e)
+    parts = ["(%s)" % left if isinstance(e, (Add, Sub)) else left]
+    for node in reversed(spine):
+        right = format_expr(node.right)
+        if isinstance(node.right, wrap_right):
             right = "(%s)" % right
-        return "%s*%s" % (left, right)
-    if isinstance(e, (Add, Sub)):
-        op = " + " if isinstance(e, Add) else " - "
-        left = format_expr(e.left)
-        right = format_expr(e.right)
-        if isinstance(e.right, (Add, Sub)):
-            right = "(%s)" % right
-        return op.join((left, right))
-    raise TypeError("not an expression node: %r" % (e,))
+        op = "*" if isinstance(node, Mul) else " + " if isinstance(node, Add) else " - "
+        parts += (op, right)
+    return "".join(parts)
 
 
 def format_system(ast: EquationAST) -> str:
@@ -448,144 +463,136 @@ class GeneralPolySystem:
 
 EquationClass = Union[LinearSystem, TwoVarPolySystem, PolyExpEquation, GeneralPolySystem]
 
-_FlatTerm = Tuple[Fraction, Tuple[Tuple[str, int], ...], Tuple[Tuple[str, int], ...]]
+# (exponents, bases), both aligned with the system's variables; base 0
+# marks a variable with no exponential factor, since real bases are nonzero
+_Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
-def _expand(e: Expr) -> List[Tuple[Fraction, Dict[str, int], Dict[str, int]]]:
-    """Flatten an expression into (coeff, var->power, var->base) products."""
-    if isinstance(e, Num):
-        return [(e.value, {}, {})]
-    if isinstance(e, Var):
-        return [(Fraction(1), {e.name: 1}, {})]
-    if isinstance(e, VarPow):
-        return [(Fraction(1), {e.name: e.exp} if e.exp else {}, {})]
-    if isinstance(e, ExpPow):
-        return [(Fraction(1), {}, {e.var: e.base})]
-    if isinstance(e, Neg):
-        return [(-c, p, x) for c, p, x in _expand(e.arg)]
-    if isinstance(e, Add):
-        return _expand(e.left) + _expand(e.right)
-    if isinstance(e, Sub):
-        return _expand(e.left) + [(-c, p, x) for c, p, x in _expand(e.right)]
-    if isinstance(e, Mul):
-        out = []
-        right = _expand(e.right)
-        for c1, p1, x1 in _expand(e.left):
-            for c2, p2, x2 in right:
-                powers = dict(p1)
-                for v, k in p2.items():
-                    powers[v] = powers.get(v, 0) + k
-                bases = dict(x1)
-                for v, b in x2.items():
-                    bases[v] = bases.get(v, 1) * b
-                out.append((c1 * c2, powers, bases))
-        return out
-    raise TypeError("not an expression node: %r" % (e,))
+def _term_map(e: Expr, variables: Tuple[str, ...]) -> Dict[_Key, Fraction]:
+    """`e` multiplied out, with like terms combined at every '+', '-' and '*'.
+
+    Canceled terms stay in the map with coefficient 0, so every key keeps
+    its first-appearance position in the fully expanded sum.  The walk is
+    post-order on an explicit stack: long '+' and '*' chains need no
+    recursion.  A '*' of more than MAX_EXPANSION term products raises
+    ClassifyError.
+    """
+    index = {v: i for i, v in enumerate(variables)}
+    none = (0,) * len(variables)
+    todo: List[Tuple[Expr, bool]] = [(e, False)]
+    done: List[Dict[_Key, Fraction]] = []
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, Num):
+            done.append({(none, none): node.value})
+        elif isinstance(node, (Var, VarPow)):
+            exps = list(none)
+            exps[index[node.name]] = node.exp if isinstance(node, VarPow) else 1
+            done.append({(tuple(exps), none): Fraction(1)})
+        elif isinstance(node, ExpPow):
+            bases = list(none)
+            bases[index[node.var]] = node.base
+            done.append({(none, tuple(bases)): Fraction(1)})
+        elif not ready:
+            todo.append((node, True))
+            if isinstance(node, Neg):
+                todo.append((node.arg, False))
+            else:
+                todo += [(node.right, False), (node.left, False)]
+        elif isinstance(node, Neg):
+            done[-1] = {k: -c for k, c in done[-1].items()}
+        elif isinstance(node, Mul):
+            right, left = done.pop(), done.pop()
+            if len(left) * len(right) > MAX_EXPANSION:
+                raise ClassifyError(
+                    "expanding a product needs %d term products (cap %d)"
+                    % (len(left) * len(right), MAX_EXPANSION)
+                )
+            prod: Dict[_Key, Fraction] = {}
+            for (e1, b1), c1 in left.items():
+                for (e2, b2), c2 in right.items():
+                    key = (
+                        tuple(i + j for i, j in zip(e1, e2)),
+                        tuple(i * j if i and j else i or j for i, j in zip(b1, b2)),
+                    )
+                    prod[key] = prod.get(key, 0) + c1 * c2
+            done.append(prod)
+        else:
+            right, left = done.pop(), done[-1]
+            sign = 1 if isinstance(node, Add) else -1
+            for k, c in right.items():
+                left[k] = left.get(k, 0) + sign * c
+    return done[0]
 
 
-def _flatten_equation(eq: Equation) -> Dict[_FlatTerm, Fraction]:
-    """lhs - rhs as an insertion-ordered map from term shape to coefficient."""
-    raw = _expand(eq.lhs) + [(-c, p, x) for c, p, x in _expand(eq.rhs)]
-    combined: Dict[Tuple[Tuple[Tuple[str, int], ...], Tuple[Tuple[str, int], ...]], Fraction] = {}
-    for c, powers, bases in raw:
-        key = (
-            tuple(sorted((v, k) for v, k in powers.items() if k)),
-            tuple(sorted(bases.items())),
-        )
-        combined[key] = combined.get(key, Fraction(0)) + c
-    return {
-        (coeff, key[0], key[1]): coeff
-        for key, coeff in combined.items()
-        if coeff != 0
-    }
-
-
-def _poly_from_flat(
-    flat: Dict[_FlatTerm, Fraction], variables: Tuple[str, ...]
-) -> MultiPoly:
-    terms: Dict[Tuple[int, ...], Fraction] = {}
-    for (coeff, powers, bases) in flat:
-        if bases:
-            raise ValueError("exponential term in polynomial context")
-        exps = [0] * len(variables)
-        for v, k in powers:
-            exps[variables.index(v)] = k
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return MultiPoly(variables, terms)
+def linear_polys(system: LinearSystem) -> List[MultiPoly]:
+    """Each row of A x = b as the polynomial sum_j a_j x_j - b; zero rows stay."""
+    vars_ = system.variables
+    polys = []
+    for row, b in zip(system.matrix.rows, system.rhs):
+        terms = {}
+        for j, a in enumerate(row):
+            if a != 0:
+                terms[tuple(1 if t == j else 0 for t in range(len(vars_)))] = Fraction(a)
+        if b != 0:
+            terms[tuple(0 for _ in vars_)] = -Fraction(b)
+        polys.append(MultiPoly(vars_, terms))
+    return polys
 
 
 def classify(ast: EquationAST) -> EquationClass:
     """Most specific equation class for a parsed system.
 
-    Order of preference: LinearSystem, then TwoVarPolySystem, then
-    PolyExpEquation, then GeneralPolySystem.  The reported variable
-    order is first-appearance order, and classification commutes with
-    variable renaming up to that order.
+    Each equation's "left side minus right side" becomes one map from
+    (exponents, bases) to coefficient (see `_term_map`), and each class
+    is read from those maps.  Order of preference: LinearSystem (every
+    key of degree at most 1, no base), then TwoVarPolySystem, then
+    PolyExpEquation (characters are the keys' bases, 1 where a variable
+    has none), then GeneralPolySystem.  The reported variable order is
+    first-appearance order, and classification commutes with variable
+    renaming up to that order.
     """
     variables = ast.variables
-    flats = [_flatten_equation(eq) for eq in ast.equations]
-    has_exp = any(bases for flat in flats for (_, _, bases) in flat)
+    none = (0,) * len(variables)
+    maps = []
+    for eq in ast.equations:
+        expanded = _term_map(Sub(eq.lhs, eq.rhs), variables)
+        maps.append({k: c for k, c in expanded.items() if c != 0})
 
-    if not has_exp:
-        if all(
-            sum(k for _, k in powers) <= 1
-            for flat in flats
-            for (_, powers, _) in flat
-        ):
-            rows: List[List[Fraction]] = []
-            rhs: List[Fraction] = []
-            for flat in flats:
+    if not any(any(bases) for m in maps for _, bases in m):
+        if all(sum(exps) <= 1 for m in maps for exps, _ in m):
+            rows = []
+            for m in maps:
                 row = [Fraction(0)] * len(variables)
-                const = Fraction(0)
-                for (coeff, powers, _) in flat:
-                    if powers:
-                        ((v, _k),) = powers
-                        row[variables.index(v)] += coeff
-                    else:
-                        const += coeff
+                for (exps, _), c in m.items():
+                    if any(exps):
+                        row[exps.index(1)] = c
                 rows.append(row)
-                rhs.append(-const)
-            return LinearSystem(variables, RatMatrix(rows), tuple(rhs))
-        polys = []
-        degenerate = False
-        for flat in flats:
-            p = _poly_from_flat(flat, variables)
-            if p.is_zero():
-                continue  # 0 = 0 imposes nothing
-            if p.degree() == 0:
-                degenerate = True
-            polys.append(p)
-        if len(variables) <= 2 and not degenerate:
+            rhs = tuple(-m.get((none, none), Fraction(0)) for m in maps)
+            return LinearSystem(variables, RatMatrix(rows), rhs)
+        polys = [MultiPoly(variables, {exps: c for (exps, _), c in m.items()}) for m in maps]
+        polys = [p for p in polys if not p.is_zero()]  # 0 = 0 imposes nothing
+        if len(variables) <= 2 and all(p.degree() > 0 for p in polys):
             return TwoVarPolySystem(variables, tuple(polys))
         return GeneralPolySystem(variables, tuple(polys))
 
-    if len(flats) != 1:
+    if len(maps) != 1:
         raise ClassifyError("systems of several exponential equations are not supported")
-    flat = flats[0]
+    (m,) = maps
 
-    exp_vars: List[str] = []
-    for v in variables:
-        if any(v in dict(bases) for (_, _, bases) in flat):
-            exp_vars.append(v)
+    exp_vars = [v for i, v in enumerate(variables) if any(bases[i] for _, bases in m)]
     poly_only = [v for v in variables if v not in exp_vars]
     param_var = poly_only[0] if poly_only else None
     # A single parameter variable is supported; any further purely
     # polynomial variables are folded in as base-1 characters, which the
     # downstream hypothesis check will correctly flag as degenerate.
-    folded = poly_only[1:]
-    full_exp_vars = tuple(exp_vars + folded)
+    full_exp_vars = tuple(exp_vars + poly_only[1:])
+    cols = [variables.index(v) for v in full_exp_vars]
 
     groups: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]] = {}
-    for (coeff, powers, bases) in flat:
-        bmap = dict(bases)
-        chars = tuple(bmap.get(v, 1) for v in full_exp_vars)
-        exps = [0] * len(variables)
-        for v, k in powers:
-            exps[variables.index(v)] = k
-        bucket = groups.setdefault(chars, {})
-        key = tuple(exps)
-        bucket[key] = bucket.get(key, Fraction(0)) + coeff
+    for (exps, bases), coeff in m.items():
+        bucket = groups.setdefault(tuple(bases[i] or 1 for i in cols), {})
+        bucket[exps] = bucket.get(exps, Fraction(0)) + coeff
 
     terms = []
     for chars, bucket in groups.items():

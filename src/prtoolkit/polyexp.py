@@ -59,6 +59,7 @@ from .algebra import (
     UniPoly,
     factor_integer,
     integer_roots,
+    least_witness,
 )
 
 DEFAULT_PARTITION_CAP = 12
@@ -922,15 +923,6 @@ class ConstantSolutionResult:
     note: str = ""
 
 
-def _least_witness(candidates: Iterable[int]) -> Optional[int]:
-    best = None
-    for s in candidates:
-        key = (abs(s), 0 if s >= 0 else 1)
-        if best is None or key < best[0]:
-            best = (key, s)
-    return None if best is None else best[1]
-
-
 def _residue_zeros(terms: Sequence[Tuple[int, UniPoly]], start: int, stop: int) -> List[int]:
     """The k in [start, stop] (start >= 0) where sum b^k * C(k) is 0 mod _SCAN_MODULUS.
 
@@ -1009,7 +1001,7 @@ def decide_constant_solution(
         if zeros:
             return ConstantSolutionResult(
                 status="FOUND",
-                witness=_least_witness(zeros),
+                witness=least_witness(zeros),
                 solutions_in_window=tuple(zeros),
                 families=(),
                 window=(-user_bound, user_bound),
@@ -1053,7 +1045,7 @@ def decide_constant_solution(
         family_reps = [0 if f in ("all", "even") else 1 for f in families]
         return ConstantSolutionResult(
             status="FOUND",
-            witness=_least_witness(list(zeros) + family_reps),
+            witness=least_witness(list(zeros) + family_reps),
             solutions_in_window=tuple(zeros),
             families=families,
             window=window,
@@ -1196,7 +1188,7 @@ def decide_polyexp_pr(
         if zeros:
             result = ConstantSolutionResult(
                 status="FOUND",
-                witness=_least_witness(zeros),
+                witness=least_witness(zeros),
                 solutions_in_window=tuple(zeros),
                 families=(),
                 window=(-user_bound, user_bound),

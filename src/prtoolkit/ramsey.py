@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -45,6 +44,7 @@ from .equations import (
     GeneralPolySystem,
     LinearSystem,
     TwoVarPolySystem,
+    linear_polys,
 )
 from .polyexp import PolyExpEquation, polyexp_eval
 
@@ -73,17 +73,7 @@ def _budgets(node_budget: Optional[int], cell_budget: Optional[int]) -> Tuple[in
 def _system_polys(cls) -> Tuple[Tuple[str, ...], List[MultiPoly]]:
     """Every supported class as (variables, polynomial equations = 0)."""
     if isinstance(cls, LinearSystem):
-        vars_ = cls.variables
-        polys = []
-        for row, b in zip(cls.matrix.rows, cls.rhs):
-            terms = {}
-            for j, a in enumerate(row):
-                if a != 0:
-                    terms[tuple(1 if t == j else 0 for t in range(len(vars_)))] = Fraction(a)
-            if b != 0:
-                terms[tuple(0 for _ in vars_)] = -Fraction(b)
-            polys.append(MultiPoly(vars_, terms))
-        return vars_, polys
+        return cls.variables, linear_polys(cls)
     if isinstance(cls, (TwoVarPolySystem, GeneralPolySystem)):
         return cls.variables, [p.with_vars(cls.variables) for p in cls.polys]
     raise TypeError("unsupported class for polynomial enumeration: %r" % (cls,))

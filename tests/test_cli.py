@@ -7,6 +7,7 @@ runs confirm the installed console script behaves identically.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -242,6 +243,30 @@ def test_deep_nesting_is_a_one_line_error(capsys):
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: more than 100 nested")
+
+
+def test_long_sums_and_products_are_decided(capsys):
+    code, rep = run_cli(capsys, "decide", "--expr", " + ".join(["x"] * 1500) + " = y")
+    assert (code, rep["status"]) == (0, "NOT_PR")
+    assert rep["class"]["A"] == [["1500", "-1"]]
+    code, rep = run_cli(capsys, "decide", "--expr", "*".join(["x"] * 1500) + " = y")
+    assert (code, rep["status"], rep["witness"]) == (0, "PR_CONSTANT", "1")
+
+
+def test_power_of_a_sum_is_expanded_quickly(capsys):
+    # 2^40 (w^40 - 1) on the diagonal; like terms combine at every product
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, "decide", "--expr", "*".join(["(x + y)"] * 40) + " = %d" % 2 ** 40)
+    assert time.perf_counter() - start < 1.0
+    assert (code, rep["status"], rep["witness"]) == (0, "PR_CONSTANT", "1")
+
+
+def test_expansion_over_budget_is_a_one_line_error(capsys):
+    text = "*".join(["(a + b + c + d + e + f + g + h)"] * 10) + " = 1"
+    assert main(["decide", "--expr", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expanding a product needs 13728 term products (cap 10000)\n"
 
 
 def test_group_needs_three_variable_equation(capsys):

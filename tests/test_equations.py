@@ -4,17 +4,31 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prtoolkit.algebra import MultiPoly, RatMatrix
 from prtoolkit.equations import (
+    MAX_EXPANSION,
     MAX_NESTING,
     MAX_VARIABLES,
+    Add,
     ClassifyError,
+    Equation,
+    EquationAST,
+    ExpPow,
     GeneralPolySystem,
     LinearSystem,
+    Mul,
+    Neg,
+    Num,
     ParseError,
     PolyExpEquation,
     SchemaError,
+    Sub,
     TwoVarPolySystem,
+    Var,
+    VarPow,
     class_from_json,
     class_to_json,
     classify,
@@ -23,6 +37,7 @@ from prtoolkit.equations import (
     parse_equation_text,
     to_json,
 )
+from prtoolkit.polyexp import PolyExpTerm
 
 
 # --- parsing ------------------------------------------------------------
@@ -44,6 +59,19 @@ def test_parse_print_round_trip_on_fixed_corpus():
         printed = format_system(ast1)
         ast2 = parse_equation_text(printed)
         assert format_system(ast2) == printed, t
+
+
+def test_parse_print_round_trip_on_long_chains():
+    # chains far longer than the interpreter's recursion limit print in a loop
+    for text in (
+        " + ".join(["x"] * 1500) + " = y",
+        " - ".join(["x"] * 1500) + " = y",
+        "*".join(["x"] * 1500) + " = y",
+        "y + " + "*".join(["(x + 1)"] * 1500) + " = 2*x - " + " - ".join(["y"] * 1500),
+    ):
+        printed = format_system(parse_equation_text(text))
+        assert printed == text
+        assert format_system(parse_equation_text(printed)) == printed
 
 
 def test_parse_errors_carry_position():
@@ -133,6 +161,197 @@ def test_nesting_cap():
             parse_equation_text(text)
         assert (e.value.line, e.value.col) == (1, col)
         assert "nested" in str(e.value)
+
+
+def test_classify_keeps_exponential_markers_and_term_order():
+    # a base of 1, or one that multiplies out to 1, is still an exponential
+    for text in ("1^x = y", "(-1)^x*(-1)^x = y"):
+        cls = classify(parse_equation_text(text))
+        assert isinstance(cls, PolyExpEquation), text
+        assert (cls.exp_vars, cls.param_var) == (("x",), "y")
+        assert [(t.characters, t.poly.terms) for t in cls.terms] == [
+            ((1,), {(0, 0): 1, (0, 1): -1})
+        ]
+    # x*y appears first in the full expansion, with coefficient 0 there,
+    # so it comes before y^2 although it is formed after it from y*(y + x)
+    cls = classify(parse_equation_text("(x - x + y)*(y + x) = 1"))
+    assert isinstance(cls, TwoVarPolySystem)
+    assert list(cls.polys[0].terms.items()) == [((1, 1), 1), ((0, 2), 1), ((0, 0), -1)]
+    # 2^x*3^x and 6^x are one term, which cancels
+    cls = classify(parse_equation_text("2^x*3^x = 6^x"))
+    assert isinstance(cls, LinearSystem)
+    assert (cls.matrix.rows, cls.rhs) == (((0,),), (0,))
+
+
+def test_classify_expansion_budget():
+    # like terms combine at every product: 41 monomials of degree 40, and 1
+    cls = classify(parse_equation_text("*".join(["(x + y)"] * 40) + " = 1"))
+    assert len(cls.polys[0].terms) == 42
+    # eight variables: degree 6 has 1,716 monomials, times 8 is over the cap
+    octic = "(a + b + c + d + e + f + g + h)"
+    cls = classify(parse_equation_text("*".join([octic] * 5) + " = 1"))
+    assert isinstance(cls, GeneralPolySystem)
+    with pytest.raises(ClassifyError) as e:
+        classify(parse_equation_text("*".join([octic] * 10) + " = 1"))
+    assert str(e.value) == "expanding a product needs 13728 term products (cap %d)" % MAX_EXPANSION
+
+
+# --- classify against the full expansion ---------------------------------
+#
+# The reference below multiplies every product out in full and combines
+# like terms only at the end, as classify once did.  classify combines at
+# every product; its classes, JSON and the insertion order of every
+# polynomial's terms must be the same.
+
+
+def _ref_expand(e):
+    if isinstance(e, Num):
+        return [(e.value, {}, {})]
+    if isinstance(e, Var):
+        return [(Fraction(1), {e.name: 1}, {})]
+    if isinstance(e, VarPow):
+        return [(Fraction(1), {e.name: e.exp} if e.exp else {}, {})]
+    if isinstance(e, ExpPow):
+        return [(Fraction(1), {}, {e.var: e.base})]
+    if isinstance(e, Neg):
+        return [(-c, p, x) for c, p, x in _ref_expand(e.arg)]
+    if isinstance(e, Add):
+        return _ref_expand(e.left) + _ref_expand(e.right)
+    if isinstance(e, Sub):
+        return _ref_expand(e.left) + [(-c, p, x) for c, p, x in _ref_expand(e.right)]
+    out = []
+    right = _ref_expand(e.right)
+    for c1, p1, x1 in _ref_expand(e.left):
+        for c2, p2, x2 in right:
+            powers = dict(p1)
+            for v, k in p2.items():
+                powers[v] = powers.get(v, 0) + k
+            bases = dict(x1)
+            for v, b in x2.items():
+                bases[v] = bases.get(v, 1) * b
+            out.append((c1 * c2, powers, bases))
+    return out
+
+
+def _ref_flatten(eq):
+    """lhs - rhs as an insertion-ordered list of (coeff, powers, bases)."""
+    raw = _ref_expand(eq.lhs) + [(-c, p, x) for c, p, x in _ref_expand(eq.rhs)]
+    combined = {}
+    for c, powers, bases in raw:
+        key = (
+            tuple(sorted((v, k) for v, k in powers.items() if k)),
+            tuple(sorted(bases.items())),
+        )
+        combined[key] = combined.get(key, Fraction(0)) + c
+    return [(c, key[0], key[1]) for key, c in combined.items() if c != 0]
+
+
+def _ref_exps(powers, variables):
+    exps = [0] * len(variables)
+    for v, k in powers:
+        exps[variables.index(v)] = k
+    return tuple(exps)
+
+
+def _ref_classify(ast):
+    variables = ast.variables
+    flats = [_ref_flatten(eq) for eq in ast.equations]
+    if not any(bases for flat in flats for _, _, bases in flat):
+        if all(sum(k for _, k in powers) <= 1 for flat in flats for _, powers, _ in flat):
+            rows, rhs = [], []
+            for flat in flats:
+                row = [Fraction(0)] * len(variables)
+                const = Fraction(0)
+                for coeff, powers, _ in flat:
+                    if powers:
+                        ((v, _k),) = powers
+                        row[variables.index(v)] += coeff
+                    else:
+                        const += coeff
+                rows.append(row)
+                rhs.append(-const)
+            return LinearSystem(variables, RatMatrix(rows), tuple(rhs))
+        polys, degenerate = [], False
+        for flat in flats:
+            terms = {}
+            for coeff, powers, _ in flat:
+                key = _ref_exps(powers, variables)
+                terms[key] = terms.get(key, Fraction(0)) + coeff
+            p = MultiPoly(variables, terms)
+            if p.is_zero():
+                continue
+            degenerate = degenerate or p.degree() == 0
+            polys.append(p)
+        if len(variables) <= 2 and not degenerate:
+            return TwoVarPolySystem(variables, tuple(polys))
+        return GeneralPolySystem(variables, tuple(polys))
+    if len(flats) != 1:
+        raise ClassifyError("systems of several exponential equations are not supported")
+    (flat,) = flats
+    exp_vars = [v for v in variables if any(v in dict(bases) for _, _, bases in flat)]
+    poly_only = [v for v in variables if v not in exp_vars]
+    full_exp_vars = tuple(exp_vars + poly_only[1:])
+    groups = {}
+    for coeff, powers, bases in flat:
+        chars = tuple(dict(bases).get(v, 1) for v in full_exp_vars)
+        bucket = groups.setdefault(chars, {})
+        key = _ref_exps(powers, variables)
+        bucket[key] = bucket.get(key, Fraction(0)) + coeff
+    terms = []
+    for chars, bucket in groups.items():
+        poly = MultiPoly(variables, bucket)
+        if not poly.is_zero():
+            terms.append(PolyExpTerm(poly=poly, f=None, characters=chars))
+    if not terms:
+        return LinearSystem(variables, RatMatrix([[Fraction(0)] * len(variables)]), (Fraction(0),))
+    return PolyExpEquation(
+        variables=variables,
+        exp_vars=full_exp_vars,
+        param_var=poly_only[0] if poly_only else None,
+        terms=tuple(terms),
+    )
+
+
+def _outcome(classifier, ast):
+    try:
+        cls = classifier(ast)
+    except ClassifyError as e:
+        return "ClassifyError: %s" % e
+    polys = list(getattr(cls, "polys", ())) + [t.poly for t in getattr(cls, "terms", ())]
+    return repr(cls), to_json(cls), [list(p.terms) for p in polys]
+
+
+_NAMES = st.sampled_from(("x", "y", "z"))
+_LEAVES = st.one_of(
+    st.sampled_from((0, 1, 2, 3, Fraction(1, 2))).map(lambda c: Num(Fraction(c))),
+    _NAMES.map(Var),
+    st.builds(VarPow, _NAMES, st.integers(0, 2)),
+    st.builds(ExpPow, st.sampled_from((1, -1, 2, -2, 3, 6)), _NAMES),
+)
+
+
+def _compound(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        # e cancels, in a sum or in a product, and comes back after f
+        pairs.map(lambda ef: Add(Add(Sub(ef[0], ef[0]), ef[1]), ef[0])),
+        pairs.map(lambda ef: Add(Add(Mul(Num(Fraction(0)), ef[0]), ef[1]), ef[0])),
+    )
+
+
+_EXPRS = st.recursive(_LEAVES, _compound, max_leaves=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_EXPRS, _EXPRS), min_size=1, max_size=2))
+def test_classify_matches_full_expansion(sides):
+    text = format_system(EquationAST(tuple(Equation(l, r) for l, r in sides), ()))
+    ast = parse_equation_text(text)
+    assert _outcome(classify, ast) == _outcome(_ref_classify, ast), text
 
 
 # --- JSON schema ---------------------------------------------------------
