@@ -24,10 +24,10 @@ of '(' and unary '-' may nest; deeper input is a ParseError.
 one map from (exponents, bases) to coefficient with like terms combined
 at every '+', '-' and '*', and reports the most specific class:
 LinearSystem, TwoVarPolySystem, PolyExpEquation, or GeneralPolySystem.
-One '*' may form at most MAX_EXPANSION term products; more is a
-ClassifyError.  Chains of '+', '-' and '*' are parsed, printed and
-classified in loops, so their length is not bounded by the interpreter
-stack.  Exact integers are serialized as decimal strings in JSON so no
+The '*'s of one equation may form at most MAX_EXPANSION term products
+in all; more is a ClassifyError.  Chains of '+', '-' and '*' are
+parsed, printed and classified in loops, so their length is not
+bounded by the interpreter stack.  Exact integers are serialized as decimal strings in JSON so no
 value is ever truncated to 64 bits.
 """
 
@@ -46,8 +46,9 @@ MAX_POLY_DEGREE = 10_000
 # nested '(' and unary '-' levels; each '(' costs the recursive parser
 # three frames, far below Python's default recursion limit of 1000
 MAX_NESTING = 100
-# term products one '*' may form while classify multiplies out; like
-# terms combine at every product, so (x + y)^40 needs at most 80 per '*'
+# term products the '*'s of one equation may form in all while classify
+# multiplies out; like terms combine at every product, so (x + y)^40
+# needs 1,638
 MAX_EXPANSION = 10_000
 
 
@@ -474,11 +475,12 @@ def _term_map(e: Expr, variables: Tuple[str, ...]) -> Dict[_Key, Fraction]:
     Canceled terms stay in the map with coefficient 0, so every key keeps
     its first-appearance position in the fully expanded sum.  The walk is
     post-order on an explicit stack: long '+' and '*' chains need no
-    recursion.  A '*' of more than MAX_EXPANSION term products raises
-    ClassifyError.
+    recursion.  Once the '*'s together need more than MAX_EXPANSION term
+    products, ClassifyError is raised before the product that crosses it.
     """
     index = {v: i for i, v in enumerate(variables)}
     none = (0,) * len(variables)
+    spent = 0
     todo: List[Tuple[Expr, bool]] = [(e, False)]
     done: List[Dict[_Key, Fraction]] = []
     while todo:
@@ -503,10 +505,11 @@ def _term_map(e: Expr, variables: Tuple[str, ...]) -> Dict[_Key, Fraction]:
             done[-1] = {k: -c for k, c in done[-1].items()}
         elif isinstance(node, Mul):
             right, left = done.pop(), done.pop()
-            if len(left) * len(right) > MAX_EXPANSION:
+            spent += len(left) * len(right)
+            if spent > MAX_EXPANSION:
                 raise ClassifyError(
-                    "expanding a product needs %d term products (cap %d)"
-                    % (len(left) * len(right), MAX_EXPANSION)
+                    "expanding the products needs at least %d term products (cap %d)"
+                    % (spent, MAX_EXPANSION)
                 )
             prod: Dict[_Key, Fraction] = {}
             for (e1, b1), c1 in left.items():

@@ -302,15 +302,12 @@ def enumerate_partitions(m: int, cap: int = DEFAULT_PARTITION_CAP):
 # character-group triviality
 
 
-def _abs_factorization(x: int, budget: int) -> Dict[int, int]:
-    _, factors = factor_integer(abs(x), budget) if abs(x) != 1 else (1, ())
-    return dict(factors)
-
-
 def character_group_trivial(
     characters: Sequence[Tuple[int, ...]],
     partition: Sequence[Sequence[int]],
     budget: int = DEFAULT_FACTOR_BUDGET,
+    *,
+    _cache: Optional[Dict[int, Dict[int, int]]] = None,
 ) -> bool:
     """Whether G = {z : a_i^z = a_j^z for i~j} is the zero subgroup of Z^n.
 
@@ -322,7 +319,8 @@ def character_group_trivial(
     and a finite-index subgroup of a nontrivial lattice is nontrivial.
 
     Raises IncompleteFactorization when an entry cannot be factored
-    within the budget.
+    within the budget.  `_cache` maps |entry| to its factorization; one
+    dict shared across calls factors each entry once.
     """
     chars = [tuple(c) for c in characters]
     if not chars:
@@ -333,11 +331,12 @@ def character_group_trivial(
     if any(b == 0 for c in chars for b in c):
         raise ValueError("character entries must be nonzero")
 
-    cache: Dict[int, Dict[int, int]] = {}
+    cache = {} if _cache is None else _cache
 
     def vals(x: int) -> Dict[int, int]:
+        x = abs(x)
         if x not in cache:
-            cache[x] = _abs_factorization(x, budget)
+            cache[x] = dict(factor_integer(x, budget)[1])
         return cache[x]
 
     rows: List[List[int]] = []
@@ -1121,9 +1120,10 @@ def check_hypothesis(
     chars = [t.characters for t in eq.terms]
     m = len(chars)
     failing = None
+    cache: Dict[int, Dict[int, int]] = {}
     for i, j in combinations(range(m), 2):
         partition = tuple(sorted([(i, j)] + [(k,) for k in range(m) if k not in (i, j)]))
-        if not character_group_trivial(chars, partition, budget):
+        if not character_group_trivial(chars, partition, budget, _cache=cache):
             failing = partition
             break
     coprime, unit = mutually_coprime(chars)

@@ -5,16 +5,17 @@ enumerate all solutions of the system inside [1, N], then search the
 space of r-colorings for one avoiding monochromatic solutions.  An
 avoiding coloring refutes forced monochromatism at this N; exhaustion
 proves that every r-coloring of [1, N] contains a monochromatic
-solution.  Both outcomes are machine-checkable, and `verify_coloring`
-rechecks any claimed avoiding coloring against a fresh enumeration.
+solution.  Both outcomes are machine-checkable: the search rechecks
+its avoiding coloring with `verify_coloring` against every solution it
+enumerated before reporting it.
 
 Enumeration of polynomial systems, linear ones included, is exact
 integer back-substitution: the first k-1 variables run over the grid,
 and each prefix turns every polynomial, scaled once to integer
 coefficients, into integer coefficients in the last variable, solved
-by one exact division when linear and by testing the divisors of the
-constant term otherwise.  No rational arithmetic and no factoring run
-per prefix.
+by one exact division when linear, by one integer square root when
+quadratic, and by testing the divisors of the constant term otherwise.
+No rational arithmetic and no factoring run per prefix.
 
 The search assigns colors to 1, 2, .., N in order, prunes a color as
 soon as it would complete a monochromatic solution (solutions are
@@ -24,7 +25,8 @@ allowing at most one brand-new color per step.  The first coloring
 found is therefore the lexicographically least canonical avoiding
 coloring.  The search keeps its state in arrays indexed by element,
 not on the call stack, so N is not limited by Python's recursion
-limit.
+limit, and each color class as a bitmask of elements, so a solution
+is tested by one mask comparison.
 
 Budgets guard both enumeration (grid cells) and search (assignment
 nodes); the PRTOOLKIT_BUDGET environment variable overrides the node
@@ -112,8 +114,9 @@ def _roots(cs: Sequence[int], N: int) -> Optional[List[int]]:
 
     A nonzero constant or a lone monomial c t^d has none.  After
     dividing out t^low, a linear remainder gives its root by one exact
-    division; otherwise every integer root divides the nonzero constant
-    term, so the divisors up to N are tried by Horner evaluation.
+    division and a quadratic one its roots by one integer square root of
+    the discriminant; otherwise every integer root divides the nonzero
+    constant term, so the divisors up to N are tried by Horner evaluation.
     """
     support = [d for d, c in enumerate(cs) if c]
     if not support:
@@ -125,6 +128,14 @@ def _roots(cs: Sequence[int], N: int) -> Optional[List[int]]:
     if top == low + 1:
         q, r = divmod(-c0, cs[top])
         return [q] if r == 0 and 1 <= q <= N else []
+    if top == low + 2:
+        a, b = cs[top], cs[low + 1]
+        disc = b * b - 4 * a * c0
+        s = math.isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return []
+        qrs = (divmod(-b - s, 2 * a), divmod(-b + s, 2 * a))
+        return sorted({q for q, r in qrs if r == 0 and 1 <= q <= N})
     rest = cs[low:top + 1]
     return [t for t in range(1, min(N, abs(c0)) + 1)
             if c0 % t == 0 and _horner(rest, t) == 0]
@@ -292,14 +303,15 @@ def search_avoiding_coloring(
             % (singleton,),
         )
 
-    by_max: Dict[int, List[Tuple[int, ...]]] = {}
+    # supports[e]: each solution support whose largest element is e,
+    # minus e, as a bitmask of elements, once each; masks[c]: the
+    # elements colored c so far
+    rests: Dict[int, List[int]] = {}
     for sol in solutions:
-        support = tuple(sorted(set(sol)))
-        top = support[-1]
-        by_max.setdefault(top, [])
-        if support not in by_max[top]:
-            by_max[top].append(support)
-
+        top = max(sol)
+        rests.setdefault(top, []).append(sum(1 << v for v in set(sol) if v != top))
+    supports = [tuple(set(rests.get(e, ()))) for e in range(N + 1)]
+    masks = [0] * min(colors, N)
     # color[e] is the color of e; used[e] the number of colors among
     # 1..e-1; tried[e] the number of colors already tried for e
     color = [0] * (N + 1)
@@ -307,17 +319,12 @@ def search_avoiding_coloring(
     tried = [0] * (N + 2)
     nodes = 0
 
-    def ok(e: int, c: int) -> bool:
-        for support in by_max.get(e, ()):
-            if all(color[v] == c for v in support if v != e):
-                return False
-        return True
-
     e = 1
     while 0 < e <= N:
         c = tried[e]
         if c == min(used[e] + 1, colors):
             e -= 1  # every color failed: backtrack
+            masks[color[e]] &= ~(1 << e)
             continue
         tried[e] = c + 1
         nodes += 1
@@ -327,16 +334,27 @@ def search_avoiding_coloring(
                 solution_count=len(solutions),
                 note="coloring search exceeded %d nodes" % nodes_max,
             )
-        if ok(e, c):
+        mask = masks[c]
+        for rest in supports[e]:
+            if mask & rest == rest:
+                break  # c would make this support monochromatic
+        else:
             color[e] = c
+            masks[c] = mask | 1 << e
             used[e + 1] = max(used[e], c + 1)
             tried[e + 1] = 0
             e += 1
 
     if e > N:
+        coloring = tuple(color[1:])
+        ok, offenders = verify_coloring(coloring, solutions)
+        if not ok:
+            raise RuntimeError(
+                "internal error: avoiding coloring failed re-verification: %r"
+                % (offenders[:3],))
         return SearchResult(
             status="AVOIDING",
-            coloring=tuple(color[1:]),
+            coloring=coloring,
             N=N,
             colors=colors,
             nodes=nodes,

@@ -140,6 +140,29 @@ def test_search_reports_verified_coloring(capsys):
     assert rep["solution_count"] == 6
 
 
+def test_search_enumerates_once(capsys, monkeypatch):
+    from prtoolkit import cli, ramsey
+
+    calls = []
+    enumerate_solutions = ramsey.enumerate_solutions
+    spy = lambda *a, **k: calls.append(a) or enumerate_solutions(*a, **k)
+    monkeypatch.setattr(ramsey, "enumerate_solutions", spy)
+    monkeypatch.setattr(cli, "enumerate_solutions", spy)
+    code, rep = run_cli(capsys, "search", "--expr", "x + y = z",
+                        "--range", "13", "--colors", "3")
+    assert (code, rep["status"], rep["verified"]) == (0, "AVOIDING", True)
+    assert len(calls) == 1
+
+
+def test_search_never_reports_a_coloring_that_fails_its_check(capsys, monkeypatch):
+    from prtoolkit import ramsey
+
+    monkeypatch.setattr(ramsey, "verify_coloring", lambda coloring, sols: (False, ((1, 1, 2),)))
+    with pytest.raises(RuntimeError, match="failed re-verification"):
+        main(["search", "--expr", "x + y = z", "--range", "4", "--colors", "2"])
+    assert capsys.readouterr().out == ""
+
+
 def test_search_forced(capsys):
     code, rep = run_cli(capsys, "search", "--expr", "x + y = z",
                         "--range", "5", "--colors", "2")
@@ -266,7 +289,7 @@ def test_expansion_over_budget_is_a_one_line_error(capsys):
     assert main(["decide", "--expr", text]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: expanding a product needs 13728 term products (cap 10000)\n"
+    assert captured.err == "error: expanding the products needs at least 10288 term products (cap 10000)\n"
 
 
 def test_group_needs_three_variable_equation(capsys):

@@ -1,6 +1,7 @@
 """Parser, printer, classifier and the JSON schema round-trip."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -184,16 +185,29 @@ def test_classify_keeps_exponential_markers_and_term_order():
 
 
 def test_classify_expansion_budget():
-    # like terms combine at every product: 41 monomials of degree 40, and 1
+    # like terms combine at every product: 41 monomials of degree 40, and 1;
+    # the 39 products form 2 * (2 + 3 + ... + 40) = 1,638 term products
     cls = classify(parse_equation_text("*".join(["(x + y)"] * 40) + " = 1"))
     assert len(cls.polys[0].terms) == 42
-    # eight variables: degree 6 has 1,716 monomials, times 8 is over the cap
+    # eight variables: degrees 1..4 have 8, 36, 120 and 330 monomials, so
+    # the 5th power forms 8 * (8 + 36 + 120 + 330) = 3,952 term products,
+    # and the 6th power's next 792 * 8 take the equation over the cap
     octic = "(a + b + c + d + e + f + g + h)"
     cls = classify(parse_equation_text("*".join([octic] * 5) + " = 1"))
     assert isinstance(cls, GeneralPolySystem)
     with pytest.raises(ClassifyError) as e:
         classify(parse_equation_text("*".join([octic] * 10) + " = 1"))
-    assert str(e.value) == "expanding a product needs 13728 term products (cap %d)" % MAX_EXPANSION
+    assert str(e.value) == "expanding the products needs at least 10288 term products (cap %d)" % MAX_EXPANSION
+
+
+@pytest.mark.parametrize("factor,count", [("(x + y)", 800), ("(x + y + z)", 120)])
+def test_expansion_budget_covers_the_whole_equation(factor, count):
+    # each '*' stays under the cap, but together they are far over it
+    text = "*".join([factor] * count) + " = 1"
+    start = time.perf_counter()
+    with pytest.raises(ClassifyError, match="term products"):
+        classify(parse_equation_text(text))
+    assert time.perf_counter() - start < 0.5
 
 
 # --- classify against the full expansion ---------------------------------

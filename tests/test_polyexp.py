@@ -779,6 +779,17 @@ def test_failing_pair_is_reported_as_its_partition():
     assert report.checked_partitions == 4
 
 
+def test_hypothesis_factors_each_entry_once(monkeypatch):
+    # 36 pair checks over 9 bases share one factorization per |entry|
+    calls = []
+    factor = polyexp.factor_integer
+    monkeypatch.setattr(polyexp, "factor_integer", lambda n, *a: calls.append(n) or factor(n, *a))
+    bases = (2, 3, 4, -5, 6, 7, 9, 10, -12)
+    report = check_hypothesis(parse_eq(" + ".join(("(%d)^x" if b < 0 else "%d^x") % b for b in bases) + " = 0"))
+    assert report.trivial_for_all
+    assert sorted(calls) == sorted(abs(b) for b in bases)
+
+
 @pytest.mark.parametrize("count", [9, 12])
 def test_many_bases_decided_quickly(count):
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)[:count]

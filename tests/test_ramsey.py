@@ -12,7 +12,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from prtoolkit import ramsey
 from prtoolkit.algebra import RatMatrix
 from prtoolkit.equations import LinearSystem, classify, parse_equation_text
 from prtoolkit.polyexp import PolyExpEquation, polyexp_eval
@@ -161,6 +164,42 @@ def test_polynomial_enumeration_matches_scan(text, holds):
         assert enumerate_solutions(cls, N) == want, (text, N)
 
 
+def divisor_scan_roots(cs, N):
+    """Roots in [1, N] by testing every divisor of the lowest nonzero coefficient."""
+    low = next(d for d, c in enumerate(cs) if c)
+    return [t for t in range(1, min(N, abs(cs[low])) + 1)
+            if cs[low] % t == 0 and sum(c * t ** d for d, c in enumerate(cs)) == 0]
+
+
+def planted_quadratic(k, p, r, s):
+    """k (p t - r)(t - s), lowest degree first."""
+    return [k * r * s, -k * (r + p * s), k * p]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50)),
+        st.builds(planted_quadratic, st.integers(-6, 6), st.integers(1, 4),
+                  st.integers(-40, 90), st.integers(-40, 90)),
+    ),
+    st.integers(0, 3),
+    st.integers(1, 60),
+)
+@example((6, -5, 1), 1, 10)  # t (t - 2)(t - 3)
+@example((-6, 5, -1), 0, 10)  # negative leading coefficient
+@example((49, -14, 1), 0, 10)  # double root 7
+@example((5, 1, 1), 0, 10)  # negative discriminant
+@example((-50, -5, 1), 2, 9)  # roots -5 and 10, both outside [1, 9]
+@example((15, -13, 2), 0, 10)  # roots 3/2 and 5
+def test_quadratic_roots_match_divisor_scan(abc, low, N):
+    c, b, a = abc
+    if a == 0 or c == 0:
+        return
+    cs = [0] * low + [c, b, a]
+    assert ramsey._roots(cs, N) == divisor_scan_roots(cs, N)
+
+
 def test_cell_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_solutions(SCHUR, 10**6, cell_budget=1000)
@@ -263,6 +302,49 @@ def test_dfs_node_counts_pinned():
     ap4 = classify(parse_equation_text("x + z = 2*y; y + w = 2*z"))
     r = search_avoiding_coloring(ap4, 35, 2, min_injectivity=2)
     assert (r.status, r.nodes, r.solution_count) == ("FORCED", 20351, 374)
+
+
+def least_avoiding_by_brute_force(solutions, N, colors):
+    """The first canonical r-coloring of [1, N] in lexicographic order with
+    no monochromatic solution, by trying every coloring; None if none."""
+    for col in itertools.product(range(colors), repeat=N):
+        if any(c > max(col[:i], default=-1) + 1 for i, c in enumerate(col)):
+            continue  # not canonical: a new color out of order
+        if all(len({col[v - 1] for v in s}) > 1 for s in solutions):
+            return col
+    return None
+
+
+@pytest.mark.parametrize("text,min_injectivity", [
+    ("x + y = z", 1),
+    ("x + z = 2*y", 2),
+    ("x + y = 3*z", 1),
+    ("y = 2*x", 1),
+    ("x + 2*y = 3*z", 2),
+    ("x + y + z = w", 1),
+])
+def test_search_matches_brute_force(text, min_injectivity):
+    cls = classify(parse_equation_text(text))
+    k = len(cls.variables)
+    for N in range(1, 9):
+        sols = [s for s in itertools.product(range(1, N + 1), repeat=k)
+                if len(set(s)) >= min_injectivity
+                and all(sum(a * v for a, v in zip(row, s)) == b
+                        for row, b in zip(cls.matrix.rows, cls.rhs))]
+        for colors in (1, 2, 3):
+            want = least_avoiding_by_brute_force(sols, N, colors)
+            r = search_avoiding_coloring(cls, N, colors, min_injectivity=min_injectivity)
+            assert r.status == ("FORCED" if want is None else "AVOIDING"), (text, N, colors)
+            assert r.coloring == want, (text, N, colors)
+            assert r.solution_count == len(sols)
+
+
+def test_failed_check_is_never_reported_avoiding(monkeypatch):
+    monkeypatch.setattr(ramsey, "verify_coloring", lambda coloring, sols: (False, ((1, 1, 2),)))
+    with pytest.raises(RuntimeError, match="failed re-verification"):
+        search_avoiding_coloring(SCHUR, 4, 2)
+    # FORCED needs no coloring check
+    assert search_avoiding_coloring(SCHUR, 5, 2).status == "FORCED"
 
 
 def test_long_search_needs_no_recursion():
