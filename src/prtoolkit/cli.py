@@ -10,6 +10,7 @@ Certificates embedded in a report are re-verified before emission.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 import time
@@ -42,6 +43,7 @@ from .polyexp import (
     decide_polyexp_pr,
     diagonalize,
     modular_certificate_search,
+    solution_count_bound,
     verify_modular,
 )
 from .rado import decide_linear, verify_columns_condition
@@ -63,9 +65,15 @@ EXIT_DECIDED = 0
 EXIT_USAGE = 1
 EXIT_UNKNOWN = 2
 
-# decimal rendering of certified bounds can exceed the interpreter's
-# default digit limit for int -> str conversion
+# certified bounds above this many bits (about 180,000 digits) are
+# reported in factored form instead of in full
 _MAX_BOUND_BITS = 600_000
+
+# _num renders ints above this many bits by divide and conquer
+_LEAF_BITS = 4096
+# exact decimal arithmetic: any result that would be rounded raises
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.Inexact, decimal.Rounded])
 
 
 class _UsageError(Exception):
@@ -78,12 +86,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _num(x) -> str:
-    """Exact decimal-string form of an int or Fraction."""
+    """Exact decimal-string form of an int or Fraction; str(x) for anything else.
+
+    An int above _LEAF_BITS bits is converted by divide and conquer, as in
+    CPython 3.12's Lib/_pylong.py, since str(int) is quadratic before 3.12:
+    |x| = hi * 2^h + lo with h half its width, both halves converted
+    recursively, and joined in `decimal` arithmetic with one 2^h per level.
+    The context keeps MAX_PREC digits and traps Inexact and Rounded, so
+    every step is exact or raises; no float is involved.
+    """
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return "%d/%d" % (x.numerator, x.denominator)
-    return str(x)
+            return _num(x.numerator)
+        return "%s/%s" % (_num(x.numerator), _num(x.denominator))
+    if not isinstance(x, int) or x.bit_length() <= _LEAF_BITS:
+        return str(x)
+    powers = {}
+
+    def to_decimal(n: int, w: int) -> decimal.Decimal:
+        # the Decimal equal to n, 0 <= n < 2^w
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(n)
+        h = w >> 1
+        hi = n >> h
+        if h not in powers:
+            powers[h] = _EXACT.power(2, h)
+        return _EXACT.add(_EXACT.multiply(to_decimal(hi, w - h), powers[h]),
+                          to_decimal(n - (hi << h), h))
+
+    digits = str(to_decimal(abs(x), x.bit_length()))
+    return digits if x > 0 else "-" + digits
 
 
 def _build_parser() -> _Parser:
@@ -321,8 +353,7 @@ def _cmd_decide(args) -> int:
         report["constants"] = {"A": _num(constants.A), "B": _num(constants.B)}
         bits = 35 * constants.B ** 3
         if bits <= _MAX_BOUND_BITS:
-            report["solution_bound"] = _num(
-                bell_number(len(cls.terms)) * 2 ** bits)
+            report["solution_bound"] = _num(solution_count_bound(cls))
         else:
             report["notes"].append(
                 "solution-count bound omitted: 2^(35 B^3) needs %d bits" % bits)
@@ -474,8 +505,7 @@ def _cmd_bound(args) -> int:
     B = constants.B
     bits = 35 * B ** 3 + 6 * B ** 2 * max(args.degree.bit_length() - 1, 0)
     if bits <= _MAX_BOUND_BITS:
-        report["bound"] = _num(
-            bell * 2 ** (35 * B ** 3) * args.degree ** (6 * B ** 2))
+        report["bound"] = _num(solution_count_bound(cls, args.degree))
     else:
         report["bound_factored"] = {
             "bell_m": _num(bell),

@@ -766,22 +766,28 @@ def _modular_period(g: ExpSum, m: int) -> int:
 def _residues(g: ExpSum, m: int, start: int, count: int) -> List[int]:
     """Residues g(start), ..., g(start+count-1) mod m.
 
-    Base powers are carried incrementally, one modular product per term
-    and step."""
-    terms = [
-        (base % m, [int(c) % m for c in reversed(_int_coeffs(poly))])
-        for base, poly in g.terms
-    ]
+    A coefficient polynomial mod m depends only on s mod m, so each one
+    is evaluated by Horner once per residue class the range meets and
+    looked up at every step.  Base powers are carried incrementally,
+    one modular product per term and step."""
+    classes = [s % m for s in range(start, start + min(m, count))]
+    terms = []
+    for base, poly in g.terms:
+        rev_coeffs = [c % m for c in reversed(_int_coeffs(poly))]
+        table = [0] * m
+        for r in classes:
+            c = 0
+            for coeff in rev_coeffs:
+                c = (c * r + coeff) % m
+            table[r] = c
+        terms.append((base % m, table))
     powers = [pow(base, start, m) for base, _ in terms]
     out = []
     for s in range(start, start + count):
         total = 0
         sm = s % m
-        for i, (base, rev_coeffs) in enumerate(terms):
-            c = 0
-            for coeff in rev_coeffs:
-                c = (c * sm + coeff) % m
-            total = (total + powers[i] * c) % m
+        for i, (base, table) in enumerate(terms):
+            total = (total + powers[i] * table[sm]) % m
             powers[i] = powers[i] * base % m
         out.append(total)
     return out

@@ -4,14 +4,19 @@ Most invocations go through main() in-process; a couple of subprocess
 runs confirm the installed console script behaves identically.
 """
 
+import decimal
 import json
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prtoolkit.cli import main
+from prtoolkit.cli import _EXACT, _LEAF_BITS, _num, main
 
 
 def run_cli(capsys, *argv):
@@ -224,10 +229,98 @@ def test_bound(capsys):
 
 
 def test_bound_factored_when_huge(capsys):
+    # A = B = 30, so 2^(35 B^3) has 945,000 bits, above _MAX_BOUND_BITS
     eq = "(x^9 + 1)*2^x + (x^9 - 1)*3^x + x^9*5^x = 0"
     code, rep = run_cli(capsys, "bound", "--expr", eq)
     assert code == 0
-    assert "bound_factored" in rep or "bound" in rep
+    assert "bound" not in rep
+    assert rep["bound_factored"] == {
+        "bell_m": "5",
+        "power_of_two_exponent": "945000",
+        "degree": "1",
+        "degree_exponent": "5400",
+    }
+
+
+# --- rendering of report numbers ----------------------------------------------------
+
+
+@contextmanager
+def unlimited_int_str():
+    """Lift the interpreter's int -> str digit limit, so str(n) is a reference."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+_WIDTHS = st.one_of(
+    st.integers(0, 80_000),
+    st.integers(_LEAF_BITS - 40, _LEAF_BITS + 40),
+    st.integers(2 * _LEAF_BITS - 40, 2 * _LEAF_BITS + 40),
+)
+
+
+# below 2^w: hypothesis' own draw leans to small and structured values,
+# getrandbits gives dense ones of about w bits
+_INTS = _WIDTHS.flatmap(lambda w: st.one_of(
+    st.integers(0, 2 ** w),
+    st.randoms(use_true_random=False).map(lambda r: r.getrandbits(w)),
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INTS, st.booleans())
+def test_num_matches_str(n, negative):
+    if negative:
+        n = -n
+    with unlimited_int_str():
+        assert _num(n) == str(n)
+
+
+@pytest.mark.parametrize("k", [_LEAF_BITS - 1, _LEAF_BITS, _LEAF_BITS + 1, 3 * _LEAF_BITS])
+def test_num_at_powers_of_two_and_ten(k):
+    with unlimited_int_str():
+        for n in (2 ** k - 1, 2 ** k, 2 ** k + 1, 10 ** k - 1, 10 ** k):
+            assert _num(n) == str(n) and _num(-n) == str(-n)
+
+
+def test_num_fractions_and_passthrough():
+    f = Fraction(3 ** 20_000 + 1, 7 ** 9_000)
+    with unlimited_int_str():
+        assert _num(f) == "%d/%d" % (f.numerator, f.denominator)
+        assert _num(-f) == "-%d/%d" % (f.numerator, f.denominator)
+        assert _num(Fraction(-(5 ** 9_000))) == str(-(5 ** 9_000))
+    assert _num(Fraction(-3, 4)) == "-3/4"
+    assert _num("any") == "any"
+
+
+def test_num_arithmetic_is_exact_or_raises():
+    # the context keeps every digit, and a result that would be rounded raises;
+    # a 5-digit copy with the same traps shows the raise
+    assert _EXACT.prec == decimal.MAX_PREC and _EXACT.Emax == decimal.MAX_EMAX
+    narrow = _EXACT.copy()
+    narrow.prec = 5
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        narrow.multiply(123456, 7)
+    narrow.traps[decimal.Inexact] = False
+    with pytest.raises(decimal.Rounded):
+        narrow.multiply(123456, 7)
+
+
+def test_decide_renders_the_full_solution_bound(capsys):
+    # A = B = 22: Bell(2) * 2^(35 * 22^3) has 372,681 bits and 112,189 digits
+    code, rep = run_cli(capsys, "decide", "--expr", "3*x^20*2^x - 4*3^x = 0")
+    assert code == 0
+    assert rep["constants"] == {"A": "22", "B": "22"}
+    with unlimited_int_str():
+        assert rep["solution_bound"] == str(2 * 2 ** 372680)
+    assert len(rep["solution_bound"]) == 112189
 
 
 # --- input channels and errors ----------------------------------------------------

@@ -387,6 +387,21 @@ def test_modular_certificate_examples():
     assert (cert2.modulus, cert2.period, cert2.residues) == (3, 2, (1, 2))
 
 
+def test_residues_match_exact_values():
+    # the per-class coefficient tables must give g(s) mod m at every s,
+    # also when the range starts late or is shorter than m
+    rng = random.Random(11)
+    for _ in range(60):
+        g = expsum(*[
+            (b, [rng.randint(-40, 40) for _ in range(rng.randint(1, 6))])
+            for b in rng.sample([-7, -5, -3, -2, 2, 3, 5, 7, 11], rng.randint(1, 3))
+        ])
+        m = rng.choice([5, 13, 17, 19, 23, 29, 31])
+        start, count = rng.randint(0, 90), rng.randint(0, 70)
+        want = [int(g.eval(s)) % m for s in range(start, start + count)]
+        assert polyexp._residues(g, m, start, count) == want
+
+
 def test_modular_period_includes_modulus_for_nonconstant_coeffs():
     # s * 2^s mod 5: base order 4, full period lcm(4, 5) = 20
     g = expsum((2, [0, 1]))
