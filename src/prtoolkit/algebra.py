@@ -18,7 +18,7 @@ across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -375,9 +375,7 @@ class UniPoly:
         L = a.denominator * b.denominator
         A = a.numerator * b.denominator
         B = b.numerator * a.denominator
-        D = 1
-        for c in self.coeffs:
-            D = D * c.denominator // _gcd(D, c.denominator)
+        D = lcm(*(c.denominator for c in self.coeffs))
         n = [c.numerator * (D // c.denominator) for c in self.coeffs]
         d = len(n) - 1
         bpow = [1] * (d + 1)
@@ -439,14 +437,6 @@ class RatMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Rat]]) -> "RatMatrix":
-        cols = [tuple(c) for c in columns]
-        if not cols:
-            return cls(())
-        m = len(cols[0])
-        return cls(tuple(tuple(col[i] for col in cols) for i in range(m)))
-
     def column(self, j: int) -> Tuple[Fraction, ...]:
         return tuple(row[j] for row in self.rows)
 
@@ -459,9 +449,7 @@ class RatMatrix:
         """
         work: List[List[int]] = []
         for row in self.rows:
-            den = 1
-            for x in row:
-                den = den * x.denominator // _gcd(den, x.denominator)
+            den = lcm(*(x.denominator for x in row))
             work.append([int(x * den) for x in row])
         m, n = len(work), self.n
         rank = 0
@@ -501,12 +489,6 @@ class RatMatrix:
         )
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 # -- functional wrappers matching the operation vocabulary --------------
 
 
@@ -538,9 +520,7 @@ def integer_roots(p: UniPoly, budget: int = DEFAULT_FACTOR_BUDGET) -> List[int]:
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every integer as a root")
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * den) for c in p.coeffs]
     k = 0
     while ints[k] == 0:

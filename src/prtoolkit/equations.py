@@ -289,12 +289,12 @@ class _Parser:
             return node
         if t.kind == "NUM":
             self.advance()
-            num = int(t.text)
+            num = _literal(t)
             den = 1
             if self.peek().kind == "/":
                 self.advance()
                 dtok = self.expect("NUM", "integer denominator")
-                den = int(dtok.text)
+                den = _literal(dtok)
                 if den == 0:
                     raise ParseError("zero denominator", dtok.line, dtok.col)
             if self.peek().kind == "^":
@@ -318,7 +318,7 @@ class _Parser:
                         etok.col,
                     )
                 etok = self.expect("NUM", "nonnegative integer exponent")
-                exp = int(etok.text)
+                exp = _literal(etok)
                 if exp > MAX_POLY_DEGREE:
                     raise ParseError(
                         "exponent %d exceeds degree cap %d" % (exp, MAX_POLY_DEGREE),
@@ -360,6 +360,15 @@ class _Parser:
         vtok = self.expect("IDENT", "variable name after '^'")
         self.note_var(vtok.text)
         return ExpPow(base, vtok.text)
+
+
+def _literal(tok: _Token) -> int:
+    """The integer a NUM token spells; a ParseError at the token where int()
+    refuses it (past sys.set_int_max_str_digits, or a non-decimal digit)."""
+    try:
+        return int(tok.text)
+    except ValueError as e:
+        raise ParseError("bad integer literal: %s" % e, tok.line, tok.col) from None
 
 
 def _const_int(e: Expr) -> Optional[int]:

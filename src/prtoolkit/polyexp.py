@@ -34,12 +34,16 @@ Deciding whether g has an integer zero is done with exact arithmetic
 only: a dominance certificate confines all zeros to a finite window
 which is then scanned, and an independent modular certificate (all
 residues of g nonzero modulo some M coprime to the bases) can confirm
-emptiness a second way.  The scan works in integers: it carries g(s)
-modulo the primes 2^61 - 1 and 2^31 - 1 (negative s through the
-integer sum g(-k) * (prod |a_i|)^k), and evaluates g exactly only
-where both residues are 0, which every true zero satisfies.  The
-dominance thresholds are found by doubling and bisection, since each
-defining inequality is monotone past its starting point.
+emptiness a second way.  Every residue comes from one walk, which
+yields g(s) mod M for s = start, start + 1, ... in integers: the window
+filter walks modulo the primes 2^61 - 1 and 2^31 - 1 at once (negative
+s through the integer sum g(-k) * (prod |a_i|)^k) and evaluates g
+exactly only where both residues are 0, which every true zero
+satisfies; the joint modular scan walks modulo the lcm of the live
+moduli; the certificate table and its re-verification walk modulo the
+certificate's modulus.  The dominance thresholds are found by doubling
+and bisection, since each defining inequality is monotone past its
+starting point.
 """
 
 from __future__ import annotations
@@ -47,9 +51,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count, islice
 from math import comb, gcd, lcm
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     DEFAULT_FACTOR_BUDGET,
@@ -247,8 +251,7 @@ def diagonalize(eq: PolyExpEquation) -> ExpSum:
 
 def diagonal_eval(eq: PolyExpEquation, s: int) -> Fraction:
     """g(s) evaluated pointwise; works even when some f is a callable."""
-    base_vals = [v for v in eq.variables]
-    return polyexp_eval(eq, [s] * len(base_vals))
+    return polyexp_eval(eq, [s] * len(eq.variables))
 
 
 # ---------------------------------------------------------------------
@@ -295,7 +298,7 @@ def enumerate_partitions(m: int, cap: int = DEFAULT_PARTITION_CAP):
             rgs[i] = c
             yield from rec(i + 1, max(maxval, c))
 
-    yield from rec(1, 0) if m >= 1 else iter(())
+    yield from rec(1, 0)
 
 
 # ---------------------------------------------------------------------
@@ -763,34 +766,41 @@ def _modular_period(g: ExpSum, m: int) -> int:
     return period
 
 
-def _residues(g: ExpSum, m: int, start: int, count: int) -> List[int]:
-    """Residues g(start), ..., g(start+count-1) mod m.
+def _horner(terms: Sequence[Tuple[int, UniPoly]]) -> List[tuple]:
+    """Per term of a sum of base^s * C(s), the (base, c, steps) that _walk reads.
 
-    A coefficient polynomial mod m depends only on s mod m, so each one
-    is evaluated by Horner once per residue class the range meets and
-    looked up at every step.  Base powers are carried incrementally,
-    one modular product per term and step."""
-    classes = [s % m for s in range(start, start + min(m, count))]
-    terms = []
-    for base, poly in g.terms:
-        rev_coeffs = [c % m for c in reversed(_int_coeffs(poly))]
-        table = [0] * m
-        for r in classes:
-            c = 0
-            for coeff in rev_coeffs:
-                c = (c * r + coeff) % m
-            table[r] = c
-        terms.append((base % m, table))
-    powers = [pow(base, start, m) for base, _ in terms]
-    out = []
-    for s in range(start, start + count):
-        total = 0
-        sm = s % m
-        for i, (base, table) in enumerate(terms):
-            total = (total + powers[i] * table[sm]) % m
-            powers[i] = powers[i] * base % m
-        out.append(total)
-    return out
+    Horner over C's nonzero coefficients, highest exponent first: a starts
+    at the leading coefficient c, each step (gap, c_e) makes a = a * s^gap
+    + c_e, and a last step (e, 0) follows when the lowest exponent e is > 0.
+    """
+    plan = []
+    for base, poly in terms:
+        coeffs = _int_coeffs(poly)
+        exps = [e for e, c in enumerate(coeffs) if c][::-1]
+        steps = [(e - f, coeffs[f]) for e, f in zip(exps, exps[1:])]
+        if exps[-1]:
+            steps.append((exps[-1], 0))
+        plan.append((base, coeffs[exps[0]], steps))
+    return plan
+
+
+def _walk(plan: List[tuple], M: int, start: int) -> Iterator[int]:
+    """Yield an integer congruent to g(s) mod M for s = start, start + 1, ...
+
+    g is the sum that `plan` (from _horner) describes, and start >= 0.
+    Base powers are carried modulo M.  Horner multiplies by s for a gap
+    of 1, and by s^gap mod M, then reduces, for a larger gap: no s^e with
+    e > 1 is formed exactly, and small values stay small for the caller.
+    """
+    powers = [pow(base, start, M) for base, _, _ in plan]
+    for s in count(start):
+        v = 0
+        for i, (base, a, steps) in enumerate(plan):
+            for gap, c in steps:
+                a = (a * s if gap == 1 else a * pow(s, gap, M) % M) + c
+            v += powers[i] * a
+            powers[i] = powers[i] * base % M
+        yield v
 
 
 def modular_certificate_search(
@@ -828,76 +838,58 @@ def modular_certificate_search(
             blocks.append([])
             Q = m
         blocks[-1].append(m)
+    plan = _horner(g.terms)
     for block in blocks:
-        found = _least_surviving(g, block)
+        found = _least_surviving(g, plan, block)
         if found is not None:
             m, period = found
-            residues = tuple(_residues(g, m, 0, period))
+            residues = tuple(v % m for v in islice(_walk(plan, m, 0), period))
             return ModularCertificate(modulus=m, period=period, residues=residues)
     return None
 
 
-def _least_surviving(g: ExpSum, moduli: List[int]) -> Optional[Tuple[int, int]]:
+def _least_surviving(g: ExpSum, plan: List[tuple], moduli: List[int]) -> Optional[Tuple[int, int]]:
     """(least m in `moduli` with no zero of g mod m over its period, that period).
 
     `moduli` ascend and are coprime to every base; None when every one
-    of them has a zero.  Each coefficient polynomial is evaluated at s
-    as an exact integer, by Horner over its nonzero terms.
+    of them has a zero.  The values come from one walk modulo the lcm Q
+    of the live moduli (`plan` is g's _horner plan), restarted at the
+    next s modulo the new Q whenever Q is rebuilt.
     """
-    terms = []
-    for base, poly in g.terms:
-        # Horner over the nonzero terms, highest exponent first: a = (a + c_e) * s^gap,
-        # gap being e minus the next exponent (the last one's gap is e itself)
-        coeffs = _int_coeffs(poly)
-        exps = [e for e, c in enumerate(coeffs) if c][::-1]
-        gaps = [e - f for e, f in zip(exps, exps[1:] + [0])]
-        terms.append((base, [(coeffs[e], gap) for e, gap in zip(exps, gaps)]))
     live = list(moduli)
     Q = lcm(*live)
-    powers = [1] * len(terms)
     least, period = live[0], _modular_period(g, live[0])
     rebuild_at = len(live) // 2
     s = 0
     while True:
-        v = 0
-        for i, (base, horner) in enumerate(terms):
-            a = 0
-            for c, gap in horner:
-                a = (a + c) * s ** gap
-            v += powers[i] * a
-            powers[i] = powers[i] * base % Q
-        G = gcd(v, Q)
-        if G >= live[0]:
-            cut = bisect_right(live, G)
-            kept = [m for m in live[:cut] if G % m]
-            if len(kept) < cut:
-                live = kept + live[cut:]
-                if not live:
-                    return None
-                if len(live) <= rebuild_at:
-                    # the powers, reduced modulo the old Q, stay right modulo its divisor
-                    Q = lcm(*live)
-                    rebuild_at = len(live) // 2
-                if live[0] != least:
-                    least, period = live[0], _modular_period(g, live[0])
-        s += 1
-        if s >= period:
-            return least, period
+        for v in _walk(plan, Q, s):
+            G = gcd(v, Q)
+            s += 1
+            if G >= live[0]:
+                cut = bisect_right(live, G)
+                kept = [m for m in live[:cut] if G % m]
+                if len(kept) < cut:
+                    live = kept + live[cut:]
+                    if not live:
+                        return None
+                    if live[0] != least:
+                        least, period = live[0], _modular_period(g, live[0])
+                    if len(live) <= rebuild_at and s < period:
+                        break
+            if s >= period:
+                return least, period
+        Q = lcm(*live)
+        rebuild_at = len(live) // 2
 
 
 def verify_modular(g: ExpSum, cert: ModularCertificate) -> bool:
     """Recheck coprimality, the period, all residues, plus one extra period."""
-    m = cert.modulus
-    if m < 2:
+    m, period = cert.modulus, cert.period
+    if m < 2 or any(gcd(base, m) != 1 for base, _ in g.terms) or period != _modular_period(g, m):
         return False
-    if any(gcd(base, m) != 1 for base, _ in g.terms):
-        return False
-    if cert.period != _modular_period(g, m):
-        return False
-    table = _residues(g, m, 0, cert.period)
-    if tuple(table) != cert.residues or any(r == 0 for r in table):
-        return False
-    return _residues(g, m, cert.period, cert.period) == table
+    values = [v % m for v in islice(_walk(_horner(g.terms), m, 0), 2 * period)]
+    first, second = values[:period], values[period:]
+    return tuple(first) == cert.residues and 0 not in first and second == first
 
 
 # ---------------------------------------------------------------------
@@ -928,31 +920,6 @@ class ConstantSolutionResult:
     note: str = ""
 
 
-def _residue_zeros(terms: Sequence[Tuple[int, UniPoly]], start: int, stop: int) -> List[int]:
-    """The k in [start, stop] (start >= 0) where sum b^k * C(k) is 0 mod _SCAN_MODULUS.
-
-    Bases and coefficients are integers, so each value is an integer and
-    its residue is exact.  Base powers are carried incrementally; each
-    coefficient polynomial is evaluated by its nonzero terms.
-    """
-    M = _SCAN_MODULUS
-    bases = [base % M for base, _ in terms]
-    powers = [pow(base, start, M) for base in bases]
-    polys = [
-        [(e, c % M) for e, c in enumerate(_int_coeffs(poly)) if c]
-        for _, poly in terms
-    ]
-    out = []
-    for k in range(start, stop + 1):
-        total = 0
-        for i, poly in enumerate(polys):
-            total += powers[i] * sum(c * pow(k, e, M) for e, c in poly)
-            powers[i] = powers[i] * bases[i] % M
-        if total % M == 0:
-            out.append(k)
-    return out
-
-
 def _zeros_between(g: ExpSum, lo: int, hi: int) -> List[int]:
     """Every integer zero of g in [lo, hi], ascending.
 
@@ -961,12 +928,15 @@ def _zeros_between(g: ExpSum, lo: int, hi: int) -> List[int]:
     too.  A zero of g has both residues 0, so none is missed, and each
     candidate is confirmed by exact evaluation.
     """
+    def hits(terms, start, stop):
+        walk = _walk(_horner(terms), _SCAN_MODULUS, start)
+        return [k for k, v in zip(range(start, stop + 1), walk) if v % _SCAN_MODULUS == 0]
+
     candidates = []
     if lo < 0:
-        negated = _negation_transform(g.terms)
-        candidates += [-k for k in reversed(_residue_zeros(negated, max(1, -hi), -lo))]
+        candidates += [-k for k in reversed(hits(_negation_transform(g.terms), max(1, -hi), -lo))]
     if hi >= 0:
-        candidates += _residue_zeros(g.terms, max(0, lo), hi)
+        candidates += hits(g.terms, max(0, lo), hi)
     return [s for s in candidates if g.eval(s) == 0]
 
 

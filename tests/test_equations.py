@@ -1,6 +1,7 @@
 """Parser, printer, classifier and the JSON schema round-trip."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -85,6 +86,33 @@ def test_parse_errors_carry_position():
         parse_equation_text("x + = 1")
     with pytest.raises(ParseError):
         parse_equation_text("2 x = 1")  # explicit '*' required
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default digit limit for int(str), restored after the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit in this interpreter")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("x = " + "9" * 5000, 5),  # integer literal
+        ("x = 1/" + "9" * 5000, 7),  # denominator
+        ("x^" + "9" * 5000 + " = y", 3),  # polynomial exponent
+        ("x = 2*\u00b2", 7),  # a digit that is not decimal
+    ],
+)
+def test_unconvertible_literals_are_parse_errors(default_digit_limit, text, col):
+    with pytest.raises(ParseError) as e:
+        parse_equation_text(text)
+    assert (e.value.line, e.value.col) == (1, col)
+    assert "bad integer literal" in str(e.value)
 
 
 def test_exponent_grammar():

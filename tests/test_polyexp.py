@@ -8,9 +8,12 @@ defining inequalities before the search code existed.
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from itertools import islice
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prtoolkit.algebra import IncompleteFactorization, MultiPoly, UniPoly
 from prtoolkit.equations import classify, parse_equation_text
@@ -387,9 +390,14 @@ def test_modular_certificate_examples():
     assert (cert2.modulus, cert2.period, cert2.residues) == (3, 2, (1, 2))
 
 
+def walk_residues(g, M, start, count):
+    """g(start), ..., g(start + count - 1) mod M, read from the walk."""
+    return [v % M for v in islice(polyexp._walk(polyexp._horner(g.terms), M, start), count)]
+
+
 def test_residues_match_exact_values():
-    # the per-class coefficient tables must give g(s) mod m at every s,
-    # also when the range starts late or is shorter than m
+    # the walk must give g(s) mod m at every s, also when the range
+    # starts late or is shorter than m
     rng = random.Random(11)
     for _ in range(60):
         g = expsum(*[
@@ -399,7 +407,38 @@ def test_residues_match_exact_values():
         m = rng.choice([5, 13, 17, 19, 23, 29, 31])
         start, count = rng.randint(0, 90), rng.randint(0, 70)
         want = [int(g.eval(s)) % m for s in range(start, start + count)]
-        assert polyexp._residues(g, m, start, count) == want
+        assert walk_residues(g, m, start, count) == want
+
+
+# an lcm of 1,989 bits, about the largest Q of one block of the joint scan
+LCM_2000 = lcm(*range(2, 1390))
+
+
+sparse_terms = st.lists(
+    st.tuples(
+        st.integers(-13, 13).filter(bool),
+        # sparse coefficients, from small degrees up to 10,000
+        st.dictionaries(st.integers(0, 12) | st.integers(0, 10_000), st.integers(-50, 50), min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    terms=sparse_terms,
+    M=st.sampled_from([2, 3, 5, 7, 11, 13, 29, 31]) | st.just(polyexp._SCAN_MODULUS) | st.just(LCM_2000),
+    start=st.integers(0, 60),
+    count=st.integers(1, 3),
+)
+def test_walk_matches_exact_values(terms, M, start, count):
+    g = ExpSum([
+        (b, UniPoly([Fraction(coeffs.get(e, 0)) for e in range(max(coeffs) + 1)]))
+        for b, coeffs in terms
+    ])
+    want = [int(g.eval(s)) % M for s in range(start, start + count)]
+    assert walk_residues(g, M, start, count) == want
 
 
 def test_modular_period_includes_modulus_for_nonconstant_coeffs():
