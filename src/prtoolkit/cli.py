@@ -10,7 +10,6 @@ Certificates embedded in a report are re-verified before emission.
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import sys
 import time
@@ -26,6 +25,7 @@ from .equations import (
     ParseError,
     SchemaError,
     TwoVarPolySystem,
+    _num,
     class_from_json,
     class_to_json,
     classify,
@@ -55,7 +55,6 @@ from .ramsey import (
 )
 from .sunit import (
     make_group,
-    subgroup_rank,
     sunit_solution_bound,
     decide_sunit_3var,
     two_term_unit_bound,
@@ -69,12 +68,6 @@ EXIT_UNKNOWN = 2
 # reported in factored form instead of in full
 _MAX_BOUND_BITS = 600_000
 
-# _num renders ints above this many bits by divide and conquer
-_LEAF_BITS = 4096
-# exact decimal arithmetic: any result that would be rounded raises
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                         traps=[decimal.Inexact, decimal.Rounded])
-
 
 class _UsageError(Exception):
     pass
@@ -83,39 +76,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _num(x) -> str:
-    """Exact decimal-string form of an int or Fraction; str(x) for anything else.
-
-    An int above _LEAF_BITS bits is converted by divide and conquer, as in
-    CPython 3.12's Lib/_pylong.py, since str(int) is quadratic before 3.12:
-    |x| = hi * 2^h + lo with h half its width, both halves converted
-    recursively, and joined in `decimal` arithmetic with one 2^h per level.
-    The context keeps MAX_PREC digits and traps Inexact and Rounded, so
-    every step is exact or raises; no float is involved.
-    """
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return _num(x.numerator)
-        return "%s/%s" % (_num(x.numerator), _num(x.denominator))
-    if not isinstance(x, int) or x.bit_length() <= _LEAF_BITS:
-        return str(x)
-    powers = {}
-
-    def to_decimal(n: int, w: int) -> decimal.Decimal:
-        # the Decimal equal to n, 0 <= n < 2^w
-        if w <= _LEAF_BITS:
-            return decimal.Decimal(n)
-        h = w >> 1
-        hi = n >> h
-        if h not in powers:
-            powers[h] = _EXACT.power(2, h)
-        return _EXACT.add(_EXACT.multiply(to_decimal(hi, w - h), powers[h]),
-                          to_decimal(n - (hi << h), h))
-
-    digits = str(to_decimal(abs(x), x.bit_length()))
-    return digits if x > 0 else "-" + digits
 
 
 def _build_parser() -> _Parser:
@@ -525,8 +485,19 @@ def _emit(report: dict) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
+    # input literals may exceed the default int/str digit limit; the
+    # caller's limit is restored on return, for the rest of its process
+    old_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if old_limit is not None:
         sys.set_int_max_str_digits(400_000)
+    try:
+        return _dispatch(argv)
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
+
+
+def _dispatch(argv: Optional[Sequence[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

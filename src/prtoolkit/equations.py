@@ -33,12 +33,13 @@ value is ever truncated to 64 bits.
 
 from __future__ import annotations
 
+import decimal
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import MultiPoly, RatMatrix, UniPoly
+from .algebra import MultiPoly, RatMatrix
 from .polyexp import PolyExpEquation, PolyExpTerm
 
 MAX_VARIABLES = 26
@@ -611,7 +612,7 @@ def classify(ast: EquationAST) -> EquationClass:
         poly = MultiPoly(variables, bucket)
         if poly.is_zero():
             continue
-        terms.append(PolyExpTerm(poly=poly, f=None, characters=chars))
+        terms.append(PolyExpTerm(poly=poly, characters=chars))
     if not terms:
         # everything canceled; an empty exponential sum is linear 0 = 0
         return LinearSystem(
@@ -631,11 +632,44 @@ def classify(ast: EquationAST) -> EquationClass:
 # JSON serialization (exact integers as decimal strings)
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else "%d/%d" % (
-        x.numerator,
-        x.denominator,
-    )
+# _num renders ints above this many bits by divide and conquer
+_LEAF_BITS = 4096
+# exact decimal arithmetic: any result that would be rounded raises
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.Inexact, decimal.Rounded])
+
+
+def _num(x) -> str:
+    """Exact decimal-string form of an int or Fraction; str(x) for anything else.
+
+    An int above _LEAF_BITS bits is converted by divide and conquer, as in
+    CPython 3.12's Lib/_pylong.py, since str(int) is quadratic before 3.12:
+    |x| = hi * 2^h + lo with h half its width, both halves converted
+    recursively, and joined in `decimal` arithmetic with one 2^h per level.
+    The context keeps MAX_PREC digits and traps Inexact and Rounded, so
+    every step is exact or raises; no float is involved.
+    """
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return _num(x.numerator)
+        return "%s/%s" % (_num(x.numerator), _num(x.denominator))
+    if not isinstance(x, int) or x.bit_length() <= _LEAF_BITS:
+        return str(x)
+    powers = {}
+
+    def to_decimal(n: int, w: int) -> decimal.Decimal:
+        # the Decimal equal to n, 0 <= n < 2^w
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(n)
+        h = w >> 1
+        hi = n >> h
+        if h not in powers:
+            powers[h] = _EXACT.power(2, h)
+        return _EXACT.add(_EXACT.multiply(to_decimal(hi, w - h), powers[h]),
+                          to_decimal(n - (hi << h), h))
+
+    digits = str(to_decimal(abs(x), x.bit_length()))
+    return digits if x > 0 else "-" + digits
 
 
 def _rat_from(v) -> Fraction:
@@ -660,7 +694,7 @@ def _int_from(v) -> int:
 
 def _poly_to_json(p: MultiPoly) -> List[dict]:
     return [
-        {"coeff": _rat_str(c), "exps": list(e)} for e, c in p.sorted_terms()
+        {"coeff": _num(c), "exps": list(e)} for e, c in p.sorted_terms()
     ]
 
 
@@ -685,8 +719,8 @@ def class_to_json(obj: EquationClass) -> dict:
         return {
             "class": "linear_system",
             "vars": list(obj.variables),
-            "A": [[_rat_str(x) for x in row] for row in obj.matrix.rows],
-            "b": [_rat_str(x) for x in obj.rhs],
+            "A": [[_num(x) for x in row] for row in obj.matrix.rows],
+            "b": [_num(x) for x in obj.rhs],
         }
     if isinstance(obj, (TwoVarPolySystem, GeneralPolySystem)):
         return {
@@ -704,9 +738,9 @@ def class_to_json(obj: EquationClass) -> dict:
             "param": obj.param_var,
             "terms": [
                 {
-                    "characters": [str(b) for b in t.characters],
+                    "characters": [_num(b) for b in t.characters],
                     "poly": _poly_to_json(t.poly),
-                    "f": None if t.f is None else [_rat_str(c) for c in t.f.coeffs],
+                    "f": None,
                 }
                 for t in obj.terms
             ],
@@ -751,6 +785,7 @@ def class_from_json(d: dict) -> EquationClass:
         exp_vars = tuple(d.get("exp_vars", ()))
         if not variables or not exp_vars:
             raise SchemaError("polyexp equation needs 'vars' and 'exp_vars'")
+        param = d.get("param")
         terms = []
         for t in d.get("terms", ()):
             if not isinstance(t, dict) or "characters" not in t or "poly" not in t:
@@ -760,19 +795,24 @@ def class_from_json(d: dict) -> EquationClass:
                 raise SchemaError("character length does not match exp_vars")
             if any(b == 0 for b in chars):
                 raise SchemaError("zero character entry")
+            poly = _poly_from_json(t["poly"], variables)
             f = t.get("f")
-            fpoly = None if f is None else UniPoly([_rat_from(c) for c in f])
-            terms.append(
-                PolyExpTerm(
-                    poly=_poly_from_json(t["poly"], variables),
-                    f=fpoly,
-                    characters=chars,
-                )
-            )
+            if f is not None:
+                # the factor f(param) of the older schema: P * f is one polynomial
+                if not isinstance(f, list):
+                    raise SchemaError("term 'f' must be a list of coefficients")
+                if param not in variables or param in exp_vars:
+                    raise SchemaError("term 'f' needs a 'param' among 'vars' and not in 'exp_vars'")
+                k = variables.index(param)
+                poly = poly * MultiPoly(variables, {
+                    tuple(e if i == k else 0 for i in range(len(variables))): _rat_from(c)
+                    for e, c in enumerate(f)
+                })
+            terms.append(PolyExpTerm(poly=poly, characters=chars))
         return PolyExpEquation(
             variables=variables,
             exp_vars=exp_vars,
-            param_var=d.get("param"),
+            param_var=param,
             terms=tuple(terms),
         )
     raise SchemaError("unknown class %r" % cls)

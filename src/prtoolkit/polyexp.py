@@ -2,14 +2,14 @@
 
 The equations handled here have the shape
 
-    sum_i  P_i(x_1..x_n, y) * f_i(y) * a_{i,1}^{x_1} * ... * a_{i,n}^{x_n} = 0
+    sum_i  P_i(x_1..x_n, y) * a_{i,1}^{x_1} * ... * a_{i,n}^{x_n} = 0
 
 with integer character bases a_{i,j} != 0.  Such an equation always has
 the diagonal family x_1 = ... = x_n = y = s, which collapses it to the
 single-variable exponential sum
 
     g(s) = sum_i  a_i^s * A_i(s),     a_i = prod_j a_{i,j},
-                                      A_i = P_i(s,..,s) * f_i(s).
+                                      A_i = P_i(s,..,s).
 
 A constant solution (an integer zero of g) is monochromatic under every
 coloring, so it certifies partition regularity outright.  Conversely,
@@ -94,10 +94,9 @@ _JOINT_BITS = 2048
 
 @dataclass(frozen=True)
 class PolyExpTerm:
-    """One additive term: poly * f(param) * product of characters."""
+    """One additive term: poly * product of characters."""
 
     poly: MultiPoly
-    f: Union[UniPoly, Callable[[int], Union[int, Fraction]], None]
     characters: Tuple[int, ...]
 
 
@@ -129,8 +128,6 @@ class PolyExpEquation:
                 raise ValueError("character entries must be nonzero integers")
             if t.poly.is_zero():
                 raise ValueError("term polynomial must be nonzero")
-            if isinstance(t.f, UniPoly) and t.f.is_zero():
-                raise ValueError("term f must be nonzero")
             if t.characters in seen:
                 raise ValueError(
                     "duplicate character vector %r; merge the terms" % (t.characters,)
@@ -146,12 +143,6 @@ def polyexp_eval(eq: PolyExpEquation, values: Sequence[Union[int, Fraction]]) ->
     total = Fraction(0)
     for t in eq.terms:
         part = t.poly.eval([vmap[v] for v in t.poly.vars])
-        if t.f is not None:
-            if eq.param_var is None:
-                raise ValueError("term has f but the equation has no parameter variable")
-            y = vmap[eq.param_var]
-            fv = t.f.eval(y) if isinstance(t.f, UniPoly) else Fraction(t.f(int(y)))
-            part *= fv
         for b, v in zip(t.characters, eq.exp_vars):
             part *= Fraction(b) ** int(vmap[v])
         total += part
@@ -229,29 +220,15 @@ def diagonalize(eq: PolyExpEquation) -> ExpSum:
     """Collapse an equation along the diagonal x_1 = ... = y = s.
 
     Each term contributes base prod_j a_{i,j} with coefficient
-    polynomial P_i(s,..,s) * f_i(s); terms whose bases coincide merge.
-    Raises if some f is not a polynomial (no exact representation; use a
-    pointwise scan with a user-supplied bound instead).
+    polynomial P_i(s,..,s); terms whose bases coincide merge.
     """
     out = []
     for t in eq.terms:
-        if t.f is not None and not isinstance(t.f, UniPoly):
-            raise ValueError(
-                "non-polynomial f has no exact diagonal; supply a search bound"
-            )
         base = 1
         for b in t.characters:
             base *= b
-        poly = t.poly.diagonal()
-        if t.f is not None:
-            poly = poly * t.f
-        out.append((base, poly))
+        out.append((base, t.poly.diagonal()))
     return ExpSum(out)
-
-
-def diagonal_eval(eq: PolyExpEquation, s: int) -> Fraction:
-    """g(s) evaluated pointwise; works even when some f is a callable."""
-    return polyexp_eval(eq, [s] * len(eq.variables))
 
 
 # ---------------------------------------------------------------------
@@ -1103,10 +1080,7 @@ def check_hypothesis(
             failing = partition
             break
     coprime, unit = mutually_coprime(chars)
-    safe = any(
-        t.poly.degree() == 0 and (t.f is None or (isinstance(t.f, UniPoly) and t.f.degree == 0))
-        for t in eq.terms
-    )
+    safe = any(t.poly.degree() == 0 for t in eq.terms)
     return HypothesisReport(
         checked_partitions=bell_number(m) - 1,
         trivial_for_all=failing is None,
@@ -1147,43 +1121,6 @@ def decide_polyexp_pr(
             "pure polynomial system {P_k = 0} not analyzed; it may carry "
             "solution families of its own"
         )
-
-    has_callable_f = any(
-        t.f is not None and not isinstance(t.f, UniPoly) for t in eq.terms
-    )
-    if has_callable_f:
-        if user_bound is None:
-            raise ValueError(
-                "non-polynomial f requires a user-supplied search bound"
-            )
-        zeros = [
-            s
-            for s in range(-user_bound, user_bound + 1)
-            if diagonal_eval(eq, s) == 0
-        ]
-        if zeros:
-            result = ConstantSolutionResult(
-                status="FOUND",
-                witness=least_witness(zeros),
-                solutions_in_window=tuple(zeros),
-                families=(),
-                window=(-user_bound, user_bound),
-                dominance=None,
-                modular=None,
-                note="witness found by pointwise bounded scan",
-            )
-            return PolyExpVerdict("PR_CONSTANT", result, hypothesis, None, tuple(notes))
-        result = ConstantSolutionResult(
-            status="UNKNOWN",
-            witness=None,
-            solutions_in_window=(),
-            families=(),
-            window=(-user_bound, user_bound),
-            dominance=None,
-            modular=None,
-            note="pointwise scan exhausted the user bound",
-        )
-        return PolyExpVerdict("UNKNOWN", result, hypothesis, None, tuple(notes))
 
     g = diagonalize(eq)
     result = decide_constant_solution(g, user_bound=user_bound, m_max=m_max)

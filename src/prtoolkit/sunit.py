@@ -153,22 +153,19 @@ def count_unit_equation_solutions(
 ) -> Tuple[int, Tuple[Tuple[Fraction, Fraction], ...]]:
     """Pairs (x, y) in the exponent box with a x + b y = 1, exactly.
 
-    An exhaustive scan of the box squared; every solution re-verifies
-    by exact arithmetic, and the count is asserted against the bound
-    2^(16 (r + 1)) (the two-term bound for the product group of rank
-    2r, which covers pairs from a rank-r group).
+    Each x in the box determines y = (1 - a x) / b exactly, which is
+    looked up among the box elements, so the scan is linear in the box.
+    Pairs come out in ascending order, and the count is asserted against
+    the bound 2^(16 (r + 1)) (the two-term bound for the product group
+    of rank 2r, which covers pairs from a rank-r group).
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("coefficients must be nonzero")
     spec = _as_group(group, budget)
     elements = enumerate_group_elements(spec, exp_bound)
-    sols = []
-    for x in elements:
-        for y in elements:
-            if a * x + b * y == 1:
-                sols.append((x, y))
-    sols.sort()
+    members = set(elements)
+    sols = [(x, y) for x in elements if (y := (1 - a * x) / b) in members]
     bound = sunit_solution_bound(spec.rank)
     assert len(sols) <= bound, "solution count exceeds the finiteness bound"
     return len(sols), tuple(sols)

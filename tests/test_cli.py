@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prtoolkit.cli import _EXACT, _LEAF_BITS, _num, main
+from prtoolkit.cli import main
+from prtoolkit.equations import _EXACT, _LEAF_BITS, ParseError, _num, parse_equation_text
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +241,22 @@ def test_bound_factored_when_huge(capsys):
         "degree": "1",
         "degree_exponent": "5400",
     }
+
+
+def test_main_restores_the_digit_limit(capsys):
+    # main raises the int/str digit limit only while it runs
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit in this interpreter")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["decide", "--expr", "x + y = z"]) == 0
+        capsys.readouterr()
+        assert sys.get_int_max_str_digits() == 4300
+        with pytest.raises(ParseError):
+            parse_equation_text("x = " + "9" * 5000)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # --- rendering of report numbers ----------------------------------------------------

@@ -39,7 +39,7 @@ from prtoolkit.equations import (
     parse_equation_text,
     to_json,
 )
-from prtoolkit.polyexp import PolyExpTerm
+from prtoolkit.polyexp import PolyExpTerm, decide_polyexp_pr
 
 
 # --- parsing ------------------------------------------------------------
@@ -343,7 +343,7 @@ def _ref_classify(ast):
     for chars, bucket in groups.items():
         poly = MultiPoly(variables, bucket)
         if not poly.is_zero():
-            terms.append(PolyExpTerm(poly=poly, f=None, characters=chars))
+            terms.append(PolyExpTerm(poly=poly, characters=chars))
     if not terms:
         return LinearSystem(variables, RatMatrix([[Fraction(0)] * len(variables)]), (Fraction(0),))
     return PolyExpEquation(
@@ -441,6 +441,43 @@ def test_bad_json_rejected():
         from_json("{not json")
     with pytest.raises(SchemaError):
         class_from_json({"class": "no_such_class"})
+
+
+def _with_param_factor(f, param="t"):
+    """Schema dict of (x^2 + 3)*2^x + 5*3^x = 0 over vars (x, t), in the
+    older form whose first term carries the factor f(param)."""
+    d = class_to_json(classify(parse_equation_text("(x^2 + 3)*2^x + 5*3^x = 0")))
+    d["vars"] = ["x", "t"]
+    d["param"] = param
+    for term in d["terms"]:
+        for mono in term["poly"]:
+            mono["exps"].append(0)
+    d["terms"][0]["f"] = f
+    return d
+
+
+def test_json_factor_f_is_folded_into_poly():
+    folded = class_from_json(_with_param_factor(["1", "1"]))
+    multiplied = classify(parse_equation_text("(x^2 + 3)*(1 + t)*2^x + 5*3^x = 0"))
+    assert folded == multiplied
+    assert [t["f"] for t in class_to_json(folded)["terms"]] == [None, None]
+    a, b = decide_polyexp_pr(folded), decide_polyexp_pr(multiplied)
+    assert a.diagonal == b.diagonal
+    assert repr(a) == repr(b)
+
+
+@pytest.mark.parametrize(
+    "f, param",
+    [
+        ("1 + t", "t"),  # f is not a list
+        (["1", "1"], None),  # no param
+        (["1", "1"], "w"),  # param not among vars
+        (["1", "1"], "x"),  # param is an exponent variable
+    ],
+)
+def test_json_factor_f_needs_a_list_and_a_polynomial_param(f, param):
+    with pytest.raises(SchemaError):
+        class_from_json(_with_param_factor(f, param))
 
 
 def test_random_linear_round_trip():

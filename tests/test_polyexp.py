@@ -29,7 +29,6 @@ from prtoolkit.polyexp import (
     compute_constants,
     decide_constant_solution,
     decide_polyexp_pr,
-    diagonal_eval,
     diagonalize,
     dominance_bound,
     enumerate_partitions,
@@ -114,7 +113,7 @@ def test_diagonalize_multiplies_back():
         eq = parse_eq(" + ".join(parts) + " = 0")
         g = diagonalize(eq)
         s = rng.randint(-5, 5)
-        direct = diagonal_eval(eq, s)
+        direct = polyexp_eval(eq, [s] * len(eq.variables))
         scaled = g.eval(s)
         if direct == 0:
             assert scaled == 0
@@ -649,38 +648,14 @@ def test_found_witness_beats_hypothesis_failure():
     assert v.result.witness == 0
 
 
-def test_callable_f_requires_user_bound():
-    def f(s):
-        # factorial-like positive weight, defeats closed-form dominance
-        out = 1
-        for k in range(1, abs(s) + 1):
-            out *= k
-        return out
-
-    term = PolyExpTerm(
-        poly=MultiPoly.constant(("x", "t"), Fraction(1)),
-        f=f,
-        characters=(2,),
-    )
-    eq = PolyExpEquation(
-        variables=("x", "t"), exp_vars=("x",), param_var="t", terms=(term,)
-    )
-    with pytest.raises(ValueError):
-        decide_polyexp_pr(eq)
-    v = decide_polyexp_pr(eq, user_bound=5)
-    assert v.status in ("PR_CONSTANT", "UNKNOWN")
-
-
 def test_incomplete_factorization_gives_unknown():
     p = 2_147_483_647
     term = PolyExpTerm(
         poly=MultiPoly.constant(("x",), Fraction(1)),
-        f=None,
         characters=(p * p,),
     )
     term2 = PolyExpTerm(
         poly=MultiPoly.constant(("x",), Fraction(1)),
-        f=None,
         characters=(3,),
     )
     eq = PolyExpEquation(variables=("x",), exp_vars=("x",), param_var=None, terms=(term, term2))
@@ -787,7 +762,7 @@ def constant_equation(chars):
     n = len(chars[0])
     names = ("x", "y")[:n]
     terms = tuple(
-        PolyExpTerm(poly=MultiPoly.constant(names, Fraction(1)), f=None, characters=c)
+        PolyExpTerm(poly=MultiPoly.constant(names, Fraction(1)), characters=c)
         for c in chars
     )
     return PolyExpEquation(variables=names, exp_vars=names, param_var=None, terms=terms)

@@ -126,6 +126,28 @@ def test_unit_equation_solutions_verify():
             assert a * x + b * y == 1
 
 
+def pair_scan(a, b, group, exp_bound):
+    """The scan the lookup replaced: every pair of box elements."""
+    elements = enumerate_group_elements(group, exp_bound)
+    sols = sorted((x, y) for x in elements for y in elements if a * x + b * y == 1)
+    return len(sols), tuple(sols)
+
+
+def test_unit_equation_lookup_matches_pair_scan():
+    rng = random.Random(503)
+    pool = [-1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3), 5, 6]
+    coeffs = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3)]
+    found = 0
+    for _ in range(40):
+        gens = rng.sample(pool, rng.randint(1, 3))
+        a, b = Fraction(rng.choice(coeffs)), Fraction(rng.choice(coeffs))
+        bound = rng.randint(0, 3)
+        got = count_unit_equation_solutions(a, b, gens, bound)
+        assert got == pair_scan(a, b, gens, bound), (a, b, gens, bound)
+        found += got[0]
+    assert found > 0
+
+
 def test_no_nontrivial_three_term_progressions_in_powers_of_two():
     # x + y = 2z inside <2>: 2^a + 2^b = 2^(c+1) forces a = b = c
     els = enumerate_group_elements(make_group([2]), 6)
