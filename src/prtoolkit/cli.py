@@ -2,15 +2,20 @@
 
 Reports are JSON on standard output.  Exit codes: 0 when a question was
 decided (either way), 2 when the outcome is UNKNOWN, 1 for usage or
-parse errors.  Every numeric value that can grow beyond 53 bits is
-serialized as a decimal string; nothing is ever emitted as a float.
+parse errors and when standard output is closed before the report is
+written (``prtoolkit ... | head``).  Every numeric value that can grow
+beyond 53 bits is serialized as a decimal string; nothing is ever
+emitted as a float.
 Certificates embedded in a report are re-verified before emission.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -63,6 +68,9 @@ from .sunit import (
 EXIT_DECIDED = 0
 EXIT_USAGE = 1
 EXIT_UNKNOWN = 2
+# a reader that closes the pipe early: 1, as in the SIGPIPE note of the
+# Python `signal` docs
+EXIT_BROKEN_PIPE = 1
 
 # certified bounds above this many bits (about 180,000 digits) are
 # reported in factored form instead of in full
@@ -78,7 +86,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls.
+
+    parse_args does not mutate the parser and no argument has a mutable
+    default, so calls stay independent.  Building it takes most of the
+    time of a cheap call; it is not built at import.
+    """
     p = _Parser(prog="prtoolkit", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -480,8 +495,49 @@ def _cmd_bound(args) -> int:
 
 
 def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    text = json.dumps(report, indent=2) + "\n"
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if isinstance(raw, io.RawIOBase):
+        # unbuffered stdout (python -u): the text layer drops what a
+        # partial write leaves over, so a pipe closed mid-report would go
+        # unnoticed; write the bytes until the pipe takes all or fails
+        out.flush()
+        data = memoryview(text.encode(out.encoding))
+        while data:
+            data = data[raw.write(data):]
+    else:
+        out.write(text)
+    # a closed pipe raises here, inside main, and not at interpreter exit
+    out.flush()
+
+
+_HANDLERS = {
+    "decide": _cmd_decide,
+    "search": _cmd_search,
+    "enumerate": _cmd_enumerate,
+    "certify": _cmd_certify,
+    "rank": _cmd_rank,
+    "bound": _cmd_bound,
+}
+
+
+def _discard_stdout() -> None:
+    """Point a closed stdout's file descriptor at the null device.
+
+    Python flushes stdout at exit; on the closed pipe that flush would
+    raise again.  A stdout without a descriptor (an in-process caller's
+    StringIO) is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -492,28 +548,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(400_000)
     try:
         return _dispatch(argv)
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
     finally:
         if old_limit is not None:
             sys.set_int_max_str_digits(old_limit)
 
 
 def _dispatch(argv: Optional[Sequence[str]]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    handlers = {
-        "decide": _cmd_decide,
-        "search": _cmd_search,
-        "enumerate": _cmd_enumerate,
-        "certify": _cmd_certify,
-        "rank": _cmd_rank,
-        "bound": _cmd_bound,
-    }
     try:
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except (_UsageError, ParseError, ClassifyError, SchemaError, FileNotFoundError,
             ValueError, json.JSONDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)

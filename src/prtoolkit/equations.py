@@ -692,6 +692,16 @@ def _int_from(v) -> int:
     return int(f)
 
 
+def _json_list(d: dict, key: str) -> list:
+    """The list under d[key]; absent or null reads as empty."""
+    v = d.get(key)
+    if v is None:
+        return []
+    if not isinstance(v, list):
+        raise SchemaError("'%s' must be a list" % key)
+    return v
+
+
 def _poly_to_json(p: MultiPoly) -> List[dict]:
     return [
         {"coeff": _num(c), "exps": list(e)} for e, c in p.sorted_terms()
@@ -763,7 +773,7 @@ def class_from_json(d: dict) -> EquationClass:
             raise SchemaError("'A' must be a list of rows")
         rows = [[_rat_from(x) for x in row] for row in A]
         ncols = len(rows[0]) if rows else 0
-        variables = tuple(d.get("vars") or ("x%d" % (i + 1) for i in range(ncols)))
+        variables = tuple(_json_list(d, "vars") or ("x%d" % (i + 1) for i in range(ncols)))
         if rows and any(len(r) != len(variables) for r in rows):
             raise SchemaError("row width does not match variable count")
         b = d.get("b", [0] * len(rows))
@@ -771,26 +781,26 @@ def class_from_json(d: dict) -> EquationClass:
             raise SchemaError("'b' must have one entry per row")
         return LinearSystem(variables, RatMatrix(rows), tuple(_rat_from(x) for x in b))
     if cls in ("twovar_poly_system", "general_poly_system"):
-        variables = tuple(d.get("vars", ()))
+        variables = tuple(_json_list(d, "vars"))
         if not variables:
             raise SchemaError("polynomial system needs 'vars'")
-        polys = tuple(_poly_from_json(e, variables) for e in d.get("equations", ()))
+        polys = tuple(_poly_from_json(e, variables) for e in _json_list(d, "equations"))
         if cls == "twovar_poly_system":
             if len(variables) > 2:
                 raise SchemaError("two-variable system with more than two variables")
             return TwoVarPolySystem(variables, polys)
         return GeneralPolySystem(variables, polys)
     if cls == "polyexp_equation":
-        variables = tuple(d.get("vars", ()))
-        exp_vars = tuple(d.get("exp_vars", ()))
+        variables = tuple(_json_list(d, "vars"))
+        exp_vars = tuple(_json_list(d, "exp_vars"))
         if not variables or not exp_vars:
             raise SchemaError("polyexp equation needs 'vars' and 'exp_vars'")
         param = d.get("param")
         terms = []
-        for t in d.get("terms", ()):
+        for t in _json_list(d, "terms"):
             if not isinstance(t, dict) or "characters" not in t or "poly" not in t:
                 raise SchemaError("polyexp term needs 'characters' and 'poly'")
-            chars = tuple(_int_from(b) for b in t["characters"])
+            chars = tuple(_int_from(b) for b in _json_list(t, "characters"))
             if len(chars) != len(exp_vars):
                 raise SchemaError("character length does not match exp_vars")
             if any(b == 0 for b in chars):

@@ -5,18 +5,22 @@ runs confirm the installed console script behaves identically.
 """
 
 import decimal
+import io
 import json
+import os
+import re
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prtoolkit.cli import main
+from prtoolkit import cli
+from prtoolkit.cli import EXIT_BROKEN_PIPE, main
 from prtoolkit.equations import _EXACT, _LEAF_BITS, ParseError, _num, parse_equation_text
 
 
@@ -428,3 +432,80 @@ def test_console_script_usage_error():
     assert p.returncode == 1
     assert p.stdout.strip() == ""
     assert "error" in p.stderr
+
+
+def test_closed_pipe_is_a_clean_exit_in_both_buffer_modes():
+    # the 112,189-digit report is larger than a pipe buffer, so the write
+    # meets EPIPE; under -u the text layer would drop a partial write
+    # silently, so both stdout modes are run
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for flags in ([], ["-u"]):
+        p = subprocess.Popen(
+            [sys.executable, *flags, "-m", "prtoolkit.cli", "decide",
+             "--expr", "3*x^20*2^x - 4*3^x = 0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert p.stdout.read(100).startswith(b"{")
+        p.stdout.close()
+        err = p.stderr.read().decode()
+        p.stderr.close()
+        assert p.wait(timeout=60) == EXIT_BROKEN_PIPE == 1, (flags, err)
+        assert "Traceback" not in err, (flags, err)
+
+
+@pytest.mark.parametrize("doc", [
+    {"class": "linear_system", "A": [[1, 1, -1]], "vars": 7},
+    {"class": "polyexp_equation", "vars": 5, "exp_vars": ["x"], "terms": []},
+    {"class": "polyexp_equation", "vars": ["x"], "exp_vars": ["x"], "param": None,
+     "terms": [{"characters": 5, "poly": [{"coeff": "1", "exps": [0]}]}]},
+])
+def test_malformed_json_fields_are_one_line_errors(tmp_path, capsys, doc):
+    j = tmp_path / "bad.json"
+    j.write_text(json.dumps(doc))
+    assert main(["decide", "--json", str(j)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
+# --- one parser per process ---------------------------------------------------
+
+
+def _masked(rc, out, err):
+    return rc, re.sub(r'"time_ms": \d+', '"time_ms": 0', out), err
+
+
+def test_reused_parser_keeps_calls_independent():
+    # each call must print what it prints when it is the first in its process
+    eq = "16*7^x + 25*10^x - 29 = 0"   # reacts to both --bound 5 and --mmax 50
+    calls = [
+        ["search", "--expr", "x + y = z", "--range", "5", "--colors", "2", "--exclude-constant"],
+        ["search", "--expr", "x + y = z", "--range", "5", "--colors", "2"],
+        ["decide", "--expr", eq, "--bound", "5"],
+        ["decide", "--expr", eq],
+        ["decide"],
+        ["decide", "--expr", "x + y = z"],
+        ["decide", "--expr", eq, "--mmax", "50"],
+        ["decide", "--expr", eq],
+    ]
+    in_process = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+        in_process.append(_masked(rc, out.getvalue(), err.getvalue()))
+    assert json.loads(in_process[1][1])["min_injectivity"] == 1
+    assert in_process[2] != in_process[3] and in_process[6] != in_process[7]
+    for argv, got in zip(calls, in_process):
+        p = subprocess.run([sys.executable, "-m", "prtoolkit.cli", *argv],
+                           capture_output=True, text=True)
+        assert got == _masked(p.returncode, p.stdout, p.stderr), argv
+
+
+def test_parser_is_built_once_per_process():
+    cli._build_parser.cache_clear()
+    with redirect_stdout(io.StringIO()):
+        for _ in range(10):
+            assert main(["decide", "--expr", "x + y = z"]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
