@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import os
 import sys
@@ -88,12 +87,7 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
-    """The argument parser, built on first use and shared by later calls.
-
-    parse_args does not mutate the parser and no argument has a mutable
-    default, so calls stay independent.  Building it takes most of the
-    time of a cheap call; it is not built at import.
-    """
+    # shared by later calls: no argument has a mutable default
     p = _Parser(prog="prtoolkit", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -494,22 +488,19 @@ def _cmd_bound(args) -> int:
     return EXIT_DECIDED
 
 
+class _StdoutClosed(Exception):
+    """Standard output was closed before the report was written."""
+
+
 def _emit(report: dict) -> None:
-    text = json.dumps(report, indent=2) + "\n"
-    out = sys.stdout
-    raw = getattr(out, "buffer", None)
-    if isinstance(raw, io.RawIOBase):
-        # unbuffered stdout (python -u): the text layer drops what a
-        # partial write leaves over, so a pipe closed mid-report would go
-        # unnoticed; write the bytes until the pipe takes all or fails
-        out.flush()
-        data = memoryview(text.encode(out.encoding))
-        while data:
-            data = data[raw.write(data):]
-    else:
-        out.write(text)
-    # a closed pipe raises here, inside main, and not at interpreter exit
-    out.flush()
+    try:
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        # a closed pipe raises here, inside main, and not at interpreter exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
+        raise _StdoutClosed from None
 
 
 _HANDLERS = {
@@ -523,12 +514,8 @@ _HANDLERS = {
 
 
 def _discard_stdout() -> None:
-    """Point a closed stdout's file descriptor at the null device.
-
-    Python flushes stdout at exit; on the closed pipe that flush would
-    raise again.  A stdout without a descriptor (an in-process caller's
-    StringIO) is left alone.
-    """
+    # Python flushes stdout again at exit: send that flush to the null
+    # device.  A stdout without a descriptor (a StringIO) is left alone.
     try:
         fd = sys.stdout.fileno()
     except (AttributeError, ValueError, OSError):
@@ -548,8 +535,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(400_000)
     try:
         return _dispatch(argv)
-    except BrokenPipeError:
-        _discard_stdout()
+    except _StdoutClosed:
         return EXIT_BROKEN_PIPE
     finally:
         if old_limit is not None:

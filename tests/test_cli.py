@@ -436,8 +436,7 @@ def test_console_script_usage_error():
 
 def test_closed_pipe_is_a_clean_exit_in_both_buffer_modes():
     # the 112,189-digit report is larger than a pipe buffer, so the write
-    # meets EPIPE; under -u the text layer would drop a partial write
-    # silently, so both stdout modes are run
+    # meets EPIPE, both through the buffer and unbuffered (-u)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     for flags in ([], ["-u"]):
         p = subprocess.Popen(
@@ -451,6 +450,31 @@ def test_closed_pipe_is_a_clean_exit_in_both_buffer_modes():
         p.stderr.close()
         assert p.wait(timeout=60) == EXIT_BROKEN_PIPE == 1, (flags, err)
         assert "Traceback" not in err, (flags, err)
+
+
+class _ClosedStream(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stderr_leaves_stdout_descriptor_alone(tmp_path, monkeypatch):
+    # only a closed stdout is the clean exit; an open stdout with a real
+    # descriptor must not be pointed at the null device
+    path = tmp_path / "out"
+    with open(path, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", _ClosedStream())
+        with pytest.raises(BrokenPipeError):
+            main(["decide"])
+        assert os.path.samestat(os.fstat(out.fileno()), os.stat(path))
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        assert main(["decide", "--expr", "x + y = z"]) == 0
+    assert json.loads(path.read_text())["status"] == "PR_COLUMNS"
+
+
+def test_closed_stdout_in_process_returns_broken_pipe_code(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedStream())
+    assert main(["decide", "--expr", "x + y = z"]) == EXIT_BROKEN_PIPE
 
 
 @pytest.mark.parametrize("doc", [
