@@ -566,6 +566,8 @@ def classify(ast: EquationAST) -> EquationClass:
     renaming up to that order.
     """
     variables = ast.variables
+    if not variables:
+        raise ClassifyError("the system has no variables")
     none = (0,) * len(variables)
     maps = []
     for eq in ast.equations:
@@ -774,6 +776,8 @@ def class_from_json(d: dict) -> EquationClass:
         rows = [[_rat_from(x) for x in row] for row in A]
         ncols = len(rows[0]) if rows else 0
         variables = tuple(_json_list(d, "vars") or ("x%d" % (i + 1) for i in range(ncols)))
+        if not variables:
+            raise SchemaError("the system has no variables")
         if rows and any(len(r) != len(variables) for r in rows):
             raise SchemaError("row width does not match variable count")
         b = d.get("b", [0] * len(rows))

@@ -9,13 +9,18 @@ solution.  Both outcomes are machine-checkable: the search rechecks
 its avoiding coloring with `verify_coloring` against every solution it
 enumerated before reporting it.
 
-Enumeration of polynomial systems, linear ones included, is exact
-integer back-substitution: the first k-1 variables run over the grid,
-and each prefix turns every polynomial, scaled once to integer
-coefficients, into integer coefficients in the last variable, solved
-by one exact division when linear, by one integer square root when
-quadratic, and by testing the divisors of the constant term otherwise.
-No rational arithmetic and no factoring run per prefix.
+Enumeration of polynomial systems is exact integer arithmetic on
+polynomials scaled once to integer coefficients.  A linear system of
+k >= 2 variables runs its first k-2 over the grid and solves the last
+two in closed form: one pivot row gives the second-to-last as a
+residue class inside an interval and the last by one exact division,
+and the other rows, with the last eliminated, pin the second-to-last
+or kill the prefix.  Other systems run the first k-1 variables over
+the grid, and each prefix turns every polynomial into integer
+coefficients in the last variable, solved by one exact division when
+linear, by one integer square root when quadratic, and by testing the
+divisors of the constant term otherwise.  No rational arithmetic and
+no factoring run per prefix.
 
 The search assigns colors to 1, 2, .., N in order, prunes a color as
 soon as it would complete a monochromatic solution (solutions are
@@ -39,7 +44,8 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import mul
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import MultiPoly
 from .equations import (
@@ -148,17 +154,16 @@ def enumerate_solutions(
 ) -> Tuple[Tuple[int, ...], ...]:
     """All solutions of the system with every variable in [1, N].
 
-    Polynomial classes, linear ones included, are enumerated by exact
-    integer back-substitution.  Each polynomial is scaled once to
-    integer coefficients and its terms grouped by the exponent of the
-    last variable.  For every prefix of the first k-1 variables the
-    groups evaluate to the integer coefficients of a polynomial in the
-    last variable: all zero leaves it unconstrained, a nonzero constant
-    kills the prefix, and otherwise its roots in [1, N] (see `_roots`)
-    are the candidates, which the remaining polynomials filter.  Every
-    accepted tuple is re-checked by evaluating each scaled polynomial
-    exactly.  Exponential equations are scanned directly.  Output is
-    in lexicographic order.
+    Each polynomial, linear rows included, is scaled once to integer
+    coefficients.  Linear systems of two or more variables solve their
+    last two variables in closed form for every prefix of the others
+    (see `_linear_candidates`); other polynomial systems solve the last
+    variable by back-substitution for every prefix of the first k-1
+    (see `_back_substituted`).  Every candidate tuple is re-checked by
+    evaluating each scaled polynomial exactly.  Exponential equations
+    are scanned directly.  Output is in lexicographic order.  The cell
+    budget counts N^(k-1) prefixes on both polynomial paths.  A system
+    with no variables raises ValueError.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -176,23 +181,38 @@ def enumerate_solutions(
 
     vars_, polys = _system_polys(cls)
     k = len(vars_)
-    if N ** max(k - 1, 0) > cells_max:
+    if k == 0:
+        raise ValueError("the system has no variables")
+    if N ** (k - 1) > cells_max:
         raise BudgetExceeded("enumeration needs %d prefix cells" % (N ** (k - 1)))
 
-    # per polynomial: its scaled terms for the final check, and the
-    # groups of prefix terms by the exponent of the last variable
-    checks: List[List[Term]] = []
+    scaled = [_scaled_terms(poly) for poly in polys]
+    checks = [[(c, _sparse(exps)) for c, exps in terms] for terms in scaled]
+    if isinstance(cls, LinearSystem) and k >= 2:
+        candidates = _linear_candidates(scaled, k, N)
+    else:
+        candidates = _back_substituted(scaled, k, N)
+    return tuple(s for s in candidates if all(_value(terms, s) == 0 for terms in checks))
+
+
+def _back_substituted(scaled, k: int, N: int) -> Iterator[Tuple[int, ...]]:
+    """Candidate tuples, in lexicographic order, by roots in the last variable.
+
+    Each polynomial's terms are grouped by the exponent of the last
+    variable.  For every prefix of the first k-1 variables the groups
+    evaluate to the integer coefficients of a polynomial in the last
+    variable: all zero leaves it unconstrained, a nonzero constant kills
+    the prefix, and otherwise its roots in [1, N] (see `_roots`) are the
+    candidates, which the remaining polynomials filter.
+    """
     groups: List[List[List[Term]]] = []
-    for poly in polys:
-        terms = _scaled_terms(poly)
-        checks.append([(c, _sparse(exps)) for c, exps in terms])
+    for terms in scaled:
         top = max((exps[-1] for _, exps in terms), default=-1)
         by_degree: List[List[Term]] = [[] for _ in range(top + 1)]
         for c, exps in terms:
             by_degree[exps[-1]].append((c, _sparse(exps[:-1])))
         groups.append(by_degree)
 
-    sols: List[Tuple[int, ...]] = []
     for prefix in product(range(1, N + 1), repeat=k - 1):
         candidates: Optional[List[int]] = None
         for by_degree in groups:
@@ -204,10 +224,70 @@ def enumerate_solutions(
             if candidates is not None and not candidates:
                 break
         for last in range(1, N + 1) if candidates is None else candidates:
-            full = prefix + (last,)
-            if all(_value(terms, full) == 0 for terms in checks):
-                sols.append(full)
-    return tuple(sols)
+            yield prefix + (last,)
+
+
+def _linear_candidates(scaled, k: int, N: int) -> Iterator[Tuple[int, ...]]:
+    """Candidate tuples, in lexicographic order, of a linear system, k >= 2.
+
+    Each row becomes an integer vector (prefix coefficients, b, a, c),
+    read under a prefix of the first k-2 variables as b t + a u + c = 0
+    in the last two, t and u.  The first row with a != 0 is the pivot
+    (a0, b0, c0), signed so that a0 > 0; a0 times every other row minus
+    a times the pivot eliminates u, leaving e t + d = 0, which pins t by
+    one exact division, kills the prefix, or says nothing.  The pivot
+    then admits the t of one residue class mod a0 / gcd(b0, a0), where
+    u is an integer, inside one interval, where 1 <= u <= N, and gives u
+    by one exact division.  Without a pivot u runs over [1, N].
+    """
+    rows = []
+    for terms in scaled:
+        row = [0] * (k + 1)
+        for c, exps in terms:
+            row[next((j for j, e in enumerate(exps) if e), k)] = c
+        rows.append(row)
+    p = next((i for i, row in enumerate(rows) if row[k - 1]), None)
+    if p is not None:
+        pivot = rows.pop(p)
+        if pivot[k - 1] < 0:
+            pivot = [-x for x in pivot]
+        a0, b0 = pivot[k - 1], pivot[k - 2]
+        g = math.gcd(b0, a0)
+        m = a0 // g
+        inverse = pow(b0 // g, -1, m)
+        rows = [[a0 * x - row[k - 1] * y for x, y in zip(row, pivot)] for row in rows]
+    rows = [row for row in rows if any(row)]
+
+    for prefix in product(range(1, N + 1), repeat=k - 2):
+        lo, hi = 1, N
+        for row in rows:
+            d = row[k] + sum(map(mul, row, prefix))
+            if row[k - 2]:
+                t, r = divmod(-d, row[k - 2])
+                if r:
+                    break
+                lo, hi = max(lo, t), min(hi, t)
+            elif d:
+                break
+        else:
+            if p is None:
+                for t in range(lo, hi + 1):
+                    for u in range(1, N + 1):
+                        yield prefix + (t, u)
+                continue
+            c0 = pivot[k] + sum(map(mul, pivot, prefix))
+            if c0 % g:
+                continue  # a0 u = -(b0 t + c0) has no integer u
+            # a0 <= -(b0 t + c0) <= N a0, bounding t when b0 != 0
+            if b0 > 0:
+                lo, hi = max(lo, -((N * a0 + c0) // b0)), min(hi, -(a0 + c0) // b0)
+            elif b0 < 0:
+                lo, hi = max(lo, -((a0 + c0) // b0)), min(hi, (N * a0 + c0) // -b0)
+            elif not a0 <= -c0 <= N * a0:
+                continue
+            t0 = -c0 // g * inverse
+            for t in range(lo + (t0 - lo) % m, hi + 1, m):
+                yield prefix + (t, -(b0 * t + c0) // a0)
 
 
 def filter_injectivity(

@@ -197,6 +197,27 @@ def test_enumerate(capsys):
     assert rep["variables"] == ["x", "y", "z"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--expr", "1 = 2", "--range", "5", "--colors", "2"),
+    ("enumerate", "--expr", "1 = 2", "--range", "5"),
+    ("search", "--expr", "0 = 0", "--range", "5", "--colors", "2"),
+    ("decide", "--expr", "0 = 0"),
+])
+def test_system_without_variables_is_a_one_line_error(capsys, argv):
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: the system has no variables\n")
+
+
+@pytest.mark.parametrize("command", [("enumerate", "--range", "5"), ("decide",)])
+def test_json_system_without_variables_is_a_one_line_error(tmp_path, capsys, command):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"A": [[]], "b": [1]}))
+    assert main([*command, "--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: the system has no variables\n")
+
+
 # --- certify / rank / bound --------------------------------------------------------
 
 

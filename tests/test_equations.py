@@ -228,6 +228,18 @@ def test_classify_expansion_budget():
     assert str(e.value) == "expanding the products needs at least 10288 term products (cap %d)" % MAX_EXPANSION
 
 
+@pytest.mark.parametrize("text", ["1 = 2", "0 = 0", "2 = 2; 3 = 1"])
+def test_classify_rejects_systems_without_variables(text):
+    with pytest.raises(ClassifyError, match="no variables"):
+        classify(parse_equation_text(text))
+
+
+@pytest.mark.parametrize("doc", [{"A": [[]], "b": [1]}, {"A": [], "vars": []}])
+def test_class_from_json_rejects_systems_without_variables(doc):
+    with pytest.raises(SchemaError, match="no variables"):
+        class_from_json(doc)
+
+
 @pytest.mark.parametrize("factor,count", [("(x + y)", 800), ("(x + y + z)", 120)])
 def test_expansion_budget_covers_the_whole_equation(factor, count):
     # each '*' stays under the cap, but together they are far over it
@@ -297,6 +309,8 @@ def _ref_exps(powers, variables):
 
 def _ref_classify(ast):
     variables = ast.variables
+    if not variables:
+        raise ClassifyError("the system has no variables")
     flats = [_ref_flatten(eq) for eq in ast.equations]
     if not any(bases for flat in flats for _, _, bases in flat):
         if all(sum(k for _, k in powers) <= 1 for flat in flats for _, powers, _ in flat):

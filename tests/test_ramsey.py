@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from prtoolkit import ramsey
 from prtoolkit.algebra import RatMatrix
-from prtoolkit.equations import LinearSystem, classify, parse_equation_text
+from prtoolkit.equations import (
+    GeneralPolySystem,
+    LinearSystem,
+    classify,
+    linear_polys,
+    parse_equation_text,
+)
 from prtoolkit.polyexp import PolyExpEquation, polyexp_eval
 from prtoolkit.ramsey import (
     BudgetExceeded,
@@ -35,6 +41,25 @@ def linsys(coeffs, rhs=0):
         matrix=RatMatrix([[Fraction(c) for c in coeffs]]),
         rhs=(Fraction(rhs),),
     )
+
+
+def rowsys(rows, rhs):
+    return LinearSystem(
+        variables=tuple("xyzw"[: len(rows[0])]),
+        matrix=RatMatrix([[Fraction(a) for a in row] for row in rows]),
+        rhs=tuple(Fraction(b) for b in rhs),
+    )
+
+
+def as_general(cls):
+    """The same rows as a GeneralPolySystem, which takes the back-substitution path."""
+    return GeneralPolySystem(cls.variables, tuple(linear_polys(cls)))
+
+
+def linear_scan(cls, N):
+    k = len(cls.variables)
+    return scan(lambda *s: all(sum(a * v for a, v in zip(row, s)) == b
+                               for row, b in zip(cls.matrix.rows, cls.rhs)), k, N)
 
 
 SCHUR = linsys((1, 1, -1))
@@ -94,6 +119,89 @@ def test_enumeration_matches_product_scan():
             seen["zero_last_column"] += zero_last
             seen["inhomogeneous"] += any(rhs)
     assert min(seen.values()) >= 3, seen
+
+
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-4, 4).map(Fraction),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+)
+
+
+@st.composite
+def linear_systems(draw):
+    """(system, N): k = 2..4 variables, 1..3 rows, N <= 12 (<= 8 when k = 4,
+    to keep the reference scan short); the right-hand side is zero, random,
+    or planted at a point of the grid."""
+    k = draw(st.integers(2, 4))
+    N = draw(st.integers(1, 12 if k < 4 else 8))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=k, max_size=k), min_size=1, max_size=3))
+    rhs_kind = draw(st.sampled_from(("zero", "random", "planted")))
+    if rhs_kind == "zero":
+        rhs = [0] * len(rows)
+    elif rhs_kind == "random":
+        rhs = draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+    else:
+        point = draw(st.lists(st.integers(1, N), min_size=k, max_size=k))
+        rhs = [sum(a * v for a, v in zip(row, point)) for row in rows]
+    return rowsys(rows, rhs), N
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_linear_enumeration_matches_product_scan(system_and_N):
+    cls, N = system_and_N
+    assert enumerate_solutions(cls, N) == linear_scan(cls, N)
+
+
+def rado_members():
+    """Criterion 7's NOT_PR equations: 1..3 coefficients in [-4, 4], no
+    subset summing to zero (372 equations in 60 symmetry classes)."""
+    for n in (1, 2, 3):
+        for coeffs in itertools.product([c for c in range(-4, 5) if c], repeat=n):
+            if all(sum(c for c, bit in zip(coeffs, bits) if bit)
+                   for bits in itertools.product((0, 1), repeat=n) if any(bits)):
+                yield coeffs
+
+
+def test_linear_path_matches_back_substitution():
+    members = list(rado_members())
+    assert len(members) == 372
+    for coeffs in members:
+        cls = linsys(coeffs)
+        assert enumerate_solutions(cls, 50) == enumerate_solutions(as_general(cls), 50), coeffs
+    ap4 = classify(parse_equation_text("x + z = 2*y; y + w = 2*z"))
+    sols = enumerate_solutions(ap4, 35)
+    assert len(sols) == 35 + 2 * 187  # constant progressions, then d = +-1..+-11
+    assert sols == enumerate_solutions(as_general(ap4), 35)
+
+
+LINEAR_BRANCHES = {
+    # t is the second-to-last variable, u the last; the pivot is the first
+    # row with a nonzero coefficient on u
+    "pivot_without_t": [rowsys([[1, 0, 2]], [10]), rowsys([[1, 0, 3]], [50]),
+                        rowsys([[1, 0, 2], [1, 1, -3]], [10, 0])],
+    "row_without_u_pins_t": [rowsys([[1, 1, -2], [0, 1, 0]], [0, 3]),
+                             rowsys([[0, 1, 0], [1, 1, -2]], [3, 0]),
+                             rowsys([[1, 1, -1], [1, -2, 0]], [0, 0]),
+                             rowsys([[1, 1, -1], [1, 1, 0]], [0, 7])],
+    "no_pivot": [rowsys([[1, 2, 0]], [9]), rowsys([[1, -1, 0], [0, 0, 0]], [0, 0]),
+                 rowsys([[0, 0, 0]], [0])],
+    "not_coprime": [linsys((4, 6, -2)), linsys((1, 4, -6)), linsys((3, -6, 9), 12)],
+    "negative_t_and_u": [linsys((1, -2, -3)), linsys((-1, -1, -1), -12),
+                         linsys((5, -3, -7), 4)],
+    "two_variables": [linsys((-2, 1)), linsys((3, 5), 60), linsys((0, 2), 8),
+                      rowsys([[1, 1], [1, -1]], [10, 2]), rowsys([[1, 1], [2, 2]], [10, 21])],
+}
+
+
+@pytest.mark.parametrize("branch", sorted(LINEAR_BRANCHES))
+def test_linear_path_branches(branch):
+    for cls in LINEAR_BRANCHES[branch]:
+        for N in (1, 6, 13):
+            want = linear_scan(cls, N)
+            assert enumerate_solutions(cls, N) == want, (branch, cls, N)
+            assert enumerate_solutions(as_general(cls), N) == want, (branch, cls, N)
 
 
 def test_enumeration_two_variable_polynomial():
@@ -203,6 +311,21 @@ def test_quadratic_roots_match_divisor_scan(abc, low, N):
 def test_cell_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_solutions(SCHUR, 10**6, cell_budget=1000)
+    # the budget counts N^(k-1) prefix cells for linear systems too, although
+    # they loop over N^(k-2) prefixes: exactly at the budget enumerates, one
+    # cell over raises
+    ap4 = classify(parse_equation_text("x + z = 2*y; y + w = 2*z"))
+    for cls, N, count in ((SCHUR, 10, 45), (ap4, 35, 409), (linsys((2, -1)), 7, 3)):
+        cells = N ** (len(cls.variables) - 1)
+        assert len(enumerate_solutions(cls, N, cell_budget=cells)) == count
+        with pytest.raises(BudgetExceeded, match="enumeration needs %d prefix cells" % cells):
+            enumerate_solutions(cls, N, cell_budget=cells - 1)
+
+
+def test_system_without_variables_is_an_error():
+    empty = LinearSystem(variables=(), matrix=RatMatrix([[]]), rhs=(Fraction(1),))
+    with pytest.raises(ValueError, match="no variables"):
+        enumerate_solutions(empty, 5)
 
 
 # --- injectivity filter -----------------------------------------------------------
