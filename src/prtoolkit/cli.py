@@ -374,6 +374,8 @@ def _cmd_search(args) -> int:
 def _cmd_enumerate(args) -> int:
     t0 = time.monotonic()
     cls = _load_class(args)
+    if args.min_injectivity > len(cls.variables):
+        raise _UsageError("injectivity threshold exceeds tuple arity")
     try:
         solutions = enumerate_solutions(cls, args.range)
     except BudgetExceeded as e:
@@ -387,15 +389,12 @@ def _cmd_enumerate(args) -> int:
         return EXIT_UNKNOWN
     if args.min_injectivity > 1:
         solutions = filter_injectivity(solutions, args.min_injectivity)
-    cls_vars = (
-        cls.variables if hasattr(cls, "variables") else ()
-    )
     _emit({
         "command": "enumerate",
         "class": class_to_json(cls),
         "N": args.range,
         "min_injectivity": args.min_injectivity,
-        "variables": list(cls_vars),
+        "variables": list(cls.variables),
         "count": len(solutions),
         "solutions": [list(s) for s in solutions],
         "time_ms": int((time.monotonic() - t0) * 1000),

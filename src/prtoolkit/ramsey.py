@@ -22,16 +22,18 @@ linear, by one integer square root when quadratic, and by testing the
 divisors of the constant term otherwise.  No rational arithmetic and
 no factoring run per prefix.
 
-The search assigns colors to 1, 2, .., N in order, prunes a color as
-soon as it would complete a monochromatic solution (solutions are
-indexed by their largest element, so each is checked exactly once,
-when its last element is colored), and breaks color symmetry by
-allowing at most one brand-new color per step.  The first coloring
-found is therefore the lexicographically least canonical avoiding
-coloring.  The search keeps its state in arrays indexed by element,
-not on the call stack, so N is not limited by Python's recursion
-limit, and each color class as a bitmask of elements, so a solution
-is tested by one mask comparison.
+The search assigns colors to 1, 2, .., N in order, breaks color
+symmetry by allowing at most one brand-new color per step, and checks
+forward (Haralick and Elliott 1980): each solution support is checked
+once, when its second-largest element is colored; if the rest of it
+then has one color, that color is forbidden at its largest element,
+and a branch is cut as soon as an uncolored element has lost every
+color.  A cut branch has no avoiding completion, so the first coloring
+found is the lexicographically least canonical avoiding coloring.
+State lives in arrays indexed by element, not on the call stack, so N
+is not limited by Python's recursion limit.  Color classes and the
+colors forbidden at each element are bitmasks, the latter restored
+from a per-element trail on every retry and backtrack.
 
 Budgets guard both enumeration (grid cells) and search (assignment
 nodes); the PRTOOLKIT_BUDGET environment variable overrides the node
@@ -45,7 +47,7 @@ import os
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import MultiPoly
 from .equations import (
@@ -331,7 +333,9 @@ class SearchResult:
     status "FORCED": the search space was exhausted, so every coloring
     with this many colors contains a monochromatic solution; `nodes`
     documents the exhaustion.  status "UNKNOWN": a budget ran out
-    before either outcome; never a silent wrong FORCED.
+    before either outcome; never a silent wrong FORCED.  `nodes` counts
+    the colors tried at an element, those that cut their branch
+    included; colors already forbidden there are skipped without one.
     """
 
     status: str  # "AVOIDING" | "FORCED" | "UNKNOWN"
@@ -354,11 +358,14 @@ def search_avoiding_coloring(
     """Search all r-colorings of [1, N] for one avoiding the system.
 
     `min_injectivity` = 2 ignores constant solutions (which force
-    trivially).  Budget exhaustion yields an UNKNOWN outcome with the
-    partial node count.
+    trivially); a threshold above the number of variables is a
+    ValueError, whatever N.  Budget exhaustion yields an UNKNOWN outcome
+    with the partial node count.
     """
     if colors < 1:
         raise ValueError("need at least one color")
+    if min_injectivity > len(cls.variables):
+        raise ValueError("injectivity threshold exceeds tuple arity")
     nodes_max, _ = _budgets(node_budget, cell_budget)
     try:
         solutions = enumerate_solutions(cls, N, cell_budget=cell_budget)
@@ -383,26 +390,37 @@ def search_avoiding_coloring(
             % (singleton,),
         )
 
-    # supports[e]: each solution support whose largest element is e,
-    # minus e, as a bitmask of elements, once each; masks[c]: the
-    # elements colored c so far
-    rests: Dict[int, List[int]] = {}
-    for sol in solutions:
-        top = max(sol)
-        rests.setdefault(top, []).append(sum(1 << v for v in set(sol) if v != top))
-    supports = [tuple(set(rests.get(e, ()))) for e in range(N + 1)]
+    # triggers[e]: each distinct support whose second-largest element is
+    # e, as (the rest below e as a bitmask, its largest element t);
+    # masks[c]: the elements colored c; forbidden[t]: the colors that
+    # would complete a monochromatic support at t
+    triggers: List[List[Tuple[int, int]]] = [[] for _ in range(N + 1)]
+    for support in {sum(1 << v for v in set(sol)) for sol in solutions}:
+        t = support.bit_length() - 1
+        e = (support ^ 1 << t).bit_length() - 1
+        triggers[e].append((support ^ 1 << t ^ 1 << e, t))
     masks = [0] * min(colors, N)
+    every = (1 << len(masks)) - 1
+    forbidden = [0] * (N + 1)
     # color[e] is the color of e; used[e] the number of colors among
-    # 1..e-1; tried[e] the number of colors already tried for e
+    # 1..e-1; tried[e] the number of colors already tried for e; trail[e]
+    # the (t, old forbidden[t]) pairs that coloring e logged
     color = [0] * (N + 1)
     used = [0] * (N + 2)
     tried = [0] * (N + 2)
+    trail: List[List[Tuple[int, int]]] = [[] for _ in range(N + 1)]
     nodes = 0
 
     e = 1
     while 0 < e <= N:
-        c = tried[e]
-        if c == min(used[e] + 1, colors):
+        log = trail[e]
+        while log:
+            t, old = log.pop()
+            forbidden[t] = old
+        c, top = tried[e], min(used[e] + 1, colors)
+        while c < top and forbidden[e] >> c & 1:
+            c += 1  # c would complete a support at e: no node
+        if c == top:
             e -= 1  # every color failed: backtrack
             masks[color[e]] &= ~(1 << e)
             continue
@@ -414,10 +432,15 @@ def search_avoiding_coloring(
                 solution_count=len(solutions),
                 note="coloring search exceeded %d nodes" % nodes_max,
             )
-        mask = masks[c]
-        for rest in supports[e]:
+        mask, bit = masks[c], 1 << c
+        for rest, t in triggers[e]:
             if mask & rest == rest:
-                break  # c would make this support monochromatic
+                old = forbidden[t]
+                if not old & bit:
+                    log.append((t, old))
+                    forbidden[t] = old = old | bit
+                    if old == every:
+                        break  # t has lost every color
         else:
             color[e] = c
             masks[c] = mask | 1 << e

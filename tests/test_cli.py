@@ -189,6 +189,21 @@ def test_search_exclude_constant(capsys):
     assert rep["status"] == "AVOIDING"
 
 
+@pytest.mark.parametrize("argv", [
+    # no solution at the first N, some at the second: the same error at both
+    ("enumerate", "--expr", "x + y = z", "--range", "{N}", "--min-injectivity", "4"),
+    ("search", "--expr", "x + y = z", "--range", "{N}", "--colors", "2", "--min-injectivity", "4"),
+    ("search", "--expr", "x = 3", "--range", "{N}", "--colors", "2", "--exclude-constant"),
+    ("enumerate", "--expr", "x = 3", "--range", "{N}", "--min-injectivity", "2"),
+])
+def test_injectivity_above_the_arity_is_a_usage_error(capsys, argv):
+    for N in (1, 5):
+        code = main([a.format(N=N) for a in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: injectivity threshold exceeds tuple arity\n"
+
+
 def test_enumerate(capsys):
     code, rep = run_cli(capsys, "enumerate", "--expr", "x + y = z", "--range", "4")
     assert code == 0

@@ -421,10 +421,18 @@ def test_dfs_node_counts_pinned():
     # tries exactly these many colors
     ap3 = classify(parse_equation_text("x + z = 2*y"))
     r = search_avoiding_coloring(ap3, 27, 3, min_injectivity=2)
-    assert (r.status, r.nodes, r.solution_count) == ("FORCED", 337640, 338)
+    assert (r.status, r.nodes, r.solution_count) == ("FORCED", 30284, 338)
     ap4 = classify(parse_equation_text("x + z = 2*y; y + w = 2*z"))
     r = search_avoiding_coloring(ap4, 35, 2, min_injectivity=2)
-    assert (r.status, r.nodes, r.solution_count) == ("FORCED", 20351, 374)
+    assert (r.status, r.nodes, r.solution_count) == ("FORCED", 4844, 374)
+
+
+def test_four_color_schur_at_44():
+    # S(4) = 44: a 4-coloring of [1, 44] avoids x + y = z, none of [1, 45] does
+    r = search_avoiding_coloring(SCHUR, 44, 4)
+    assert (r.status, r.nodes, r.solution_count) == ("AVOIDING", 1074932, 946)
+    ok, _ = verify_coloring(r.coloring, enumerate_solutions(SCHUR, 44))
+    assert ok
 
 
 def least_avoiding_by_brute_force(solutions, N, colors):
@@ -462,6 +470,129 @@ def test_search_matches_brute_force(text, min_injectivity):
             assert r.solution_count == len(sols)
 
 
+def reference_search(solutions, N, colors):
+    """(status, coloring, nodes) by the search without forward checking.
+
+    Each support is checked when its largest element is colored, and
+    every color tried counts a node; the colorings it finds are the
+    lexicographically least canonical ones, as forward checking must
+    keep them.
+    """
+    if any(len(set(s)) == 1 for s in solutions):
+        return "FORCED", None, 0
+    rests = {}
+    for sol in solutions:
+        top = max(sol)
+        rests.setdefault(top, []).append(sum(1 << v for v in set(sol) if v != top))
+    supports = [tuple(set(rests.get(e, ()))) for e in range(N + 1)]
+    masks = [0] * min(colors, N)
+    color = [0] * (N + 1)
+    used = [0] * (N + 2)
+    tried = [0] * (N + 2)
+    nodes = 0
+    e = 1
+    while 0 < e <= N:
+        c = tried[e]
+        if c == min(used[e] + 1, colors):
+            e -= 1
+            masks[color[e]] &= ~(1 << e)
+            continue
+        tried[e] = c + 1
+        nodes += 1
+        mask = masks[c]
+        if all(mask & rest != rest for rest in supports[e]):
+            color[e] = c
+            masks[c] = mask | 1 << e
+            used[e + 1] = max(used[e], c + 1)
+            tried[e + 1] = 0
+            e += 1
+    if e > N:
+        return "AVOIDING", tuple(color[1:]), nodes
+    return "FORCED", None, nodes
+
+
+def rado_prime(coeffs):
+    """The least prime dividing no nonempty subset sum of `coeffs`."""
+    sums = [sum(c for c, bit in zip(coeffs, bits) if bit)
+            for bits in itertools.product((0, 1), repeat=len(coeffs)) if any(bits)]
+    return next(p for p in (2, 3, 5, 7, 11, 13) if all(v % p for v in sums))
+
+
+def search_workload_instances(family):
+    """(system, N, colors, min_injectivity) of one family of the benchmark's
+    `search` operations.  The Rado operations draw one member of each of
+    the 60 symmetry classes; the members of a class permute and negate the
+    same coefficients, so they share their solution supports, and the
+    first member stands for the class."""
+    if family == "rado":
+        classes = {}
+        for coeffs in rado_members():
+            key = min(tuple(sorted(coeffs)), tuple(sorted(-c for c in coeffs)))
+            classes.setdefault(key, coeffs)
+        assert len(classes) == 60
+        return [(linsys(c), 50, rado_prime(c) - 1, 1) for c in classes.values()]
+    if family == "pythagorean":
+        cls = classify(parse_equation_text("x^2 + y^2 = z^2"))
+        return [(cls, N, 2, 1) for N in range(40, 101)]
+    ap3 = classify(parse_equation_text("x + z = 2*y"))
+    ap4 = classify(parse_equation_text("x + z = 2*y; y + w = 2*z"))
+    return [(SCHUR, 13, 3, 1), (SCHUR, 14, 3, 1), (ap3, 26, 3, 2), (ap3, 27, 3, 2),
+            (ap4, 34, 2, 2), (ap4, 35, 2, 2), (linsys((1, 1, -4)), 50, 2, 1),
+            (classify(parse_equation_text("y = 2*x")), 1500, 2, 1)]
+
+
+@pytest.mark.parametrize("family", ["rado", "pythagorean", "known"])
+def test_forward_checking_matches_reference_search(family):
+    for cls, N, colors, min_injectivity in search_workload_instances(family):
+        r = search_avoiding_coloring(cls, N, colors, min_injectivity=min_injectivity)
+        sols = filter_injectivity(enumerate_solutions(cls, N), min_injectivity)
+        status, coloring, nodes = reference_search(sols, N, colors)
+        assert (r.status, r.coloring) == (status, coloring), (cls, N, colors)
+        assert r.nodes <= nodes, (cls, N, colors)
+
+
+@st.composite
+def small_searches(draw):
+    """(equation, N, colors, min_injectivity): one linear equation in 2..4
+    variables with coefficients in [-4, 4], two colors with 3 <= N <= 12
+    or three with 3 <= N <= 8; the right-hand side is zero or planted at a point
+    of the grid, so that most equations have solutions.  Smaller N are
+    covered by test_search_matches_brute_force."""
+    k = draw(st.integers(2, 4))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+    colors = draw(st.sampled_from((2, 3)))
+    N = draw(st.integers(3, 12 if colors == 2 else 8))
+    planted = st.lists(st.integers(1, N), min_size=k, max_size=k)
+    point = draw(st.one_of(st.none(), planted, planted))
+    rhs = 0 if point is None else sum(c * v for c, v in zip(coeffs, point))
+    return linsys(coeffs, rhs), N, colors, draw(st.sampled_from((1, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_searches())
+@example((linsys((1, 1, -1)), 4, 2, 1))
+@example((linsys((1, 1, -2)), 8, 2, 2))
+@example((linsys((1, 1, -1)), 8, 3, 1))
+def test_search_matches_brute_force_on_random_equations(search):
+    cls, N, colors, min_injectivity = search
+    sols = [s for s in linear_scan(cls, N) if len(set(s)) >= min_injectivity]
+    r = search_avoiding_coloring(cls, N, colors, min_injectivity=min_injectivity)
+    want = least_avoiding_by_brute_force(sols, N, colors)
+    assert (r.status, r.coloring) == ("FORCED" if want is None else "AVOIDING", want)
+    assert r.solution_count == len(sols)
+    assert r.nodes <= reference_search(sols, N, colors)[2]
+
+
+def test_injectivity_above_the_arity_is_an_error_at_every_N():
+    # x + y = z has no solution in [1, 1] and (1, 1, 2) in [1, 2]; x = 3
+    # has none in [1, 2] and one in [1, 5]; 2x = 3 has none at all
+    for cls, Ns, threshold in ((SCHUR, (1, 2), 4), (linsys((1,), 3), (2, 5), 2),
+                               (linsys((2,), 3), (2, 5), 2)):
+        for N in Ns:
+            with pytest.raises(ValueError, match="exceeds tuple arity"):
+                search_avoiding_coloring(cls, N, 2, min_injectivity=threshold)
+
+
 def test_failed_check_is_never_reported_avoiding(monkeypatch):
     monkeypatch.setattr(ramsey, "verify_coloring", lambda coloring, sols: (False, ((1, 1, 2),)))
     with pytest.raises(RuntimeError, match="failed re-verification"):
@@ -474,7 +605,7 @@ def test_long_search_needs_no_recursion():
     # a recursive search would need a stack frame per element of [1..1500]
     doubling = classify(parse_equation_text("y = 2*x"))
     r = search_avoiding_coloring(doubling, 1500, 2)
-    assert (r.status, r.nodes, r.solution_count) == ("AVOIDING", 1999, 750)
+    assert (r.status, r.nodes, r.solution_count) == ("AVOIDING", 1500, 750)
     ok, _ = verify_coloring(r.coloring, enumerate_solutions(doubling, 1500))
     assert ok
     assert all(r.coloring[x - 1] != r.coloring[2 * x - 1] for x in range(1, 751))
