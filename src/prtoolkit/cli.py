@@ -348,6 +348,8 @@ def _cmd_decide(args) -> int:
 def _cmd_search(args) -> int:
     t0 = time.monotonic()
     cls = _load_class(args)
+    if args.min_injectivity < 1:
+        raise _UsageError("injectivity threshold must be at least 1")
     min_inj = max(args.min_injectivity, 2 if args.exclude_constant else 1)
     result = search_avoiding_coloring(cls, args.range, args.colors,
                                       min_injectivity=min_inj)
@@ -374,6 +376,8 @@ def _cmd_search(args) -> int:
 def _cmd_enumerate(args) -> int:
     t0 = time.monotonic()
     cls = _load_class(args)
+    if args.min_injectivity < 1:
+        raise _UsageError("injectivity threshold must be at least 1")
     if args.min_injectivity > len(cls.variables):
         raise _UsageError("injectivity threshold exceeds tuple arity")
     try:

@@ -15,12 +15,16 @@ k >= 2 variables runs its first k-2 over the grid and solves the last
 two in closed form: one pivot row gives the second-to-last as a
 residue class inside an interval and the last by one exact division,
 and the other rows, with the last eliminated, pin the second-to-last
-or kill the prefix.  Other systems run the first k-1 variables over
-the grid, and each prefix turns every polynomial into integer
-coefficients in the last variable, solved by one exact division when
-linear, by one integer square root when quadratic, and by testing the
-divisors of the constant term otherwise.  No rational arithmetic and
-no factoring run per prefix.
+or kill the prefix.  Other systems also run only the first k-2 over
+the grid, and each prefix turns every polynomial into one in the last
+two, y and z, tabulated over y = 1..N from powers of y tabulated once
+per call.  One without z keeps the y where it vanishes; one whose
+terms with z hold no other variable, A(z) + B = 0, looks B up in a map
+from -A(z) to z built once per call; any other gives at each y integer
+coefficients in z, solved by one exact division when linear, by one
+integer square root when quadratic, and by testing the divisors of the
+constant term otherwise.  No rational arithmetic and no factoring run
+per prefix.
 
 The search assigns colors to 1, 2, .., N in order, breaks color
 symmetry by allowing at most one brand-new color per step, and checks
@@ -60,6 +64,8 @@ from .polyexp import PolyExpEquation, polyexp_eval
 
 DEFAULT_NODE_BUDGET = 100_000_000
 DEFAULT_CELL_BUDGET = 10_000_000
+# about the most memory one table of `_back_substituted` may take
+TABLE_BYTES = 1 << 23
 
 Coloring = Tuple[int, ...]
 # an integer coefficient times prod(point[j]**e) over its (j, e) pairs
@@ -110,6 +116,31 @@ def _value(terms: Sequence[Term], point: Sequence[int]) -> int:
     return total
 
 
+def _entry_bytes(e: int, N: int) -> int:
+    """Rough size of one table entry: an integer up to N**e and its slot."""
+    return 64 + e * N.bit_length() // 8
+
+
+def _powers(values: Sequence[int], exps) -> dict:
+    return {e: [v ** e for v in values] for e in exps}
+
+
+def _column(groups, prefix: Sequence[int], rows, n: int) -> List[int]:
+    """n values: each (e, terms) group, valued at the prefix, times rows[e].
+
+    The groups come in ascending e, and e = 0, a constant, needs no row.
+    """
+    const, col = 0, None
+    for e, terms in groups:
+        a = _value(terms, prefix)
+        if not e:
+            const = a
+        elif a:
+            col = ([const + a * v for v in rows[e]] if col is None
+                   else [s + a * v for s, v in zip(col, rows[e])])
+    return [const] * n if col is None else col
+
+
 def _horner(cs: Sequence[int], t: int) -> int:
     acc = 0
     for c in reversed(cs):
@@ -157,11 +188,11 @@ def enumerate_solutions(
     """All solutions of the system with every variable in [1, N].
 
     Each polynomial, linear rows included, is scaled once to integer
-    coefficients.  Linear systems of two or more variables solve their
-    last two variables in closed form for every prefix of the others
-    (see `_linear_candidates`); other polynomial systems solve the last
-    variable by back-substitution for every prefix of the first k-1
-    (see `_back_substituted`).  Every candidate tuple is re-checked by
+    coefficients.  Both polynomial paths solve the last two variables
+    for every prefix of the first k-2: linear systems of two or more
+    variables in closed form (see `_linear_candidates`), other systems
+    by tabulating the second-to-last and solving for the last (see
+    `_back_substituted`).  Every candidate tuple is re-checked by
     evaluating each scaled polynomial exactly.  Exponential equations
     are scanned directly.  Output is in lexicographic order.  The cell
     budget counts N^(k-1) prefixes on both polynomial paths.  A system
@@ -198,35 +229,95 @@ def enumerate_solutions(
 
 
 def _back_substituted(scaled, k: int, N: int) -> Iterator[Tuple[int, ...]]:
-    """Candidate tuples, in lexicographic order, by roots in the last variable.
+    """Candidate tuples, in lexicographic order, by tabulating y and solving for z.
 
-    Each polynomial's terms are grouped by the exponent of the last
-    variable.  For every prefix of the first k-1 variables the groups
-    evaluate to the integer coefficients of a polynomial in the last
-    variable: all zero leaves it unconstrained, a nonzero constant kills
-    the prefix, and otherwise its roots in [1, N] (see `_roots`) are the
-    candidates, which the remaining polynomials filter.
+    Call the last variable z and the second-to-last y (for k = 1, y is
+    a dummy that takes only the value 1).  Each polynomial's terms are
+    grouped by the exponent of z, and each group under a prefix of the
+    first k-2 variables is a polynomial in y, tabulated over y from the
+    powers y**e, which are tabulated once per call for the exponents e
+    that occur.  Once per call, each polynomial is sorted by how it is
+    solved for z:
+
+    - absent: z does not occur, and y is kept where the column is 0.
+    - separated: every term with z has no other variable, so it reads
+      A(z) + B = 0.  A map from -A(z) to the ascending z in [1, N] that
+      give it is built once, and B's column is looked up in it.
+    - mixed: at each (prefix, y) the groups' columns give the integer
+      coefficients of a polynomial in z, whose roots (see `_roots`) are
+      the candidates.
+
+    Where a table would exceed about TABLE_BYTES, y runs in blocks whose
+    powers are tabulated as they come, and a separated polynomial is
+    solved as a mixed one; so it is for k = 1, where the map would serve
+    a single y.  The candidates of a (prefix, y) are the z that every
+    polynomial admits.
     """
-    groups: List[List[List[Term]]] = []
+    Y = N if k > 1 else 1
+    # (map or None, top exponent of z, [(z exponent, [(y exponent, terms)])])
+    polys = []
+    yexps = set()
     for terms in scaled:
-        top = max((exps[-1] for _, exps in terms), default=-1)
-        by_degree: List[List[Term]] = [[] for _ in range(top + 1)]
+        groups = {0: {}}  # z exponent -> y exponent -> terms in the prefix
         for c, exps in terms:
-            by_degree[exps[-1]].append((c, _sparse(exps[:-1])))
-        groups.append(by_degree)
+            ey = exps[-2] if k > 1 else 0
+            yexps.add(ey)
+            by_y = groups.setdefault(exps[-1], {})
+            by_y.setdefault(ey, []).append((c, _sparse(exps[:-2])))
+        top = max(groups)
+        table = None
+        # separated: no term with z holds y or a prefix variable
+        if top and k > 1 and N * _entry_bytes(top, N) <= TABLE_BYTES and all(
+                list(g) == [0] and not any(p for _, p in g[0])
+                for d, g in groups.items() if d):
+            table = {}
+            for z in range(1, N + 1):
+                a = sum(c * z ** d for d, g in groups.items() if d for c, _ in g[0])
+                table.setdefault(-a, []).append(z)
+            groups = {0: groups[0]}
+        polys.append((table, top, [(d, sorted(g.items())) for d, g in groups.items()]))
+    yexps.discard(0)
 
-    for prefix in product(range(1, N + 1), repeat=k - 1):
-        candidates: Optional[List[int]] = None
-        for by_degree in groups:
-            cs = [_value(g, prefix) for g in by_degree]
-            if candidates is None:
-                candidates = _roots(cs, N)
-            else:
-                candidates = [t for t in candidates if _horner(cs, t) == 0]
-            if candidates is not None and not candidates:
+    columns = 1 + len(yexps) + sum(len(groups) for _, _, groups in polys)
+    step = max(1, TABLE_BYTES // (columns * _entry_bytes(max(yexps, default=0), Y)))
+    rows = _powers(range(1, Y + 1), yexps) if step >= Y else None
+    for prefix in product(range(1, N + 1), repeat=max(k - 2, 0)):
+        for lo in range(1, Y + 1, step):
+            ys = range(lo, min(lo + step, Y + 1))
+            yield from _solve_last(prefix, ys, rows or _powers(ys, yexps), polys, k, N)
+
+
+def _solve_last(prefix, ys, rows, polys, k: int,
+                N: int) -> Iterator[Tuple[int, ...]]:
+    """The candidates prefix + (y, z) for y in ys; rows[e] lists y**e along ys."""
+    alive = range(len(ys))
+    zero = [0] * len(ys)
+    found, mixed = [], []
+    for table, top, groups in polys:
+        cols = [zero] * (top + 1)
+        for d, g in groups:
+            cols[d] = _column(g, prefix, rows, len(ys))
+        if not top:
+            alive = [i for i in alive if not cols[0][i]]
+        elif table is not None:
+            hits = list(map(table.get, cols[0]))
+            alive = [i for i in alive if hits[i]]
+            found.append(hits)
+        else:
+            mixed.append(cols)
+        if not alive:
+            return
+    for i in alive:
+        zs = None
+        for hits in found:
+            zs = hits[i] if zs is None else [z for z in zs if z in hits[i]]
+        for cols in mixed:
+            if zs is not None and not zs:
                 break
-        for last in range(1, N + 1) if candidates is None else candidates:
-            yield prefix + (last,)
+            cs = [col[i] for col in cols]
+            zs = _roots(cs, N) if zs is None else [z for z in zs if _horner(cs, z) == 0]
+        for z in range(1, N + 1) if zs is None else zs:
+            yield (prefix + (ys[i], z))[-k:]  # k = 1 drops the dummy y
 
 
 def _linear_candidates(scaled, k: int, N: int) -> Iterator[Tuple[int, ...]]:
@@ -358,12 +449,14 @@ def search_avoiding_coloring(
     """Search all r-colorings of [1, N] for one avoiding the system.
 
     `min_injectivity` = 2 ignores constant solutions (which force
-    trivially); a threshold above the number of variables is a
-    ValueError, whatever N.  Budget exhaustion yields an UNKNOWN outcome
+    trivially); a threshold below 1 or above the number of variables is
+    a ValueError, whatever N.  Budget exhaustion yields an UNKNOWN outcome
     with the partial node count.
     """
     if colors < 1:
         raise ValueError("need at least one color")
+    if min_injectivity < 1:
+        raise ValueError("injectivity threshold must be at least 1")
     if min_injectivity > len(cls.variables):
         raise ValueError("injectivity threshold exceeds tuple arity")
     nodes_max, _ = _budgets(node_budget, cell_budget)

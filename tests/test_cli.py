@@ -204,6 +204,20 @@ def test_injectivity_above_the_arity_is_a_usage_error(capsys, argv):
         assert captured.err == "error: injectivity threshold exceeds tuple arity\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--expr", "x + y = z", "--range", "2", "--min-injectivity=-3"),
+    ("enumerate", "--expr", "x + y = z", "--range", "2", "--min-injectivity", "0"),
+    ("search", "--expr", "x + y = z", "--range", "2", "--colors", "2", "--min-injectivity", "0"),
+    ("search", "--expr", "x + y = z", "--range", "2", "--colors", "2", "--min-injectivity=-3",
+     "--exclude-constant"),
+])
+def test_injectivity_below_one_is_a_usage_error(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: injectivity threshold must be at least 1\n"
+
+
 def test_enumerate(capsys):
     code, rep = run_cli(capsys, "enumerate", "--expr", "x + y = z", "--range", "4")
     assert code == 0

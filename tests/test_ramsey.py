@@ -10,13 +10,14 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prtoolkit import ramsey
-from prtoolkit.algebra import RatMatrix
+from prtoolkit.algebra import MultiPoly, RatMatrix
 from prtoolkit.equations import (
     GeneralPolySystem,
     LinearSystem,
@@ -154,6 +155,55 @@ def test_linear_enumeration_matches_product_scan(system_and_N):
     assert enumerate_solutions(cls, N) == linear_scan(cls, N)
 
 
+def monomials(k, last):
+    """Exponent tuples of k variables and total degree 1..3 whose last
+    exponent is 0 (last = "none"), the whole degree ("pure") or neither."""
+    for exps in itertools.product(range(4), repeat=k):
+        if 1 <= sum(exps) <= 3 and {"none": exps[-1] == 0, "pure": exps[-1] == sum(exps),
+                                    "mixed": 0 < exps[-1] < sum(exps)}[last]:
+            yield exps
+
+
+COEFFS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from((1, 2)))
+
+
+@st.composite
+def poly_systems(draw):
+    """(system, N, TABLE_BYTES): k = 1..4 variables, 1..2 rows of degree <= 3
+    with small coefficients, N <= 8 (<= 6 when k = 4).  In each row the last
+    variable z is absent, separated (no term with z holds another variable)
+    or mixed; half the rows have their constant planted at a grid point."""
+    k = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 8 if k < 4 else 6))
+    point = draw(st.lists(st.integers(1, N), min_size=k, max_size=k))
+    polys = []
+    for _ in range(draw(st.integers(1, 2))):
+        shape = draw(st.sampled_from(("absent", "separated", "mixed") if k > 1
+                                     else ("absent", "separated")))
+        terms = draw(st.dictionaries(st.sampled_from(list(monomials(k, "none")) or [(0,) * k]),
+                                     COEFFS, max_size=3))
+        if shape != "absent":
+            pool = list(monomials(k, "pure" if shape == "separated" else "mixed"))
+            terms.update(draw(st.dictionaries(st.sampled_from(pool), COEFFS,
+                                              min_size=1, max_size=2)))
+        poly = MultiPoly(tuple("xyzw"[:k]), terms)
+        if draw(st.booleans()):
+            poly = MultiPoly(poly.vars, {**poly.terms, (0,) * k: poly.terms.get((0,) * k, 0)
+                                         - poly.eval(point)})
+        polys.append(poly)
+    table_bytes = draw(st.sampled_from((ramsey.TABLE_BYTES, 600, 1)))
+    return GeneralPolySystem(tuple("xyzw"[:k]), tuple(polys)), N, table_bytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_systems())
+def test_polynomial_enumeration_matches_product_scan(system_N_and_table_bytes):
+    cls, N, table_bytes = system_N_and_table_bytes
+    want = scan(lambda *s: all(p.eval(s) == 0 for p in cls.polys), len(cls.variables), N)
+    with mock.patch.object(ramsey, "TABLE_BYTES", table_bytes):
+        assert enumerate_solutions(cls, N) == want
+
+
 def rado_members():
     """Criterion 7's NOT_PR equations: 1..3 coefficients in [-4, 4], no
     subset summing to zero (372 equations in 60 symmetry classes)."""
@@ -259,17 +309,44 @@ POLY_CASES = (
     ("(y - x)*(y - x) = 0", lambda x, y: x == y),
     ("x*y - z^2 = 0; x + y - 2*z = 0", lambda x, y, z: x * y == z * z and x + y == 2 * z),
     ("x^2 = y*z; y + z = 2*w", lambda x, y, z, w: x * x == y * z and y + z == 2 * w),
+    # z absent from the first row, separated in the second
+    ("y = x^2; z = x^3", lambda x, y, z: y == x * x and z == x ** 3),
+    ("x^2 + y^2 = 2*z^2", lambda x, y, z: x * x + y * y == 2 * z * z),
+    # z^2 - 5z takes each of -4 and -6 twice, so a lookup gives two z;
+    # written with x first, since variables come in order of appearance
+    ("x - y = z^2 - 5*z", lambda x, y, z: z * z - 5 * z == x - y),
+    ("x - y = z^2 - 5*z; z = x", lambda x, y, z: z * z - 5 * z == x - y and z == x),
+    ("x + y^300 = z^300", lambda x, y, z: x + y ** 300 == z ** 300),
 )
 
 
 @pytest.mark.parametrize("text,holds", POLY_CASES)
-def test_polynomial_enumeration_matches_scan(text, holds):
-    # variables come in order of first appearance; `holds` takes them by name
+def test_polynomial_enumeration_matches_scan(text, holds, monkeypatch):
+    # variables come in order of first appearance; `holds` takes them by
+    # name.  TABLE_BYTES = 600 cuts y into blocks of a few values at N = 7
+    # and 15 and drops the lookup map at N = 15; at 1, y runs one at a time
     cls = classify(parse_equation_text(text))
     k = len(cls.variables)
-    for N in (1, 7, 15) if k < 4 else (1, 7):
-        want = scan(lambda *s: holds(**dict(zip(cls.variables, s))), k, N)
-        assert enumerate_solutions(cls, N) == want, (text, N)
+    for table_bytes in (ramsey.TABLE_BYTES, 600, 1):
+        monkeypatch.setattr(ramsey, "TABLE_BYTES", table_bytes)
+        for N in (1, 7, 15) if k < 4 else (1, 7):
+            want = scan(lambda *s: holds(**dict(zip(cls.variables, s))), k, N)
+            assert enumerate_solutions(cls, N) == want, (text, N, table_bytes)
+
+
+def test_separated_polynomials_are_looked_up(monkeypatch):
+    # the powers of y are tabulated once per call, and only for the
+    # exponent that occurs; z is looked up, never solved by `_roots`
+    tabulated = []
+    powers = ramsey._powers
+    monkeypatch.setattr(ramsey, "_powers",
+                        lambda values, exps: tabulated.append(set(exps)) or powers(values, exps))
+    monkeypatch.setattr(ramsey, "_roots", None)
+    cls = classify(parse_equation_text("x + y^300 = z^300"))
+    assert enumerate_solutions(cls, 6) == ()
+    assert tabulated == [{300}]
+    pythagorean = classify(parse_equation_text("x^2 + y^2 = z^2"))
+    assert enumerate_solutions(pythagorean, 20) == scan(lambda x, y, z: x * x + y * y == z * z, 3, 20)
 
 
 def divisor_scan_roots(cs, N):
@@ -591,6 +668,12 @@ def test_injectivity_above_the_arity_is_an_error_at_every_N():
         for N in Ns:
             with pytest.raises(ValueError, match="exceeds tuple arity"):
                 search_avoiding_coloring(cls, N, 2, min_injectivity=threshold)
+
+
+def test_injectivity_below_one_is_an_error():
+    for threshold in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            search_avoiding_coloring(SCHUR, 5, 2, min_injectivity=threshold)
 
 
 def test_failed_check_is_never_reported_avoiding(monkeypatch):
