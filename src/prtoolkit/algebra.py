@@ -489,17 +489,7 @@ class RatMatrix:
         )
 
 
-# -- functional wrappers matching the operation vocabulary --------------
-
-
-def poly_eval(p: MultiPoly, point: Sequence[Rat]) -> Fraction:
-    """Evaluate a multivariate polynomial at an exact rational point."""
-    return p.eval(point)
-
-
-def poly_diagonal(p: MultiPoly) -> UniPoly:
-    """Diagonal substitution x1 = x2 = ... = w."""
-    return p.diagonal()
+# -- functions over the classes above ------------------------------------
 
 
 def matrix_rank(mat) -> int:
@@ -552,6 +542,35 @@ def least_witness(candidates: Iterable[int]) -> Optional[int]:
     return min(candidates, key=lambda w: (abs(w), w < 0), default=None)
 
 
+def constant_solutions(
+    diagonals: Iterable[UniPoly], domain: str = "N"
+) -> Union[str, Tuple[int, ...]]:
+    """Common integer roots w of the diagonals P_i(w, .., w) in the ground set.
+
+    "all" when every diagonal vanishes identically, else the roots in
+    ascending order: w >= 1 for domain "N", any integer for "Z", read
+    off the nonzero diagonal of least degree and checked on the others.
+    A root proves PR for every system: a constant solution is
+    monochromatic under every coloring.  No root proves NOT_PR only for
+    linear systems (Rado) and in at most two variables (PAPER.md):
+    x^2 + y^2 = z^2 has none, yet every 2-coloring of [1..7825] has a
+    monochromatic triple (Heule, Kullmann and Marek, arXiv:1605.00723).
+    """
+    if domain not in ("N", "Z"):
+        raise ValueError("domain must be 'N' or 'Z'")
+    found: Optional[List[int]] = None
+    for d in sorted(diagonals, key=lambda d: d.degree):
+        if d.is_zero():
+            continue
+        if found is None:
+            found = [w for w in integer_roots(d) if domain == "Z" or w >= 1]
+        else:
+            found = [w for w in found if d.eval(w) == 0]
+        if not found:
+            return ()
+    return "all" if found is None else tuple(found)
+
+
 def _iroot(x: int, n: int) -> int:
     """floor(x^(1/n)) for x >= 0, by integer Newton steps from above."""
     if n == 2:
@@ -565,14 +584,3 @@ def _iroot(x: int, n: int) -> int:
             return r
         r = s
 
-
-def divides_x_minus_y(p: MultiPoly) -> bool:
-    """Whether the difference of the two variables divides p.
-
-    For a polynomial in at most two variables, (x - y) | p(x, y) exactly
-    when the diagonal p(w, w) vanishes identically (divide p by x - y as
-    a polynomial in x: the remainder is p(y, y)).
-    """
-    if len(p.vars) > 2:
-        raise ValueError("polynomial must have at most two variables")
-    return p.diagonal().is_zero()

@@ -20,8 +20,8 @@ import time
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .algebra import IncompleteFactorization
-from .diophantine import decide_twovar, twovar_from_linear
+from .algebra import IncompleteFactorization, constant_solutions, least_witness
+from .diophantine import decide_twovar
 from .equations import (
     ClassifyError,
     GeneralPolySystem,
@@ -36,6 +36,7 @@ from .equations import (
     parse_equation_text,
 )
 from .polyexp import (
+    DEFAULT_MODULUS_CAP,
     ConstantSolutionResult,
     DominanceCertificate,
     ExpSum,
@@ -50,7 +51,7 @@ from .polyexp import (
     solution_count_bound,
     verify_modular,
 )
-from .rado import decide_linear, verify_columns_condition
+from .rado import DEFAULT_COLUMN_CAP, decide_linear, verify_columns_condition
 from .ramsey import (
     BudgetExceeded,
     enumerate_solutions,
@@ -101,8 +102,9 @@ def _build_parser() -> _Parser:
     d.add_argument("--domain", choices=["N", "Z"], default="N")
     d.add_argument("--group", help="comma-separated generators: decide over this subgroup of Q*")
     d.add_argument("--bound", type=int, help="user search bound for the constant-solution scan")
-    d.add_argument("--mmax", type=int, default=200, help="modulus cap for modular certificates")
-    d.add_argument("--cap", type=int, default=12, help="column enumeration cap")
+    d.add_argument("--mmax", type=int, default=DEFAULT_MODULUS_CAP,
+                   help="modulus cap for modular certificates")
+    d.add_argument("--cap", type=int, default=DEFAULT_COLUMN_CAP, help="column enumeration cap")
 
     s = sub.add_parser("search", help="search for an avoiding coloring of [1..N]")
     add_input(s)
@@ -119,7 +121,7 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("certify", help="search a modular certificate for the diagonal sum")
     add_input(c)
-    c.add_argument("--mmax", type=int, default=200)
+    c.add_argument("--mmax", type=int, default=DEFAULT_MODULUS_CAP)
 
     r = sub.add_parser("rank", help="rank and bounds for a subgroup of Q*")
     r.add_argument("--group", required=True, help="comma-separated generators, e.g. '-1,2,3/5'")
@@ -205,6 +207,11 @@ def _hypothesis_json(h: HypothesisReport) -> dict:
     }
 
 
+def _witness_json(report: dict, witness, witnesses) -> None:
+    report["witness"] = None if witness is None else _num(witness)
+    report["witnesses"] = witnesses if witnesses == "all" else [_num(w) for w in witnesses]
+
+
 def _constant_result_json(res: ConstantSolutionResult) -> dict:
     out = {
         "status": res.status,
@@ -274,27 +281,19 @@ def _cmd_decide(args) -> int:
         if verdict.note:
             report["notes"].append(verdict.note)
         if len(cls.variables) <= 2:
-            try:
-                tv = decide_twovar(twovar_from_linear(cls), domain=args.domain)
-                report["infinitely_pr"] = tv.infinitely_pr
-                report["witnesses"] = (
-                    tv.witnesses if isinstance(tv.witnesses, str)
-                    else [_num(w) for w in tv.witnesses]
-                )
-            except ValueError:
-                pass
+            # each row's diagonal has degree at most 1, so the witness is
+            # the only one, or every constant is one
+            w = verdict.witness
+            report["infinitely_pr"] = w == "all"
+            report["witnesses"] = "all" if w == "all" else [] if w is None else [_num(w)]
         report["summary"] = "%s (linear system over %s)" % (verdict.status, args.domain)
 
     elif isinstance(cls, TwoVarPolySystem):
         verdict = decide_twovar(cls, domain=args.domain)
         report["status"] = verdict.status
-        report["witness"] = None if verdict.witness is None else _num(verdict.witness)
-        report["witnesses"] = (
-            verdict.witnesses if isinstance(verdict.witnesses, str)
-            else [_num(w) for w in verdict.witnesses]
-        )
+        _witness_json(report, verdict.witness, verdict.witnesses)
         report["infinitely_pr"] = verdict.infinitely_pr
-        report["divisible_by_x_minus_y"] = verdict.all_divisible_by_x_minus_y
+        report["divisible_by_x_minus_y"] = verdict.infinitely_pr
         report["summary"] = "%s (two-variable polynomial system over %s)" % (
             verdict.status, args.domain)
 
@@ -330,12 +329,22 @@ def _cmd_decide(args) -> int:
         report["summary"] = "%s (polyexponential equation over Z)" % verdict.status
 
     elif isinstance(cls, GeneralPolySystem):
-        report["status"] = "UNKNOWN"
-        report["notes"].append(
-            "no decision procedure for polynomial systems in three or more "
-            "variables; try `search` for finite evidence"
-        )
-        report["summary"] = "UNKNOWN (general polynomial system)"
+        # a constant solution proves PR; its absence proves nothing here
+        try:
+            found = constant_solutions([p.diagonal() for p in cls.polys], args.domain)
+        except IncompleteFactorization:
+            found = ()
+        if found:
+            report["status"] = "PR_CONSTANT"
+            ground_least = 1 if args.domain == "N" else 0
+            _witness_json(report, ground_least if found == "all" else least_witness(found), found)
+        else:
+            report["status"] = "UNKNOWN"
+            report["notes"].append(
+                "no decision procedure for polynomial systems in three or more "
+                "variables; try `search` for finite evidence"
+            )
+        report["summary"] = "%s (general polynomial system)" % report["status"]
 
     else:
         raise _UsageError("unsupported equation class")

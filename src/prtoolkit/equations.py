@@ -3,8 +3,9 @@
 The input language covers systems of equations separated by ';', where
 each side of an '=' is built from rational literals, variables, variable
 powers `x^k` (k a nonnegative integer literal), exponentials `b^x`
-(b a nonzero integer literal, parenthesized when negative), '+', '-',
-and explicit '*'.  Implicit multiplication is rejected.
+(b a nonzero integer literal, parenthesized when negative), constant
+powers `b^k` of an integer literal, '+', '-', and explicit '*'.
+Implicit multiplication is rejected.
 
 Grammar:
 
@@ -12,11 +13,13 @@ Grammar:
     equation := expr "=" expr
     expr     := term (("+" | "-") term)*
     term     := factor ("*" factor)*
-    factor   := rational | var | var "^" nat | int "^" var
+    factor   := rational | var | var "^" nat | int "^" var | int "^" nat
               | "(" expr ")" | "-" factor
 
 where `rational` is `NUMBER` or `NUMBER "/" NUMBER`, and an integer base
-may be written `(-2)^x`.  Parse errors carry line, column and the set of
+may be written `(-2)^x` or `(-2)^3`.  `int "^" nat` folds to a constant
+(`10^6` to `1000000`) unless nat exceeds MAX_POLY_DEGREE or bits(int) *
+nat exceeds MAX_POWER_BITS.  Parse errors carry line, column and the set of
 token kinds that would have been accepted.  At most MAX_NESTING levels
 of '(' and unary '-' may nest; deeper input is a ParseError.
 
@@ -44,6 +47,9 @@ from .polyexp import PolyExpEquation, PolyExpTerm
 
 MAX_VARIABLES = 26
 MAX_POLY_DEGREE = 10_000
+# bits of a folded constant power such as 10^6: about 3,000 digits, so
+# that str() prints it under the interpreter's default limit of 4,300
+MAX_POWER_BITS = 10_000
 # nested '(' and unary '-' levels; each '(' costs the recursive parser
 # three frames, far below Python's default recursion limit of 1000
 MAX_NESTING = 100
@@ -304,7 +310,7 @@ class _Parser:
                     raise ParseError(
                         "exponential base must be an integer", caret.line, caret.col
                     )
-                return self._finish_exponential(num, caret)
+                return self._finish_power(num, caret)
             return Num(Fraction(num, den))
         if t.kind == "IDENT":
             self.advance()
@@ -319,14 +325,7 @@ class _Parser:
                         etok.col,
                     )
                 etok = self.expect("NUM", "nonnegative integer exponent")
-                exp = _literal(etok)
-                if exp > MAX_POLY_DEGREE:
-                    raise ParseError(
-                        "exponent %d exceeds degree cap %d" % (exp, MAX_POLY_DEGREE),
-                        etok.line,
-                        etok.col,
-                    )
-                return VarPow(t.text, exp)
+                return VarPow(t.text, _exponent(etok))
             return Var(t.text)
         raise ParseError(
             "expected a factor, got %r" % (t.text or "end of input"),
@@ -342,23 +341,36 @@ class _Parser:
         inner = self.parse_expr()
         self.expect(")", "')'")
         if self.peek().kind == "^":
-            # (-2)^x style exponential: the parenthesized part must
-            # reduce to a nonzero integer literal.
+            # (-2)^x or (-2)^3: the parenthesized part must reduce to an
+            # integer literal.
             caret = self.advance()
             base = _const_int(inner)
             if base is None:
                 raise ParseError(
-                    "only integer literals may be raised to a variable",
+                    "only integer literals may be raised to a variable or a number",
                     caret.line,
                     caret.col,
                 )
-            return self._finish_exponential(base, caret)
+            return self._finish_power(base, caret)
         return inner
 
-    def _finish_exponential(self, base: int, caret: _Token) -> Expr:
+    def _finish_power(self, base: int, caret: _Token) -> Expr:
+        """`base ^ var` is an exponential; `base ^ nat` folds to a constant."""
+        etok = self.peek()
+        if etok.kind == "NUM":
+            exp = _exponent(self.advance())
+            # base.bit_length() * exp bounds the power's bit length from above
+            bits = base.bit_length() * exp
+            if bits > MAX_POWER_BITS:
+                raise ParseError(
+                    "constant power may need %d bits, above the cap %d" % (bits, MAX_POWER_BITS),
+                    etok.line,
+                    etok.col,
+                )
+            return Num(Fraction(base ** exp))
         if base == 0:
             raise ParseError("exponential base must be nonzero", caret.line, caret.col)
-        vtok = self.expect("IDENT", "variable name after '^'")
+        vtok = self.expect("IDENT", "variable name or integer exponent after '^'")
         self.note_var(vtok.text)
         return ExpPow(base, vtok.text)
 
@@ -370,6 +382,16 @@ def _literal(tok: _Token) -> int:
         return int(tok.text)
     except ValueError as e:
         raise ParseError("bad integer literal: %s" % e, tok.line, tok.col) from None
+
+
+def _exponent(tok: _Token) -> int:
+    """The exponent a NUM token spells; a ParseError above MAX_POLY_DEGREE."""
+    exp = _literal(tok)
+    if exp > MAX_POLY_DEGREE:
+        raise ParseError(
+            "exponent %d exceeds degree cap %d" % (exp, MAX_POLY_DEGREE), tok.line, tok.col
+        )
+    return exp
 
 
 def _const_int(e: Expr) -> Optional[int]:
@@ -466,7 +488,8 @@ class TwoVarPolySystem:
 
 @dataclass(frozen=True)
 class GeneralPolySystem:
-    """Polynomial system outside the decidable two-variable fragment."""
+    """Polynomial system in three or more variables, or with a constant
+    nonzero equation: only a constant solution decides it (PR)."""
 
     variables: Tuple[str, ...]
     polys: Tuple[MultiPoly, ...]

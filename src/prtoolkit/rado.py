@@ -15,6 +15,9 @@ every q, coloring by residue classes mod q forces a monochromatic
 solution, whose common color class pins a * rowsum_i = b_i mod q for
 all q simultaneously; conversely a constant solution is monochromatic
 under any coloring, and homogeneous systems always admit a = 0).
+The constant solutions are the common integer roots of the row
+diagonals rowsum_i * a - b_i, found by `algebra.constant_solutions`,
+the function that also decides the polynomial systems.
 
 Certificates use 1-based column indices and are chosen
 deterministically: fewest blocks first, then lexicographic by block
@@ -30,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .algebra import RatMatrix, matrix_rank
+from .algebra import RatMatrix, UniPoly, constant_solutions, least_witness, matrix_rank
 from .equations import LinearSystem
 
 Partition = Tuple[Tuple[int, ...], ...]
@@ -182,35 +185,6 @@ def verify_columns_condition(matrix: RatMatrix, partition: Sequence[Sequence[int
     return True
 
 
-def constant_solution_linear(
-    matrix: RatMatrix, rhs: Sequence[Fraction], domain: str = "N"
-) -> Union[str, int, None]:
-    """Constant solutions x = (a, .., a) of A x = b in the given domain.
-
-    Returns "all" when every a in the domain works, the unique integer
-    a when exactly one does, and None when none does.  Domain "N" is
-    {1, 2, ...}; domain "Z" is all integers.
-    """
-    if domain not in ("N", "Z"):
-        raise ValueError("domain must be 'N' or 'Z'")
-    rowsums = [sum(row, Fraction(0)) for row in matrix.rows]
-    b = [Fraction(v) for v in rhs]
-    if len(b) != matrix.m:
-        raise ValueError("right-hand side length must match the row count")
-    pivot = next((i for i, rs in enumerate(rowsums) if rs != 0), None)
-    if pivot is None:
-        return "all" if all(v == 0 for v in b) else None
-    a = b[pivot] / rowsums[pivot]
-    if a.denominator != 1:
-        return None
-    a = int(a)
-    if domain == "N" and a < 1:
-        return None
-    if all(rs * a == bv for rs, bv in zip(rowsums, b)):
-        return a
-    return None
-
-
 @dataclass(frozen=True)
 class LinearVerdict:
     """Partition-regularity verdict for a linear system.
@@ -243,14 +217,17 @@ def decide_linear(
     or the columns condition holds together with a constant solution in
     Z.  Over Z the whole question reduces to constant solutions.
     """
-    if domain not in ("N", "Z"):
-        raise ValueError("domain must be 'N' or 'Z'")
     A = system.matrix
-    b = list(system.rhs)
-    homogeneous = all(v == 0 for v in b)
+    homogeneous = all(v == 0 for v in system.rhs)
+    # row i at x = (a, .., a) reads rowsum_i * a - b_i = 0
+    diagonals = [UniPoly((-b_i, sum(row))) for row, b_i in zip(A.rows, system.rhs)]
 
+    def constant(ground: str) -> Union[str, int, None]:
+        found = constant_solutions(diagonals, ground)
+        return found if found == "all" else least_witness(found)
+
+    const = constant(domain)  # a ValueError for a domain other than N and Z
     if domain == "Z":
-        const = constant_solution_linear(A, b, "Z")
         if const is not None:
             return LinearVerdict(
                 "PR_CONSTANT", const, None, None, "Z", homogeneous,
@@ -264,7 +241,6 @@ def decide_linear(
 
     if homogeneous:
         partition = _partition_certificate(A, cap)
-        const = constant_solution_linear(A, b, "N")
         if partition is None:
             return LinearVerdict(
                 "NOT_PR", None, None, None, "N", True,
@@ -274,15 +250,14 @@ def decide_linear(
             return LinearVerdict("PR_CONSTANT", "all", partition, None, "N", True)
         return LinearVerdict("PR_COLUMNS", None, partition, None, "N", True)
 
-    const_n = constant_solution_linear(A, b, "N")
-    if const_n is not None:
-        return LinearVerdict("PR_CONSTANT", const_n, None, None, "N", False)
+    if const is not None:
+        return LinearVerdict("PR_CONSTANT", const, None, None, "N", False)
     partition = _partition_certificate(A, cap)
     if partition is not None:
-        const_z = constant_solution_linear(A, b, "Z")
+        const_z = constant("Z")
         if const_z is not None:
             return LinearVerdict(
-                "PR_COLUMNS", None, partition, int(const_z), "N", False,
+                "PR_COLUMNS", None, partition, const_z, "N", False,
                 note="columns condition plus a constant integer solution",
             )
         return LinearVerdict(

@@ -37,7 +37,7 @@ from prtoolkit.polyexp import (
     verify_dominance,
     verify_modular,
 )
-from prtoolkit.diophantine import decide_twovar, twovar_from_linear
+from prtoolkit.diophantine import decide_twovar
 from prtoolkit.ramsey import enumerate_solutions, search_avoiding_coloring, verify_coloring
 from prtoolkit.rado import decide_linear, rado_single
 from prtoolkit.sunit import (

@@ -5,10 +5,13 @@ scan, schoolbook long division, naive row reduction) before the library
 implementation existed.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prtoolkit.algebra import (
     DEFAULT_FACTOR_BUDGET,
@@ -16,12 +19,11 @@ from prtoolkit.algebra import (
     MultiPoly,
     RatMatrix,
     UniPoly,
-    divides_x_minus_y,
+    constant_solutions,
     divisors_from_factors,
     factor_integer,
     integer_roots,
     matrix_rank,
-    poly_diagonal,
 )
 
 
@@ -68,7 +70,7 @@ def test_poly_zero_degree_convention():
 def test_diagonal_substitution():
     # x*y - z + 2 at x=y=z=s gives s^2 - s + 2
     p = MultiPoly(("x", "y", "z"), {(1, 1, 0): Fraction(1), (0, 0, 1): Fraction(-1), (0, 0, 0): Fraction(2)})
-    d = poly_diagonal(p)
+    d = p.diagonal()
     assert list(d.coeffs) == [2, -1, 1]
     rng = random.Random(102)
     for _ in range(30):
@@ -245,6 +247,91 @@ def test_integer_roots_rational_coefficients():
     assert integer_roots(UniPoly([Fraction(-1), Fraction(1, 2)])) == [2]
 
 
+# --- constant solutions -------------------------------------------------
+
+
+@st.composite
+def diagonal_systems(draw):
+    """1-3 polynomials in 1-4 variables of degree <= 3 with small coefficients.
+
+    A drawn integer r may be planted as a constant solution of every
+    polynomial, and a quarter of the polynomials have their terms of each
+    degree cancelled on the diagonal (for k >= 2, multiples of x_i - x_k).
+    """
+    k = draw(st.integers(1, 4))
+    names = ("x", "y", "z", "w")[:k]
+    planted = draw(st.one_of(st.none(), st.integers(-4, 4)))
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            exps = [0] * k
+            for i in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+                exps[i] += 1
+            coeff = Fraction(draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1))),
+                             draw(st.sampled_from((1, 1, 2))))
+            terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
+        if draw(st.integers(0, 3)) == 0:
+            # cancel each degree's coefficient sum on the last variable's power
+            for d in {sum(e) for e in terms}:
+                total = sum(c for e, c in terms.items() if sum(e) == d)
+                last = (0,) * (k - 1) + (d,)
+                terms[last] = terms.get(last, 0) - total
+        p = MultiPoly(names, terms)
+        if planted is not None:
+            p = p - MultiPoly.constant(names, p.eval((planted,) * k))
+        polys.append(p)
+    return polys
+
+
+def brute_constant_solutions(polys, domain):
+    """Scan w over the Cauchy bound of the diagonals, evaluating each P_i(w, .., w)."""
+    diagonals = []
+    for p in polys:
+        by_degree = {}
+        for exps, c in p.terms.items():
+            by_degree[sum(exps)] = by_degree.get(sum(exps), 0) + c
+        diagonals.append({d: c for d, c in by_degree.items() if c != 0})
+    if not any(diagonals):
+        return "all"
+    # every root of c_0 + .. + c_n w^n lies within 1 + max |c_i / c_n|
+    bound = max(
+        1 + math.ceil(max(abs(c / diag[max(diag)]) for c in diag.values()))
+        for diag in diagonals if diag
+    )
+    lowest = 1 if domain == "N" else -bound
+    return tuple(
+        w for w in range(lowest, bound + 1)
+        if all(p.eval((w,) * len(p.vars)) == 0 for p in polys)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagonal_systems())
+def test_constant_solutions_match_a_scan_of_the_root_bound(polys):
+    for domain in ("N", "Z"):
+        assert constant_solutions([p.diagonal() for p in polys], domain) == (
+            brute_constant_solutions(polys, domain)
+        ), (polys, domain)
+
+
+def test_constant_solutions_known_values():
+    def diag(*coeffs):
+        return UniPoly([Fraction(c) for c in coeffs])
+
+    # w^2 - 4 and w - 2 share w = 2; -2 is a root of the first only
+    assert constant_solutions([diag(-4, 0, 1), diag(-2, 1)], "Z") == (2,)
+    assert constant_solutions([diag(-4, 0, 1)], "Z") == (-2, 2)
+    assert constant_solutions([diag(-4, 0, 1)], "N") == (2,)
+    # zero diagonals are skipped; only zero diagonals mean every constant
+    assert constant_solutions([diag(), diag(0, 1)], "Z") == (0,)
+    assert constant_solutions([diag(), diag()], "N") == "all"
+    # a nonzero constant diagonal has no root
+    assert constant_solutions([diag(3), diag()], "Z") == ()
+    with pytest.raises(ValueError):
+        constant_solutions([diag(0, 1)], "Q")
+
+
 # --- divisibility by x - y ----------------------------------------------
 
 
@@ -268,6 +355,7 @@ def test_divides_x_minus_y_matches_substitution_oracle():
         xy = MultiPoly(("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(-1)})
         p = q * xy if k % 2 == 0 else q
         want = long_division_by_x_minus_y(p)
-        assert divides_x_minus_y(p) == want
+        # every constant solves p exactly when (x - y) divides p
+        assert (constant_solutions([p.diagonal()], "Z") == "all") == want
         hits += want
     assert hits >= 40  # every even k is constructed divisible

@@ -108,6 +108,65 @@ def test_decide_general_system_unknown(capsys):
     assert rep["status"] == "UNKNOWN"
 
 
+K = 10 ** 9 + 7
+
+
+@pytest.mark.parametrize(
+    "expr, witness, witnesses",
+    [
+        ("y = x^2; z = x^3", "1", ["1"]),
+        ("x*y = z + 2", "2", ["2"]),
+        ("x*y*z = 8", "2", ["2"]),
+        ("x^2 + y^2 = 2*z^2", "1", "all"),
+        # w^3 + w^2 = K^2 (K + 1) with K = 10^9 + 7 is beyond trial division,
+        # but the linear diagonal 3w - 3K gives the witness in either order
+        ("x*y*z + x*y = %d; x + y + z = %d" % (K ** 3 + K ** 2, 3 * K), str(K), [str(K)]),
+        ("x + y + z = %d; x*y*z + x*y = %d" % (3 * K, K ** 3 + K ** 2), str(K), [str(K)]),
+    ],
+)
+def test_decide_general_system_constant_witness(capsys, expr, witness, witnesses):
+    code, rep = run_cli(capsys, "decide", "--expr", expr)
+    assert code == 0
+    assert rep["class"]["class"] == "general_poly_system"
+    assert rep["status"] == "PR_CONSTANT"
+    assert (rep["witness"], rep["witnesses"]) == (witness, witnesses)
+
+
+def test_decide_general_system_constant_witness_over_z(capsys):
+    # the diagonal w^2 - w - 2 = (w - 2)(w + 1): -1 joins over Z and is least
+    code, rep = run_cli(capsys, "decide", "--expr", "x*y = z + 2", "--domain", "Z")
+    assert code == 0
+    assert (rep["status"], rep["witness"], rep["witnesses"]) == ("PR_CONSTANT", "-1", ["-1", "2"])
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        # no constant solution, yet not known to be NOT_PR: every 2-coloring
+        # of [1..7825] has a monochromatic Pythagorean triple
+        "x^2 + y^2 = z^2",
+        # w^3 = (10^9 + 7)(10^9 + 9) has no integer root, found without factoring
+        "x*y*z = 1000000016000000063",
+        # w^3 + w - (10^9 + 7)(10^9 + 9) needs a factorization the budget cannot finish
+        "x*y*z + x = 1000000016000000063",
+    ],
+)
+def test_decide_general_system_without_witness_stays_unknown(capsys, expr):
+    code, rep = run_cli(capsys, "decide", "--expr", expr)
+    assert code == 2
+    assert rep["status"] == "UNKNOWN"
+    assert "witness" not in rep and "witnesses" not in rep
+    assert rep["notes"] and rep["summary"] == "UNKNOWN (general polynomial system)"
+
+
+def test_decide_linear_row_without_a_constant_solution(capsys):
+    # the row 0 = 1 holds at no constant: no witnesses, not infinitely PR
+    code, rep = run_cli(capsys, "decide", "--expr", "x = x + 1")
+    assert code == 0
+    assert rep["status"] == "NOT_PR"
+    assert (rep["witnesses"], rep["infinitely_pr"]) == ([], False)
+
+
 def test_decide_sunit_route(capsys):
     code, rep = run_cli(capsys, "decide", "--expr", "x + y - z = 0", "--group=-1,2")
     assert code == 0

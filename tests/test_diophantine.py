@@ -2,7 +2,9 @@
 
 The criterion: a two-variable system is PR exactly when some w solves
 every diagonal P_i(w, w) = 0, and infinitely PR exactly when every
-diagonal vanishes identically, i.e. (x - y) divides every P_i.
+diagonal vanishes identically, i.e. (x - y) divides every P_i.  Linear
+systems in two variables reach the same diagonals through
+`decide_linear`, whose rows give rowsum_i * w - b_i.
 """
 
 import random
@@ -10,18 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from prtoolkit.algebra import MultiPoly
-from prtoolkit.diophantine import (
-    decide_infinitely_pr,
-    decide_twovar,
-    diagonal_polys,
-    twovar_from_linear,
-)
+from prtoolkit.algebra import MultiPoly, constant_solutions
+from prtoolkit.diophantine import decide_twovar
 from prtoolkit.equations import (
     TwoVarPolySystem,
     classify,
+    linear_polys,
     parse_equation_text,
 )
+from prtoolkit.rado import decide_linear
 
 
 def poly2(terms):
@@ -32,6 +31,11 @@ def system(*polys):
     return TwoVarPolySystem(variables=("x", "y"), polys=tuple(polys))
 
 
+def linear_witnesses(cls, domain="N"):
+    """Constant solutions of a linear system, from the diagonals of its rows."""
+    return constant_solutions([p.diagonal() for p in linear_polys(cls)], domain)
+
+
 # --- worked instances -----------------------------------------------------
 
 
@@ -39,20 +43,20 @@ def test_shifted_double():
     # 2x - y = n has the single constant solution x = y = n
     for n in range(1, 11):
         cls = classify(parse_equation_text("2*x - y = %d" % n))
-        v = decide_twovar(twovar_from_linear(cls))
+        v = decide_linear(cls)
         assert v.status == "PR_CONSTANT"
         assert v.witness == n
-        assert v.witnesses == (n,)
-        assert not v.infinitely_pr
+        assert linear_witnesses(cls) == (n,)
+        assert v.witness != "all"
 
 
 def test_x_minus_y_infinitely_pr():
     cls = classify(parse_equation_text("x - y = 0"))
-    v = decide_twovar(twovar_from_linear(cls))
+    v = decide_linear(cls)
     assert v.status == "PR_CONSTANT"
-    assert v.witnesses == "all"
-    assert v.infinitely_pr
-    assert v.all_divisible_by_x_minus_y
+    assert v.witness == "all"
+    assert linear_witnesses(cls) == "all"
+    assert linear_polys(cls)[0].diagonal().is_zero()  # (x - y) divides x - y
 
 
 def test_difference_of_squares():
@@ -76,18 +80,22 @@ def test_quadratic_with_two_roots():
 
 def test_no_constant_solution():
     # x + y = 1 needs w = 1/2
-    v = decide_twovar(twovar_from_linear(classify(parse_equation_text("x + y = 1"))))
+    cls = classify(parse_equation_text("x + y = 1"))
+    v = decide_linear(cls)
     assert v.status == "NOT_PR"
-    assert v.witnesses == ()
+    assert v.witness is None
+    assert linear_witnesses(cls) == ()
 
 
 def test_zero_only_root_excluded_over_n():
     # x + y = 0: diagonal 2w, root 0 only; no N witness, Z witness 0
     lin = classify(parse_equation_text("x + y = 0"))
-    v = decide_twovar(twovar_from_linear(lin))
+    v = decide_linear(lin)
     assert v.status == "NOT_PR"
-    vz = decide_twovar(twovar_from_linear(lin), domain="Z")
+    assert linear_witnesses(lin) == ()
+    vz = decide_linear(lin, domain="Z")
     assert vz.status == "PR_CONSTANT" and vz.witness == 0
+    assert linear_witnesses(lin, "Z") == (0,)
 
 
 def test_system_intersects_witness_sets():
@@ -104,8 +112,8 @@ def test_unsatisfiable_constant_equation():
 
 
 def test_decide_infinitely_pr_helper():
-    assert decide_infinitely_pr(classify(parse_equation_text("x^2 - y^2 = 0")))
-    assert not decide_infinitely_pr(classify(parse_equation_text("x*y = 4")))
+    assert decide_twovar(classify(parse_equation_text("x^2 - y^2 = 0"))).infinitely_pr
+    assert not decide_twovar(classify(parse_equation_text("x*y = 4"))).infinitely_pr
 
 
 # --- oracle cross-checks ----------------------------------------------------
@@ -168,7 +176,7 @@ def test_witnesses_against_brute_scan():
 
 
 def test_diagonal_polys_shape():
-    ds = diagonal_polys(classify(parse_equation_text("x^2 - y = 0")))
+    ds = [p.diagonal() for p in classify(parse_equation_text("x^2 - y = 0")).polys]
     assert len(ds) == 1
     # w^2 - w
     assert list(ds[0].coeffs) == [0, -1, 1]

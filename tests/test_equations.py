@@ -126,6 +126,33 @@ def test_exponent_grammar():
         parse_equation_text("x^y = 1")  # variable exponent on a variable
 
 
+def test_constant_powers_fold():
+    # int ^ nat is a constant; int ^ var stays an exponential
+    assert parse_equation_text("x + y = 10^6*z").equations[0].rhs == Mul(
+        Num(Fraction(10 ** 6)), Var("z")
+    )
+    assert parse_equation_text("(-2)^3 = x").equations[0].lhs == Num(Fraction(-8))
+    assert parse_equation_text("-2^2 = x").equations[0].lhs == Neg(Num(Fraction(4)))
+    assert parse_equation_text("2^x = y").equations[0].lhs == ExpPow(2, "x")
+    assert parse_equation_text("0^0 = x").equations[0].lhs == Num(Fraction(1))
+    assert isinstance(classify(parse_equation_text("x + y = 10^6*z")), LinearSystem)
+
+
+@pytest.mark.parametrize(
+    "text, col, message",
+    [
+        ("x = 2^10001", 7, "exceeds degree cap"),  # above MAX_POLY_DEGREE
+        ("x = 3^6400", 7, "above the cap"),  # 2 bits times 6400 > MAX_POWER_BITS
+        ("x = (-1000)^1001", 13, "above the cap"),
+    ],
+)
+def test_constant_powers_over_the_cap_are_parse_errors(text, col, message):
+    with pytest.raises(ParseError) as e:
+        parse_equation_text(text)
+    assert (e.value.line, e.value.col) == (1, col)
+    assert message in str(e.value)
+
+
 # --- classification -----------------------------------------------------
 
 

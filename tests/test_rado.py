@@ -16,7 +16,6 @@ from prtoolkit.algebra import RatMatrix
 from prtoolkit.equations import LinearSystem, classify, parse_equation_text
 from prtoolkit.rado import (
     columns_condition,
-    constant_solution_linear,
     decide_linear,
     rado_single,
     verify_columns_condition,
@@ -79,14 +78,14 @@ def test_columns_cap():
 
 def test_constant_solution_values():
     # 2a - a = 7 at a = 7
-    assert constant_solution_linear(RatMatrix([[2, -1]]), (Fraction(7),), "N") == 7
+    assert decide_linear(linsys([[2, -1]], [7]), "N").witness == 7
     # homogeneous row with zero sum: every a works
-    assert constant_solution_linear(RatMatrix([[1, -1]]), (Fraction(0),), "N") == "all"
+    assert decide_linear(linsys([[1, -1]], [0]), "N").witness == "all"
     # x + y = 1 needs a = 1/2: not an integer
-    assert constant_solution_linear(RatMatrix([[1, 1]]), (Fraction(1),), "N") is None
+    assert decide_linear(linsys([[1, 1]], [1]), "N").witness is None
     # a = 0 is not a witness over N but is one over Z
-    assert constant_solution_linear(RatMatrix([[1, 1]]), (Fraction(0),), "N") is None
-    assert constant_solution_linear(RatMatrix([[1, 1]]), (Fraction(0),), "Z") == 0
+    assert decide_linear(linsys([[1, 1]], [0]), "N").witness is None
+    assert decide_linear(linsys([[1, 1]], [0]), "Z").witness == 0
 
 
 # --- decide_linear ---------------------------------------------------------
