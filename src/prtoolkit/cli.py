@@ -103,7 +103,7 @@ def _build_parser() -> _Parser:
     d.add_argument("--group", help="comma-separated generators: decide over this subgroup of Q*")
     d.add_argument("--bound", type=int, help="user search bound for the constant-solution scan")
     d.add_argument("--mmax", type=int, default=DEFAULT_MODULUS_CAP,
-                   help="modulus cap for modular certificates")
+                   help="modulus cap for a modular certificate of period <= window width")
     d.add_argument("--cap", type=int, default=DEFAULT_COLUMN_CAP, help="column enumeration cap")
 
     s = sub.add_parser("search", help="search for an avoiding coloring of [1..N]")
@@ -329,20 +329,24 @@ def _cmd_decide(args) -> int:
         report["summary"] = "%s (polyexponential equation over Z)" % verdict.status
 
     elif isinstance(cls, GeneralPolySystem):
-        # a constant solution proves PR; its absence proves nothing here
+        # PR by a constant solution, NOT_PR by an equation c = 0 (c != 0), else UNKNOWN
+        constant = [p.eval([0] * len(cls.variables)) for p in cls.polys if p.degree() == 0]
         try:
             found = constant_solutions([p.diagonal() for p in cls.polys], args.domain)
         except IncompleteFactorization:
             found = ()
-        if found:
+        if constant:
+            report["status"] = "NOT_PR"
+            report["notes"].append("an equation reduces to %s = 0: no solution" % _num(constant[0]))
+        elif found:
             report["status"] = "PR_CONSTANT"
             ground_least = 1 if args.domain == "N" else 0
             _witness_json(report, ground_least if found == "all" else least_witness(found), found)
         else:
             report["status"] = "UNKNOWN"
             report["notes"].append(
-                "no decision procedure for polynomial systems in three or more "
-                "variables; try `search` for finite evidence"
+                "no decision procedure for this polynomial system beyond its "
+                "constant solutions; try `search` for finite evidence"
             )
         report["summary"] = "%s (general polynomial system)" % report["status"]
 

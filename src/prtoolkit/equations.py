@@ -489,7 +489,7 @@ class TwoVarPolySystem:
 @dataclass(frozen=True)
 class GeneralPolySystem:
     """Polynomial system in three or more variables, or with a constant
-    nonzero equation: only a constant solution decides it (PR)."""
+    nonzero equation (NOT_PR): else only a constant solution decides it."""
 
     variables: Tuple[str, ...]
     polys: Tuple[MultiPoly, ...]

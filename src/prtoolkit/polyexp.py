@@ -781,7 +781,7 @@ def _walk(plan: List[tuple], M: int, start: int) -> Iterator[int]:
 
 
 def modular_certificate_search(
-    g: ExpSum, m_max: int = DEFAULT_MODULUS_CAP
+    g: ExpSum, m_max: int = DEFAULT_MODULUS_CAP, max_period: Optional[int] = None
 ) -> Optional[ModularCertificate]:
     """Smallest modulus M <= m_max certifying that g never vanishes.
 
@@ -799,17 +799,34 @@ def modular_certificate_search(
     ascending order would return, with the same residue table.  The
     moduli are scanned in ascending blocks whose lcm stays within
     _JOINT_BITS bits; the first block with a survivor holds the answer.
+
+    decide_constant_solution passes its window width W as `max_period`:
+    only periods <= W are tried, since a longer one costs more to check
+    than the window scan it duplicates.  `certify` runs the full search.
     """
     if g.is_zero():
         return None
     product = 1
     for base, _ in g.terms:
         product *= base
+    nonconstant = any(p.degree >= 1 for _, p in g.terms)
+    if max_period is not None and nonconstant:
+        m_max = min(m_max, max_period)  # the period is a multiple of m
     blocks: List[List[int]] = []
     Q = 1
     for m in range(2, m_max + 1):
         if gcd(product, m) != 1:
             continue
+        if max_period is not None:
+            # _modular_period(g, m), cut short once it exceeds max_period
+            period = m if nonconstant else 1
+            for base, _ in g.terms:
+                k, t = 1, base % m
+                while t != 1 and k <= max_period and period <= max_period:
+                    k, t = k + 1, t * base % m
+                period = lcm(period, k)
+            if period > max_period:
+                continue
         Q = lcm(Q, m)
         if not blocks or Q.bit_length() > _JOINT_BITS:
             blocks.append([])
@@ -882,9 +899,11 @@ class ConstantSolutionResult:
     window and `families` names parity classes consisting entirely of
     zeros ("all", "even", "odd").  status NONE: the dominance window was
     scanned exhaustively and is empty, and `modular`, when present, is
-    an independent second proof.  status UNKNOWN: only a user-supplied
-    window was scanned, or the certified window exceeds MAX_WINDOW and
-    none was; nothing outside a scanned window is claimed.
+    an independent second proof whose period is at most the window
+    width W (`decide` tries no longer one; `certify` does).  status
+    UNKNOWN: only a user-supplied window was scanned, or the certified
+    window exceeds MAX_WINDOW and none was; nothing outside a scanned
+    window is claimed.
     """
 
     status: str
@@ -933,7 +952,8 @@ def decide_constant_solution(
     `user_bound` only [-user_bound, user_bound] is scanned, the same
     way, and an empty scan yields UNKNOWN.  A window beyond MAX_WINDOW
     points (or MAX_THRESHOLD_BITS) is not scanned: UNKNOWN, with a note
-    naming the cap.
+    naming the cap.  A NONE gets the least modular certificate of period
+    at most the window width W; `certify` searches every period.
     """
     if g.is_zero():
         return ConstantSolutionResult(
@@ -1004,7 +1024,7 @@ def decide_constant_solution(
             dominance=cert,
             modular=None,
         )
-    modular = modular_certificate_search(g, m_max)
+    modular = modular_certificate_search(g, m_max, max_period=window[1] - window[0] + 1)
     if modular is not None and not verify_modular(g, modular):
         raise RuntimeError("internal error: modular certificate failed re-verification")
     return ConstantSolutionResult(

@@ -159,6 +159,25 @@ def test_decide_general_system_without_witness_stays_unknown(capsys, expr):
     assert rep["notes"] and rep["summary"] == "UNKNOWN (general polynomial system)"
 
 
+@pytest.mark.parametrize(
+    "expr, constant",
+    [
+        ("x*y = x*y + 1; x = y^2", "-1"),  # two variables reach this branch too
+        ("x = y^2; x*y*z + 3 = x*y*z", "3"),
+        ("x*y = z; x*y*z = x*y*z + 1/2", "-1/2"),
+    ],
+)
+def test_decide_general_system_with_a_constant_equation_is_not_pr(capsys, expr, constant):
+    # c = 0 with c != 0 holds nowhere, so no coloring has a solution
+    for domain in ("N", "Z"):
+        code, rep = run_cli(capsys, "decide", "--expr", expr, "--domain", domain)
+        assert code == 0
+        assert rep["class"]["class"] == "general_poly_system"
+        assert rep["status"] == "NOT_PR"
+        assert rep["notes"] == ["an equation reduces to %s = 0: no solution" % constant]
+        assert rep["summary"] == "NOT_PR (general polynomial system)"
+
+
 def test_decide_linear_row_without_a_constant_solution(capsys):
     # the row 0 = 1 holds at no constant: no witnesses, not infinitely PR
     code, rep = run_cli(capsys, "decide", "--expr", "x = x + 1")
@@ -315,6 +334,19 @@ def test_certify_finds_modulus(capsys):
     assert rep["found"] is True
     assert rep["certificate"] == {"modulus": "5", "period": "2", "residues": ["3", "1"]}
     assert rep["verified"] is True
+
+
+def test_decide_tries_only_certificates_shorter_than_the_window(capsys):
+    # the window [-1, 2] has 4 points, and the least certificate, modulus
+    # 53, has period 26: decide prints none, certify still finds it
+    eq = "16*7^x + 25*10^x - 29 = 0"
+    code, rep = run_cli(capsys, "decide", "--expr", eq)
+    assert (code, rep["status"]) == (0, "NOT_PR")
+    assert rep["constant_solution"]["window"] == ["-1", "2"]
+    assert "modular" not in rep["certificates"] and "dominance" in rep["certificates"]
+    code, rep = run_cli(capsys, "certify", "--expr", eq)
+    assert (code, rep["found"], rep["verified"]) == (0, True, True)
+    assert (rep["certificate"]["modulus"], rep["certificate"]["period"]) == ("53", "26")
 
 
 def test_certify_absent_is_unknown_exit(capsys):
@@ -610,7 +642,7 @@ def _masked(rc, out, err):
 
 def test_reused_parser_keeps_calls_independent():
     # each call must print what it prints when it is the first in its process
-    eq = "16*7^x + 25*10^x - 29 = 0"   # reacts to both --bound 5 and --mmax 50
+    eq = "20*9^x + 21*8^x - 19 = 0"   # reacts to both --bound 5 and --mmax 50
     calls = [
         ["search", "--expr", "x + y = z", "--range", "5", "--colors", "2", "--exclude-constant"],
         ["search", "--expr", "x + y = z", "--range", "5", "--colors", "2"],

@@ -666,15 +666,18 @@ def test_incomplete_factorization_gives_unknown():
 # --- the joint residue scan ---------------------------------------------------
 
 
-def per_modulus_search(g, m_max):
+def per_modulus_search(g, m_max, max_period=None):
     """The search modular_certificate_search replaced: one modulus at a
-    time, each scanned until its first zero residue or its full period."""
+    time, each scanned until its first zero residue or its full period,
+    skipping the moduli whose period exceeds `max_period`."""
     if g.is_zero():
         return None
     for m in range(2, m_max + 1):
         if any(gcd(base, m) != 1 for base, _ in g.terms):
             continue
         period = polyexp._modular_period(g, m)
+        if max_period is not None and period > max_period:
+            continue
         terms = [
             (base % m, [int(c) % m for c in reversed(polyexp._int_coeffs(poly))])
             for base, poly in g.terms
@@ -744,6 +747,41 @@ def test_joint_scan_known_certificates():
     assert cert.modulus == 29
     # a sum with a zero has no certificate at any cap
     assert modular_certificate_search(expsum((2, [-1]), (4, [1]))) is None
+
+
+@pytest.mark.parametrize("m_max", [2, 10, 50, 200])
+def test_decide_certificate_is_the_least_within_the_window(m_max):
+    # decide's certificate is the per-modulus search restricted to periods
+    # at most the window width W; some sums lose a longer one
+    rng = random.Random(6200 + m_max)
+    found = dropped = 0
+    for g in random_modular_sums(rng, 150):
+        res = decide_constant_solution(g, m_max=m_max)
+        if res.status != "NONE":
+            assert res.modular is None
+            continue
+        width = res.window[1] - res.window[0] + 1
+        assert res.modular == per_modulus_search(g, m_max, max_period=width), g
+        if res.modular is None:
+            dropped += modular_certificate_search(g, m_max) is not None
+        else:
+            found += 1
+            assert res.modular.period <= width
+            assert verify_modular(g, res.modular)
+    assert found > 0 and dropped > 0
+
+
+def test_decide_certificate_changes_with_the_window():
+    # 20*9^s + 21*8^s - 19: the window [-1, 7] has 9 points, so the least
+    # certificate, modulus 23 with period 11, gives way to 73 with period 6
+    g = expsum((9, [20]), (8, [21]), (1, [-19]))
+    full = modular_certificate_search(g)
+    assert (full.modulus, full.period) == (23, 11)
+    res = decide_constant_solution(g)
+    assert (res.status, res.window) == ("NONE", (-1, 7))
+    assert (res.modular.modulus, res.modular.period) == (73, 6)
+    assert res.modular == per_modulus_search(g, 200, max_period=9)
+    assert decide_constant_solution(g, m_max=72).modular is None
 
 
 # --- the hypothesis, pair by pair ---------------------------------------------
@@ -828,7 +866,8 @@ def test_many_bases_decided_quickly(count):
     assert time.perf_counter() - start < 1.0
     assert v.status == "NOT_PR"
     assert v.hypothesis.checked_partitions == bell_number(count) - 1
-    assert verify_modular(v.diagonal, v.result.modular)
+    # decide prints no certificate longer than its window; certify's full search finds one
+    assert verify_modular(v.diagonal, modular_certificate_search(v.diagonal))
 
 
 # --- one-term sums ------------------------------------------------------------
