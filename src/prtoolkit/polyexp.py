@@ -465,23 +465,6 @@ def _abs_eval(coeffs: Sequence[int], t: int) -> int:
     return sum(abs(c) * t ** e for e, c in enumerate(coeffs) if c)
 
 
-def _split_parity(g: ExpSum) -> Tuple[Optional[ExpSum], Optional[ExpSum]]:
-    """(even part in t with s=2t, odd part in t with s=2t+1), None if zero.
-
-    Both parts have pairwise distinct positive bases a^2; bases a and -a
-    merge, which is the only way distinct bases can collide.
-    """
-    even_terms: List[Tuple[int, UniPoly]] = []
-    odd_terms: List[Tuple[int, UniPoly]] = []
-    for base, poly in g.terms:
-        sq = base * base
-        even_terms.append((sq, poly.compose_linear(2, 0)))
-        odd_terms.append((sq, poly.compose_linear(2, 1).scale(base)))
-    even = ExpSum(even_terms)
-    odd = ExpSum(odd_terms)
-    return (None if even.is_zero() else even), (None if odd.is_zero() else odd)
-
-
 def _negation_transform(terms: Sequence[Tuple[int, UniPoly]]) -> List[Tuple[int, UniPoly]]:
     """Terms of  g(-k) * (prod |a_i|)^k  as an exponential sum in k.
 
@@ -499,36 +482,98 @@ def _negation_transform(terms: Sequence[Tuple[int, UniPoly]]) -> List[Tuple[int,
     return out
 
 
-def _branch(
-    terms: Sequence[Tuple[int, UniPoly]], parity: str, direction: str
-) -> BranchCertificate:
+# The rules of a branch certificate.  dominance_bound finds its thresholds
+# with them and verify_dominance rechecks them, so each is stated once.
+
+
+def _ordered(
+    terms: Sequence[Tuple[int, UniPoly]]
+) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """A branch's bases and integer coefficients, by decreasing |base|."""
     ordered = sorted(terms, key=lambda t: abs(t[0]), reverse=True)
-    bases = tuple(b for b, _ in ordered)
-    coeffs = tuple(_int_coeffs(p) for _, p in ordered)
+    return tuple(b for b, _ in ordered), tuple(_int_coeffs(p) for _, p in ordered)
 
-    if len(ordered) == 1:
-        roots = integer_roots(ordered[0][1])
-        threshold = max([r for r in roots if r >= 0], default=0)
-        return BranchCertificate(parity, direction, bases, coeffs, "single", threshold, 0, 0)
 
+def _largest_root(poly: UniPoly) -> int:
+    """The least threshold of a "single" branch: its largest root >= 0, or 0."""
+    return max([r for r in integer_roots(poly) if r >= 0], default=0)
+
+
+def _ratio_tests(
+    bases: Sequence[int], coeffs: Sequence[Sequence[int]]
+) -> Tuple[Callable[[int], bool], Callable[[int], bool], Callable[[int], bool]]:
+    """The tests that t1, tstar and T of a "ratio" branch must pass.
+
+    The first makes |C_1(t)| >= |lead| t^deg / 2 and the second makes
+    every tail ratio term decrease; both are monotone from 1 on.  The
+    third is the dominance inequality of BranchCertificate, monotone from
+    max(t1, tstar) on.
+    """
     c1 = coeffs[0]
     d1 = len(c1) - 1
     cd = abs(c1[-1])
     b1 = abs(bases[0])
     b2 = abs(bases[1])
-
     dmax = max(len(c) - 1 for c in coeffs[1:])
-    limit = min(MAX_WINDOW, MAX_THRESHOLD_BITS // b1.bit_length())
-    t1 = _least(lambda t: 2 * _abs_eval(c1[:-1], t) <= cd * t ** d1, 1, limit)
-    tstar = _least(lambda t: (t + 1) ** dmax * b2 < t ** dmax * b1, 1, limit)
-    T = _least(
-        lambda t: 2 * sum(
-            _abs_eval(c, t) * abs(b) ** t for b, c in zip(bases[1:], coeffs[1:])
-        ) < cd * t ** d1 * b1 ** t,
-        max(t1, tstar, 1),
-        limit,
+    tail = [(abs(b), c) for b, c in zip(bases[1:], coeffs[1:])]
+    return (
+        lambda t: 2 * _abs_eval(c1[:-1], t) <= cd * t ** d1,
+        lambda t: (t + 1) ** dmax * b2 < t ** dmax * b1,
+        lambda t: 2 * sum(_abs_eval(c, t) * b ** t for b, c in tail) < cd * t ** d1 * b1 ** t,
     )
+
+
+def _branch(
+    terms: Sequence[Tuple[int, UniPoly]], parity: str, direction: str
+) -> BranchCertificate:
+    bases, coeffs = _ordered(terms)
+    if len(bases) == 1:
+        return BranchCertificate(
+            parity, direction, bases, coeffs, "single", _largest_root(terms[0][1]), 0, 0
+        )
+    lead, ratio, dominance = _ratio_tests(bases, coeffs)
+    limit = min(MAX_WINDOW, MAX_THRESHOLD_BITS // abs(bases[0]).bit_length())
+    t1 = _least(lead, 1, limit)
+    tstar = _least(ratio, 1, limit)
+    T = _least(dominance, max(t1, tstar), limit)
     return BranchCertificate(parity, direction, bases, coeffs, "ratio", T, t1, tstar)
+
+
+def _branch_holds(br: BranchCertificate, terms: Sequence[Tuple[int, UniPoly]]) -> bool:
+    """Whether br certifies the branch sum of `terms`, rechecked exactly.
+
+    A "ratio" branch passes its tests at t1, at tstar, and at T, T + 1
+    and T + 2.
+    """
+    if (br.bases, br.coeffs) != _ordered(terms):
+        return False
+    if br.kind == "single":
+        return len(terms) == 1 and br.threshold >= _largest_root(terms[0][1])
+    if br.kind != "ratio" or len(br.bases) < 2:
+        return False
+    lead, ratio, dominance = _ratio_tests(br.bases, br.coeffs)
+    T = br.threshold
+    return (
+        1 <= br.t1 <= T
+        and 1 <= br.tstar <= T
+        and lead(br.t1)
+        and ratio(br.tstar)
+        and all(dominance(t) for t in (T, T + 1, T + 2))
+    )
+
+
+def _window(branches: Iterable[BranchCertificate]) -> Tuple[int, int]:
+    """(s_plus, s_minus): the largest |s| a branch zero reaches on each side."""
+    reach = {"plus": 0, "minus": 0}
+    for br in branches:
+        s = br.threshold
+        if br.parity == "even":
+            s = 2 * s
+        elif br.parity == "odd":
+            # s = 2t + 1 for plus (max 2T + 1), s = 1 - 2t for minus (min 1 - 2T)
+            s = 2 * s + 1 if br.direction == "plus" else 2 * s - 1
+        reach[br.direction] = max(reach[br.direction], s)
+    return reach["plus"], reach["minus"]
 
 
 def _least(holds: Callable[[int], bool], start: int, limit: int) -> int:
@@ -556,41 +601,36 @@ def _least(holds: Callable[[int], bool], start: int, limit: int) -> int:
     return hi
 
 
-def _branch_pairs(g: ExpSum) -> Tuple[List[Tuple[str, Tuple[Tuple[int, UniPoly], ...]]], List[str]]:
-    """Decompose g into parity parts needing certification.
+def _branch_pairs(
+    g: ExpSum,
+) -> Tuple[Dict[Tuple[str, str], Sequence[Tuple[int, UniPoly]]], Tuple[str, ...]]:
+    """The branch sums a dominance certificate of g covers, and its zero parities.
 
-    Returns ([(parity, terms)], zero_parities).  When all absolute bases
-    are distinct the single part "all" is g itself; otherwise the even
-    and odd subsequences are treated separately (that is the only way
-    base collisions |a| = |-a| can occur over the integers).
+    Returns ({(parity, direction): terms}, zero_parities).  When all
+    absolute bases are distinct the single part "all" is g itself.
+    Otherwise the even part, in t with s = 2t, and the odd part, with
+    s = 2t + 1, are treated separately: bases a and -a merge into a^2
+    there, and that is the only way distinct integer bases can collide
+    in absolute value.  A part that vanishes is a zero parity; any other
+    part has a "plus" branch, its own terms, and a "minus" branch, their
+    _negation_transform.
     """
     abs_bases = [abs(b) for b, _ in g.terms]
     if len(set(abs_bases)) == len(abs_bases):
-        return [("all", g.terms)], []
-    even, odd = _split_parity(g)
-    parts = []
-    zero: List[str] = []
-    if even is None:
-        zero.append("even")
+        parts = [("all", g.terms)]
     else:
-        parts.append(("even", even.terms))
-    if odd is None:
-        zero.append("odd")
-    else:
-        parts.append(("odd", odd.terms))
-    if not parts:
+        parts = [
+            ("even", ExpSum((b * b, p.compose_linear(2, 0)) for b, p in g.terms).terms),
+            ("odd", ExpSum((b * b, p.compose_linear(2, 1).scale(b)) for b, p in g.terms).terms),
+        ]
+    sums: Dict[Tuple[str, str], Sequence[Tuple[int, UniPoly]]] = {}
+    for parity, terms in parts:
+        if terms:
+            sums[(parity, "plus")] = terms
+            sums[(parity, "minus")] = _negation_transform(terms)
+    if not sums:
         raise ValueError("nonzero exponential sum cannot vanish on all of Z")
-    return parts, zero
-
-
-def _map_to_s(parity: str, direction: str, threshold: int) -> int:
-    """Largest |s| reachable by a branch zero, given its t-threshold."""
-    if parity == "all":
-        return threshold
-    if parity == "even":
-        return 2 * threshold
-    # odd: s = 2t + 1 for plus (max 2T+1), s = -2k + 1 for minus (min 1 - 2T)
-    return 2 * threshold + 1 if direction == "plus" else max(0, 2 * threshold - 1)
+    return sums, tuple(parity for parity, terms in parts if not terms)
 
 
 def dominance_bound(g: ExpSum) -> DominanceCertificate:
@@ -606,116 +646,41 @@ def dominance_bound(g: ExpSum) -> DominanceCertificate:
     """
     if g.is_zero():
         raise ValueError("the zero sum vanishes everywhere; no finite window")
-    parts, zero_parities = _branch_pairs(g)
-    branches = []
-    s_plus = 0
-    s_minus = 0
-    for parity, terms in parts:
-        plus = _branch(terms, parity, "plus")
-        minus = _branch(_negation_transform(terms), parity, "minus")
-        branches.extend((plus, minus))
-        s_plus = max(s_plus, _map_to_s(parity, "plus", plus.threshold))
-        s_minus = max(s_minus, _map_to_s(parity, "minus", minus.threshold))
+    sums, zero_parities = _branch_pairs(g)
+    branches = tuple(_branch(terms, parity, direction) for (parity, direction), terms in sums.items())
+    s_plus, s_minus = _window(branches)
     if len(g.terms) > 1 and s_plus + s_minus + 1 > MAX_WINDOW:
         raise WindowTooWide(
             "the certified window [%d, %d] exceeds MAX_WINDOW = %d points"
             % (-s_minus, s_plus, MAX_WINDOW)
         )
-    return DominanceCertificate(
-        s_plus=s_plus,
-        s_minus=s_minus,
-        branches=tuple(branches),
-        zero_parities=tuple(zero_parities),
-    )
+    return DominanceCertificate(s_plus, s_minus, branches, zero_parities)
 
 
 def verify_dominance(g: ExpSum, cert: DominanceCertificate) -> bool:
     """Re-verify a dominance certificate from scratch, exactly.
 
-    Reconstructs the branch sums from g, matches them against the
-    certificate, and recomputes every claimed inequality (including at
-    threshold+1 and threshold+2) together with the monotonicity
-    witnesses t1 and tstar.  Pure function: no state, no floats.
+    Reconstructs the branch sums from g, matches them one to one against
+    the certificate's branches, rechecks each with _branch_holds, and
+    checks that the window reaches as far as the thresholds.  Pure
+    function: no state, no floats.
     """
     try:
-        parts, zero_parities = _branch_pairs(g)
+        sums, zero_parities = _branch_pairs(g)
     except ValueError:
         return False
-    if tuple(zero_parities) != cert.zero_parities:
+    if zero_parities != cert.zero_parities:
         return False
-    expected: Dict[Tuple[str, str], Tuple[Tuple[int, UniPoly], ...]] = {}
-    for parity, terms in parts:
-        expected[(parity, "plus")] = tuple(terms)
-        expected[(parity, "minus")] = tuple(_negation_transform(terms))
-    if len(cert.branches) != len(expected):
+    if sorted((br.parity, br.direction) for br in cert.branches) != sorted(sums):
         return False
-    s_plus = 0
-    s_minus = 0
-    for br in cert.branches:
-        key = (br.parity, br.direction)
-        if key not in expected:
-            return False
-        ordered = sorted(expected.pop(key), key=lambda t: abs(t[0]), reverse=True)
-        if tuple(b for b, _ in ordered) != br.bases:
-            return False
-        if tuple(_int_coeffs(p) for _, p in ordered) != br.coeffs:
-            return False
-        if br.kind == "single":
-            if len(br.bases) != 1:
-                return False
-            roots = integer_roots(ordered[0][1])
-            if any(r > br.threshold for r in roots if r >= 0):
-                return False
-        elif br.kind == "ratio":
-            if len(br.bases) < 2:
-                return False
-            c1 = br.coeffs[0]
-            d1 = len(c1) - 1
-            cd = abs(c1[-1])
-            b1 = abs(br.bases[0])
-            b2 = abs(br.bases[1])
-            t1, tstar, T = br.t1, br.tstar, br.threshold
-            if T < max(t1, tstar, 1) or t1 < 1 or tstar < 1:
-                return False
-            if 2 * _abs_eval(c1[:-1], t1) > cd * t1 ** d1:
-                return False
-            dmax = max(len(c) - 1 for c in br.coeffs[1:])
-            if (tstar + 1) ** dmax * b2 >= tstar ** dmax * b1:
-                return False
-            for t in (T, T + 1, T + 2):
-                lhs = 2 * sum(
-                    _abs_eval(c, t) * abs(b) ** t
-                    for b, c in zip(br.bases[1:], br.coeffs[1:])
-                )
-                if lhs >= cd * t ** d1 * b1 ** t:
-                    return False
-        else:
-            return False
-        if br.direction == "plus":
-            s_plus = max(s_plus, _map_to_s(br.parity, "plus", br.threshold))
-        else:
-            s_minus = max(s_minus, _map_to_s(br.parity, "minus", br.threshold))
-    if expected:
+    if not all(_branch_holds(br, sums[(br.parity, br.direction)]) for br in cert.branches):
         return False
+    s_plus, s_minus = _window(cert.branches)
     return cert.s_plus >= s_plus and cert.s_minus >= s_minus
 
 
 # ---------------------------------------------------------------------
 # modular certificates
-
-
-def multiplicative_order(a: int, m: int) -> int:
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    a %= m
-    if gcd(a, m) != 1:
-        raise ValueError("element not invertible modulo %d" % m)
-    k = 1
-    t = a
-    while t != 1:
-        t = t * a % m
-        k += 1
-    return k
 
 
 @dataclass(frozen=True)
@@ -734,12 +699,26 @@ class ModularCertificate:
     residues: Tuple[int, ...]
 
 
-def _modular_period(g: ExpSum, m: int) -> int:
+def _modular_period(g: ExpSum, m: int, cap: Optional[int] = None) -> Optional[int]:
+    """Period of s -> g(s) mod m, or None once it is known to exceed `cap`.
+
+    The period is the lcm of the bases' multiplicative orders modulo m,
+    joined with m itself when some coefficient polynomial is
+    non-constant.  An order is counted to cap at most, or to m without a
+    cap: a unit's order modulo m is below m, so a base whose powers get
+    that far without reaching 1 is not invertible.
+    """
     period = 1
-    for base, _ in g.terms:
-        period = lcm(period, multiplicative_order(base, m))
-    if any(p.degree >= 1 for _, p in g.terms):
-        period = lcm(period, m)
+    bound = m if cap is None else cap
+    for base, poly in g.terms:
+        k, t = 1, base % m
+        while t != 1 and k <= bound:
+            k, t = k + 1, t * base % m
+        if t != 1 and cap is None:
+            raise ValueError("base %d is not invertible modulo %d" % (base, m))
+        period = lcm(period, k, m if poly.degree >= 1 else 1)
+        if cap is not None and period > cap:
+            return None
     return period
 
 
@@ -809,37 +788,39 @@ def modular_certificate_search(
     product = 1
     for base, _ in g.terms:
         product *= base
-    nonconstant = any(p.degree >= 1 for _, p in g.terms)
-    if max_period is not None and nonconstant:
+    if max_period is not None and any(p.degree >= 1 for _, p in g.terms):
         m_max = min(m_max, max_period)  # the period is a multiple of m
-    blocks: List[List[int]] = []
-    Q = 1
-    for m in range(2, m_max + 1):
-        if gcd(product, m) != 1:
-            continue
-        if max_period is not None:
-            # _modular_period(g, m), cut short once it exceeds max_period
-            period = m if nonconstant else 1
-            for base, _ in g.terms:
-                k, t = 1, base % m
-                while t != 1 and k <= max_period and period <= max_period:
-                    k, t = k + 1, t * base % m
-                period = lcm(period, k)
-            if period > max_period:
-                continue
-        Q = lcm(Q, m)
-        if not blocks or Q.bit_length() > _JOINT_BITS:
-            blocks.append([])
-            Q = m
-        blocks[-1].append(m)
+    moduli = (
+        m for m in range(2, m_max + 1)
+        if gcd(product, m) == 1
+        and (max_period is None or _modular_period(g, m, max_period) is not None)
+    )
     plan = _horner(g.terms)
-    for block in blocks:
+    for block in _blocks(moduli):
         found = _least_surviving(g, plan, block)
         if found is not None:
             m, period = found
             residues = tuple(v % m for v in islice(_walk(plan, m, 0), period))
             return ModularCertificate(modulus=m, period=period, residues=residues)
     return None
+
+
+def _blocks(moduli: Iterable[int]) -> Iterator[List[int]]:
+    """Consecutive runs of `moduli`, each with an lcm of at most _JOINT_BITS bits.
+
+    A block is yielded as soon as it is full, so the search that stops at
+    the first block with a survivor never reads the moduli after it.
+    """
+    block: List[int] = []
+    Q = 1
+    for m in moduli:
+        Q = lcm(Q, m)
+        if Q.bit_length() > _JOINT_BITS:
+            yield block
+            block, Q = [], m
+        block.append(m)
+    if block:
+        yield block
 
 
 def _least_surviving(g: ExpSum, plan: List[tuple], moduli: List[int]) -> Optional[Tuple[int, int]]:
@@ -907,12 +888,12 @@ class ConstantSolutionResult:
     """
 
     status: str
-    witness: Optional[int]
-    solutions_in_window: Tuple[int, ...]
-    families: Tuple[str, ...]
-    window: Optional[Tuple[int, int]]
-    dominance: Optional[DominanceCertificate]
-    modular: Optional[ModularCertificate]
+    witness: Optional[int] = None
+    solutions_in_window: Tuple[int, ...] = ()
+    families: Tuple[str, ...] = ()
+    window: Optional[Tuple[int, int]] = None
+    dominance: Optional[DominanceCertificate] = None
+    modular: Optional[ModularCertificate] = None
     note: str = ""
 
 
@@ -957,84 +938,47 @@ def decide_constant_solution(
     """
     if g.is_zero():
         return ConstantSolutionResult(
-            status="FOUND",
-            witness=0,
-            solutions_in_window=(),
-            families=("all",),
-            window=None,
-            dominance=None,
-            modular=None,
+            "FOUND", witness=0, families=("all",),
             note="all terms canceled: every integer is a solution",
         )
     if user_bound is not None:
         if user_bound < 0:
             raise ValueError("user bound must be nonnegative")
-        zeros = _zeros_between(g, -user_bound, user_bound)
+        window = (-user_bound, user_bound)
+        zeros = _zeros_between(g, *window)
         if zeros:
             return ConstantSolutionResult(
-                status="FOUND",
-                witness=least_witness(zeros),
-                solutions_in_window=tuple(zeros),
-                families=(),
-                window=(-user_bound, user_bound),
-                dominance=None,
-                modular=None,
+                "FOUND", least_witness(zeros), tuple(zeros), window=window,
                 note="witness found by bounded scan",
             )
         return ConstantSolutionResult(
-            status="UNKNOWN",
-            witness=None,
-            solutions_in_window=(),
-            families=(),
-            window=(-user_bound, user_bound),
-            dominance=None,
-            modular=None,
+            "UNKNOWN", window=window,
             note="no solution within the user bound; nothing outside it is claimed",
         )
 
     try:
         cert = dominance_bound(g)
     except WindowTooWide as e:
-        return ConstantSolutionResult(
-            status="UNKNOWN",
-            witness=None,
-            solutions_in_window=(),
-            families=(),
-            window=None,
-            dominance=None,
-            modular=None,
-            note="no window scanned: %s" % e,
-        )
+        return ConstantSolutionResult("UNKNOWN", note="no window scanned: %s" % e)
     if not verify_dominance(g, cert):
         raise RuntimeError("internal error: dominance certificate failed re-verification")
     window = (-cert.s_minus, cert.s_plus)
     if len(g.terms) == 1:
         zeros = [s for s in integer_roots(g.terms[0][1]) if g.eval(s) == 0]
     else:
-        zeros = _zeros_between(g, window[0], window[1])
-    families = tuple(cert.zero_parities)
+        zeros = _zeros_between(g, *window)
+    families = cert.zero_parities
     if zeros or families:
         family_reps = [0 if f in ("all", "even") else 1 for f in families]
         return ConstantSolutionResult(
-            status="FOUND",
-            witness=least_witness(list(zeros) + family_reps),
-            solutions_in_window=tuple(zeros),
-            families=families,
-            window=window,
-            dominance=cert,
-            modular=None,
+            "FOUND", least_witness(list(zeros) + family_reps), tuple(zeros), families,
+            window=window, dominance=cert,
         )
     modular = modular_certificate_search(g, m_max, max_period=window[1] - window[0] + 1)
     if modular is not None and not verify_modular(g, modular):
         raise RuntimeError("internal error: modular certificate failed re-verification")
     return ConstantSolutionResult(
-        status="NONE",
-        witness=None,
-        solutions_in_window=(),
-        families=(),
-        window=window,
-        dominance=cert,
-        modular=modular,
+        "NONE", window=window, dominance=cert, modular=modular,
         note="window scanned exhaustively; no integer zero exists",
     )
 

@@ -5,6 +5,7 @@ Frozen threshold values (t1, tstar, T) were computed by hand from the
 defining inequalities before the search code existed.
 """
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -335,14 +336,64 @@ def test_dominance_zero_sum_rejected():
         dominance_bound(ExpSum([]))
 
 
+def with_branch(cert, i, **changes):
+    """cert with its i-th branch changed."""
+    branches = list(cert.branches)
+    branches[i] = dataclasses.replace(branches[i], **changes)
+    return dataclasses.replace(cert, branches=tuple(branches))
+
+
 def test_verify_dominance_rejects_tampering():
+    # printed example: two "ratio" branches with t1 = 4, tstar = 1, T = 4
     g = expsum((6, [2, -1, 1]), (35, [2, 2]), (143, [3, -1, 1]))
     cert = dominance_bound(g)
-    import dataclasses
-    smaller = dataclasses.replace(cert, s_plus=cert.s_plus - 2)
-    assert not verify_dominance(g, smaller)
+    plus = cert.branches[0]
+    assert verify_dominance(g, cert) and plus.kind == "ratio"
     other = expsum((6, [2, -1, 1]), (35, [2, 2]))
     assert not verify_dominance(other, cert)
+    tampered = [
+        dataclasses.replace(cert, s_plus=cert.s_plus - 2),
+        with_branch(cert, 0, t1=plus.t1 - 1),
+        with_branch(cert, 0, tstar=plus.tstar - 1),
+        with_branch(cert, 0, threshold=plus.threshold - 1),
+        with_branch(cert, 0, t1=plus.threshold + 1),
+        with_branch(cert, 0, tstar=plus.threshold + 1),
+        with_branch(cert, 0, kind="single"),
+        with_branch(cert, 0, kind="linear"),
+        with_branch(cert, 0, bases=(plus.bases[1], plus.bases[0]) + plus.bases[2:]),
+        with_branch(cert, 0, coeffs=((plus.coeffs[0][0] + 1,) + plus.coeffs[0][1:],) + plus.coeffs[1:]),
+        dataclasses.replace(cert, branches=cert.branches[:1]),
+        dataclasses.replace(cert, branches=cert.branches + cert.branches[:1]),
+        dataclasses.replace(cert, branches=(plus, plus)),
+        dataclasses.replace(cert, zero_parities=("odd",)),
+        dataclasses.replace(cert, s_minus=cert.s_minus - 1),
+    ]
+    for bad in tampered:
+        assert not verify_dominance(g, bad), bad
+
+    # s * 101^s + 100^s: the "minus" branch has tstar = 101 and T = 733,
+    # above both, so lowering either meets its own inequality; the "plus"
+    # branch has a constant tail, whose ratio test holds even at t = 0
+    g = expsum((101, [0, 1]), (100, [1]))
+    cert = dominance_bound(g)
+    minus = cert.branches[1]
+    assert (minus.direction, minus.tstar, minus.threshold) == ("minus", 101, 733)
+    assert verify_dominance(g, cert)
+    assert not verify_dominance(g, with_branch(cert, 0, tstar=0))
+    assert not verify_dominance(g, with_branch(cert, 1, tstar=100))
+    assert not verify_dominance(g, with_branch(cert, 1, threshold=732))
+
+    # (s - 6) * 2^s + (s - 6) * (-2)^s: zero at every odd s, and the even
+    # "plus" branch 2 * (2t - 6) * 4^t is "single" with its root t = 3
+    g = expsum((2, [-6, 1]), (-2, [-6, 1]))
+    cert = dominance_bound(g)
+    even = cert.branches[0]
+    assert cert.zero_parities == ("odd",)
+    assert (even.parity, even.direction, even.kind, even.threshold) == ("even", "plus", "single", 3)
+    assert verify_dominance(g, cert)
+    assert not verify_dominance(g, with_branch(cert, 0, threshold=2))
+    assert not verify_dominance(g, with_branch(cert, 0, kind="ratio"))
+    assert not verify_dominance(g, dataclasses.replace(cert, zero_parities=()))
 
 
 def test_parity_split_with_sign_collision():
@@ -451,7 +502,6 @@ def test_modular_period_includes_modulus_for_nonconstant_coeffs():
 def test_verify_modular_rejects_tampering():
     g = ExpSum([(4, UniPoly([Fraction(1)])), (1, UniPoly([Fraction(2)]))])
     cert = modular_certificate_search(g)
-    import dataclasses
     bad = dataclasses.replace(cert, residues=(3, 2))
     assert not verify_modular(g, bad)
     bad2 = dataclasses.replace(cert, period=4)
@@ -736,6 +786,46 @@ def test_joint_scan_blocks_match_per_modulus_search(monkeypatch):
     rng = random.Random(6105)
     for g in random_modular_sums(rng, 40):
         assert modular_certificate_search(g, 200) == per_modulus_search(g, 200), g
+
+
+def lcm_of_orders(g, m):
+    """Period of g mod m: the lcm of the base orders, with m for a non-constant coefficient."""
+    period = m if any(poly.degree >= 1 for _, poly in g.terms) else 1
+    for base, _ in g.terms:
+        order = 1
+        while pow(base, order, m) != 1:
+            order += 1
+        period = lcm(period, order)
+    return period
+
+
+@pytest.mark.parametrize("cap", [None, 1, 5, 50])
+def test_modular_period_matches_lcm_of_orders(cap):
+    rng = random.Random(6300)
+    within = beyond = 0
+    for g in random_modular_sums(rng, 40):
+        for m in range(2, 40):
+            if any(gcd(base, m) != 1 for base, _ in g.terms):
+                continue
+            period = lcm_of_orders(g, m)
+            if cap is None or period <= cap:
+                assert polyexp._modular_period(g, m, cap) == period, (g, m)
+                within += 1
+            else:
+                assert polyexp._modular_period(g, m, cap) is None, (g, m)
+                beyond += 1
+    assert within > 0
+    assert (beyond > 0) == (cap is not None)
+
+
+def test_modulus_blocks_are_built_lazily():
+    # 2^s + 3^s + 5 is certified by modulus 11, in the first block of
+    # moduli; the search stops there, where building every block up to
+    # 10^9 first would take gigabytes
+    g = expsum((2, [1]), (3, [1]), (1, [5]))
+    cert = modular_certificate_search(g, 10**9)
+    assert cert == modular_certificate_search(g, 200) == per_modulus_search(g, 200)
+    assert cert.modulus == 11
 
 
 def test_joint_scan_known_certificates():
