@@ -104,7 +104,9 @@ def _build_parser() -> _Parser:
     d.add_argument("--bound", type=int, help="user search bound for the constant-solution scan")
     d.add_argument("--mmax", type=int, default=DEFAULT_MODULUS_CAP,
                    help="modulus cap for a modular certificate of period <= window width")
-    d.add_argument("--cap", type=int, default=DEFAULT_COLUMN_CAP, help="column enumeration cap")
+    d.add_argument("--cap", type=int, default=DEFAULT_COLUMN_CAP,
+                   help="column cap of the columns-condition search for systems "
+                   "of two or more equations")
 
     s = sub.add_parser("search", help="search for an avoiding coloring of [1..N]")
     add_input(s)
@@ -331,10 +333,11 @@ def _cmd_decide(args) -> int:
     elif isinstance(cls, GeneralPolySystem):
         # PR by a constant solution, NOT_PR by an equation c = 0 (c != 0), else UNKNOWN
         constant = [p.eval([0] * len(cls.variables)) for p in cls.polys if p.degree() == 0]
+        incomplete = None
         try:
             found = constant_solutions([p.diagonal() for p in cls.polys], args.domain)
-        except IncompleteFactorization:
-            found = ()
+        except IncompleteFactorization as exc:
+            found, incomplete = (), exc
         if constant:
             report["status"] = "NOT_PR"
             report["notes"].append("an equation reduces to %s = 0: no solution" % _num(constant[0]))
@@ -347,6 +350,9 @@ def _cmd_decide(args) -> int:
             report["notes"].append(
                 "no decision procedure for this polynomial system beyond its "
                 "constant solutions; try `search` for finite evidence"
+                if incomplete is None else
+                "the constant-solution search stopped on an incomplete "
+                "factorization: %s" % incomplete
             )
         report["summary"] = "%s (general polynomial system)" % report["status"]
 

@@ -19,11 +19,12 @@ The constant solutions are the common integer roots of the row
 diagonals rowsum_i * a - b_i, found by `algebra.constant_solutions`,
 the function that also decides the polynomial systems.
 
-Certificates use 1-based column indices and are chosen
-deterministically: fewest blocks first, then lexicographic by block
-content.  Single equations instead report the zero-sum subset that is
-smallest, then lexicographically least, which is the traditional
-normal form there.
+Certificates use 1-based column indices and one normal form, the
+greedy pass of `columns_condition`: each block is the smallest fitting
+set of the remaining columns, lexicographically least among those,
+and a later block takes all remaining columns when they fit.  For a
+single equation this is (J, rest) with J the smallest, then
+lexicographically least, zero-sum subset.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebra import RatMatrix, UniPoly, constant_solutions, least_witness, matrix_rank
@@ -41,111 +43,84 @@ Partition = Tuple[Tuple[int, ...], ...]
 DEFAULT_COLUMN_CAP = 12
 
 
-def _bits(mask: int) -> List[int]:
-    out = []
-    j = 0
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return out
-
-
 def columns_condition(
     matrix: RatMatrix, cap: int = DEFAULT_COLUMN_CAP
 ) -> Optional[Partition]:
-    """First ordered partition witnessing the columns condition, else None.
+    """Greedy ordered partition witnessing the columns condition, else None.
 
-    Search order: number of blocks ascending, then lexicographic on the
-    (sorted) block tuples, so the returned certificate is canonical.
-    The search is exponential in the number of columns and refuses to
-    run past `cap` columns; raise the cap explicitly for wider systems.
+    The first block is the smallest set of columns that sums to zero
+    and holds a nonzero column (all of them when every column is zero).
+    Each later block is all the remaining columns when their sum lies
+    in the span of the columns used so far, else the smallest remaining
+    set whose sum does.  Ties go to the lexicographically least set.
+    If no block fits, the condition fails.
+
+    No step needs undoing.  Suppose I_1, .., I_r witness the condition
+    and U is the union of any valid prefix of blocks.  Then the nonempty
+    sets I_t - U, taken in order, complete the partition: sum(I_t - U)
+    = sum(I_t) - sum(I_t & U) lies in span(U | I_1 | .. | I_{t-1}).  A
+    first block exists too: the witness blocks up to the first that
+    holds a nonzero column all sum to zero.  So while a witness exists
+    some block fits at every step, and the pass fails only when none
+    does.
+
+    Each block search tries subsets of the remaining columns by size,
+    summing each candidate afresh, so it is exponential in the number
+    of columns; it refuses to run past `cap` columns.
     """
     n = matrix.n
-    m = matrix.m
     if n > cap:
         raise ValueError(
             "columns condition search over %d columns exceeds the cap %d; "
             "pass a larger cap to proceed" % (n, cap)
         )
-    cols = [matrix.column(j) for j in range(n)]
-    full = (1 << n) - 1
-    zero = tuple(Fraction(0) for _ in range(m))
-
-    sums: List[Optional[Tuple[Fraction, ...]]] = [None] * (1 << n)
-    sums[0] = zero
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        j = low.bit_length() - 1
-        prev = sums[mask ^ low]
-        sums[mask] = tuple(a + b for a, b in zip(prev, cols[j]))
-
-    rank_cache = {0: 0}
-
-    def rank_of(mask: int) -> int:
-        if mask not in rank_cache:
-            rank_cache[mask] = matrix_rank([cols[j] for j in _bits(mask)])
-        return rank_cache[mask]
-
-    span_cache = {}
-
-    def in_span(used: int, cand: int) -> bool:
-        vec = sums[cand]
-        if vec == zero:
-            return True
-        key = (used, cand)
-        if key not in span_cache:
-            if used == 0:
-                span_cache[key] = False
-            else:
-                rows = [cols[j] for j in _bits(used)] + [list(vec)]
-                span_cache[key] = matrix_rank(rows) == rank_of(used)
-        return span_cache[key]
-
-    def candidates(rem: int) -> List[int]:
-        subs = []
-        sub = rem
-        while sub:
-            subs.append(sub)
-            sub = (sub - 1) & rem
-        subs.sort(key=lambda s: tuple(_bits(s)))
-        return subs
-
-    for k in range(1, n + 1):
-        dead = set()
-
-        def dfs(used: int, blocks_left: int, acc: List[int]) -> Optional[List[int]]:
-            if used == full:
-                return list(acc) if blocks_left == 0 else None
-            if blocks_left == 0:
-                return None
-            state = (used, blocks_left)
-            if state in dead:
-                return None
-            rem = full ^ used
-            if blocks_left == 1:
-                cands = [rem]
-            else:
-                cands = [
-                    c
-                    for c in candidates(rem)
-                    if bin(rem ^ c).count("1") >= blocks_left - 1
-                ]
-            for cand in cands:
-                ok = sums[cand] == zero if used == 0 else in_span(used, cand)
-                if ok:
-                    acc.append(cand)
-                    found = dfs(used | cand, blocks_left - 1, acc)
-                    if found is not None:
-                        return found
-                    acc.pop()
-            dead.add(state)
+    # rows scaled to integers keep every linear relation between columns.
+    # Each used column r_j with a nonzero entry in row p then maps every
+    # column v to r_j[p] v - v[p] r_j, a linear map whose kernel is
+    # span(r_j), so a set of columns fits iff its columns here sum to
+    # zero.  Dividing by the previous pivot is exact (Bareiss) and keeps
+    # the entries small.
+    rows = []
+    for row in matrix.rows:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([int(x * den) for x in row])
+    rest = list(range(n))
+    blocks: List[Tuple[int, ...]] = []
+    prev = 1
+    while rest:
+        block = _next_block(rows, rest, first=not blocks)
+        if block is None:
             return None
+        blocks.append(block)
+        rest = [j for j in rest if j not in block]
+        for j in block:
+            pivot = next((row for row in rows if row[j]), None)
+            if pivot is None:
+                continue
+            a, f = pivot[j], list(pivot)
+            for row in rows:
+                b = row[j]
+                row[:] = [(a * x - f[k] * b) // prev for k, x in enumerate(row)]
+            prev = a
+    return tuple(tuple(j + 1 for j in block) for block in blocks)
 
-        found = dfs(0, k, [])
-        if found is not None:
-            return tuple(tuple(j + 1 for j in _bits(mask)) for mask in found)
+
+def _fits(rows: List[List[int]], block: Sequence[int]) -> bool:
+    return all(sum(map(row.__getitem__, block)) == 0 for row in rows)
+
+
+def _next_block(rows: List[List[int]], rest: List[int], first: bool) -> Optional[Tuple[int, ...]]:
+    """The greedy block of `columns_condition` among the columns `rest`."""
+    if first:
+        nonzero = {j for j in rest if any(row[j] for row in rows)}
+        if not nonzero:
+            return tuple(rest)
+    elif _fits(rows, rest):
+        return tuple(rest)
+    for size in range(1, len(rest) + 1):
+        for block in combinations(rest, size):
+            if _fits(rows, block) and (not first or not nonzero.isdisjoint(block)):
+                return block
     return None
 
 
@@ -155,33 +130,17 @@ def verify_columns_condition(matrix: RatMatrix, partition: Sequence[Sequence[int
     Blocks carry 1-based column indices; they must be nonempty,
     disjoint and cover every column.
     """
-    n = matrix.n
-    seen = set()
-    for block in partition:
-        if not block:
-            return False
-        for j in block:
-            if not isinstance(j, int) or j < 1 or j > n or j in seen:
-                return False
-            seen.add(j)
-    if len(seen) != n:
+    flat = [j for block in partition for j in block]
+    if not (all(partition) and all(isinstance(j, int) for j in flat)
+            and sorted(flat) == list(range(1, matrix.n + 1))):
         return False
-    cols = [matrix.column(j) for j in range(n)]
-    earlier: List[Sequence[Fraction]] = []
-    for t, block in enumerate(partition):
-        vec = [Fraction(0)] * matrix.m
-        for j in block:
-            for i in range(matrix.m):
-                vec[i] += cols[j - 1][i]
-        if t == 0:
-            if any(v != 0 for v in vec):
-                return False
-        else:
-            if any(v != 0 for v in vec):
-                if matrix_rank(earlier + [vec]) != matrix_rank(earlier):
-                    return False
-        for j in block:
-            earlier.append(cols[j - 1])
+    earlier: List[Tuple[Fraction, ...]] = []
+    for block in partition:
+        vec = [sum(row[j - 1] for j in block) for row in matrix.rows]
+        # no columns span a nonzero vector, so the first block sums to zero
+        if any(vec) and matrix_rank(earlier + [vec]) != matrix_rank(earlier):
+            return False
+        earlier.extend(matrix.column(j - 1) for j in block)
     return True
 
 
@@ -191,10 +150,12 @@ class LinearVerdict:
 
     status "PR_CONSTANT" carries `witness`: the constant a with
     A (a,..,a) = b in the ground set, or "all" when every a works.
-    status "PR_COLUMNS" carries `partition`, an ordered-partition
-    certificate passing the checker; for nonhomogeneous systems the
-    criterion additionally needs a constant integer solution, recorded
-    in `integer_constant`.  status "NOT_PR" carries neither.
+    status "PR_COLUMNS" carries `partition`, the greedy ordered
+    partition of `columns_condition`, which passes the checker; for
+    nonhomogeneous systems the criterion additionally needs a constant
+    integer solution, recorded in `integer_constant`.  status "NOT_PR"
+    carries neither.  A homogeneous "PR_CONSTANT" verdict over N keeps
+    its partition too.
     """
 
     status: str  # "PR_CONSTANT" | "PR_COLUMNS" | "NOT_PR"
@@ -239,60 +200,31 @@ def decide_linear(
             "obstruct regularity over Z",
         )
 
-    if homogeneous:
-        partition = _partition_certificate(A, cap)
-        if partition is None:
-            return LinearVerdict(
-                "NOT_PR", None, None, None, "N", True,
-                note="columns condition fails",
-            )
-        if const == "all":
-            return LinearVerdict("PR_CONSTANT", "all", partition, None, "N", True)
-        return LinearVerdict("PR_COLUMNS", None, partition, None, "N", True)
-
-    if const is not None:
+    if const is not None and not homogeneous:
         return LinearVerdict("PR_CONSTANT", const, None, None, "N", False)
-    partition = _partition_certificate(A, cap)
-    if partition is not None:
-        const_z = constant("Z")
-        if const_z is not None:
-            return LinearVerdict(
-                "PR_COLUMNS", None, partition, const_z, "N", False,
-                note="columns condition plus a constant integer solution",
-            )
+    # a single equation is never capped: one zero-sum subset search,
+    # for its first block, decides it
+    partition = columns_condition(A, cap if A.m > 1 else A.n)
+    if partition is None:
+        return LinearVerdict(
+            "NOT_PR", None, None, None, "N", homogeneous,
+            note="columns condition fails" if homogeneous
+            else "neither a positive constant solution nor the columns condition",
+        )
+    if homogeneous:
+        # over N the only constant left is "all": every row sums to zero
+        status = "PR_CONSTANT" if const == "all" else "PR_COLUMNS"
+        return LinearVerdict(status, const, partition, None, "N", True)
+    const_z = constant("Z")
+    if const_z is None:
         return LinearVerdict(
             "NOT_PR", None, None, None, "N", False,
             note="columns condition holds but no constant integer solution exists",
         )
     return LinearVerdict(
-        "NOT_PR", None, None, None, "N", False,
-        note="neither a positive constant solution nor the columns condition",
+        "PR_COLUMNS", None, partition, const_z, "N", False,
+        note="columns condition plus a constant integer solution",
     )
-
-
-def _partition_certificate(A: RatMatrix, cap: int) -> Optional[Partition]:
-    """Columns-condition certificate; single equations use the J normal form."""
-    if A.m == 1:
-        return _single_equation_partition(list(A.rows[0]))
-    return columns_condition(A, cap)
-
-
-def _single_equation_partition(coeffs: Sequence[Fraction]) -> Optional[Partition]:
-    n = len(coeffs)
-    best = None
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            if sum(coeffs[j] for j in combo) == 0:
-                if any(coeffs[j] != 0 for j in combo) or size == n:
-                    best = combo
-                    break
-        if best is not None:
-            break
-    if best is None:
-        return None
-    rest = tuple(j + 1 for j in range(n) if j not in best)
-    first = tuple(j + 1 for j in best)
-    return (first,) if not rest else (first, rest)
 
 
 def rado_single(

@@ -8,9 +8,12 @@ earlier columns.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prtoolkit.algebra import RatMatrix
 from prtoolkit.equations import LinearSystem, classify, parse_equation_text
@@ -181,15 +184,103 @@ def test_decide_linear_agrees_with_rado_single():
 
 
 def test_certificate_normal_forms():
-    # general enumeration: fewest blocks first, so the full zero-sum column
-    # set wins as a single block
+    # one greedy normal form: the smallest zero-sum set first (ties
+    # lexicographic), then every remaining column once their sum fits
     m = RatMatrix([[2, -2, 1, -1]])
-    assert columns_condition(m) == ((1, 2, 3, 4),)
-    # the single-equation decision instead reports the smallest zero-sum
-    # subset J (ties lexicographic), with the rest as one second block
+    assert columns_condition(m) == ((1, 2), (3, 4))
     v = rado_single((2, -2, 1, -1))
     assert v.partition == ((1, 2), (3, 4))
     assert verify_columns_condition(m, v.partition)
+    # a two-row system gets the same form, not the fewest blocks
+    two = RatMatrix([[-1, 1, -2, 2], [3, -3, -2, 2]])
+    assert columns_condition(two) == ((1, 2), (3, 4))
+    assert decide_linear(linsys(two.rows)).partition == ((1, 2), (3, 4))
+    assert verify_columns_condition(two, ((1, 2), (3, 4)))
+    # a zero column alone sums to zero but cannot open the partition
+    assert columns_condition(RatMatrix([[0, 1, -1]])) == ((2, 3), (1,))
+    assert columns_condition(RatMatrix([[0, 0]])) == ((1, 2),)
+
+
+# --- brute force over ordered set partitions ------------------------------
+
+
+def ordered_partitions(items):
+    # every ordered set partition of `items`: a first block, then the rest
+    if not items:
+        yield ()
+        return
+    for size in range(1, len(items) + 1):
+        for first in itertools.combinations(items, size):
+            rest = [j for j in items if j not in first]
+            for tail in ordered_partitions(rest):
+                yield (first,) + tail
+
+
+def in_rational_span(vectors, target):
+    # reduce by an echelon basis built from `vectors`, over Fractions
+    basis = []
+
+    def reduce(vec):
+        vec = [Fraction(x) for x in vec]
+        for b in basis:
+            lead = next(i for i, x in enumerate(b) if x)
+            f = vec[lead] / b[lead]
+            vec = [x - f * y for x, y in zip(vec, b)]
+        return vec
+
+    for vec in vectors:
+        vec = reduce(vec)
+        if any(vec):
+            basis.append(vec)
+    return not any(reduce(target))
+
+
+def brute_columns_condition(rows):
+    # the definition itself: the first block sums to zero (the span of no
+    # columns) and each later block sum lies in the span of earlier columns
+    cols = list(zip(*rows))
+    for part in ordered_partitions(list(range(len(cols)))):
+        used = []
+        for block in part:
+            total = [sum(col) for col in zip(*(cols[j] for j in block))]
+            if not in_rational_span([cols[j] for j in used], total):
+                break
+            used.extend(block)
+        else:
+            return True
+    return False
+
+
+small_matrices = st.integers(1, 3).flatmap(
+    lambda m: st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=m, max_size=m
+        )
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices)
+def test_columns_condition_matches_brute_force(rows):
+    m = RatMatrix(rows)
+    part = columns_condition(m)
+    assert (part is not None) == brute_columns_condition(rows)
+    if part is not None:
+        assert verify_columns_condition(m, part)
+
+
+def test_wide_single_equation_is_quick():
+    # x0 - x1 + 2*x2 + .. + 19*x19 = 0: 20 columns, past the cap, which a
+    # single equation ignores; {x0, x1} is the first block
+    eq = "x0 - x1 + " + " + ".join("%d*x%d" % (i, i) for i in range(2, 20)) + " = 0"
+    cls = classify(parse_equation_text(eq))
+    t0 = time.monotonic()
+    v = decide_linear(cls)
+    assert time.monotonic() - t0 < 1.0
+    assert v.status == "PR_COLUMNS"
+    assert v.partition[0] == (1, 2)
+    assert verify_columns_condition(cls.matrix, v.partition)
 
 
 def test_multirow_system_pr_example():
