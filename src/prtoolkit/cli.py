@@ -45,6 +45,7 @@ from .polyexp import (
     PolyExpEquation,
     bell_number,
     compute_constants,
+    decide_constant_solution,
     decide_polyexp_pr,
     diagonalize,
     modular_certificate_search,
@@ -431,7 +432,13 @@ def _cmd_certify(args) -> int:
     if not isinstance(cls, PolyExpEquation):
         raise _UsageError("certify expects a polyexponential equation")
     g = diagonalize(cls)
-    cert = modular_certificate_search(g, args.mmax)
+    # a zero of g rules out every modulus, so one is looked for first in
+    # the certified window, as decide does; m_max=1 tries no modulus there
+    try:
+        scan = decide_constant_solution(g, m_max=1)
+    except IncompleteFactorization:  # no window, so the search decides alone
+        scan = ConstantSolutionResult("UNKNOWN")
+    cert = None if scan.status == "FOUND" else modular_certificate_search(g, args.mmax)
     report = {
         "command": "certify",
         "class": class_to_json(cls),
@@ -442,8 +449,10 @@ def _cmd_certify(args) -> int:
     }
     if cert is None:
         report["note"] = (
-            "no modulus up to the cap certifies the sum nonvanishing; "
-            "absence proves nothing"
+            "g(%s) = 0, so no modulus certifies the sum nonvanishing; none was tried"
+            % _num(scan.witness)
+            if scan.status == "FOUND"
+            else "no modulus up to the cap certifies the sum nonvanishing; absence proves nothing"
         )
         _emit(report)
         return EXIT_UNKNOWN

@@ -31,19 +31,23 @@ So the hypothesis holds for every partition exactly when it holds for
 every such pair partition, which takes C(m, 2) rank checks, not Bell(m).
 
 Deciding whether g has an integer zero is done with exact arithmetic
-only: a dominance certificate confines all zeros to a finite window
-which is then scanned, and an independent modular certificate (all
-residues of g nonzero modulo some M coprime to the bases) can confirm
-emptiness a second way.  Every residue comes from one walk, which
-yields g(s) mod M for s = start, start + 1, ... in integers: the window
-filter walks modulo the primes 2^61 - 1 and 2^31 - 1 at once (negative
-s through the integer sum g(-k) * (prod |a_i|)^k) and evaluates g
-exactly only where both residues are 0, which every true zero
-satisfies; the joint modular scan walks modulo the lcm of the live
-moduli; the certificate table and its re-verification walk modulo the
-certificate's modulus.  The dominance thresholds are found by doubling
-and bisection, since each defining inequality is monotone past its
-starting point.
+only, and on integers: ExpSum scales g once to integer coefficients
+(ExpSum.int_terms), and every rule below reads that form.  Fractions
+remain only in ExpSum.eval's result and in the parity parts of a sum
+with bases a and -a, which are Taylor-shifted as UniPolys and scaled
+back to integers by ExpSum.  A dominance certificate confines all zeros
+to a finite window which is then scanned, and an independent modular
+certificate (all residues of g nonzero modulo some M coprime to the
+bases) can confirm emptiness a second way.  Every residue comes from
+one walk, which yields g(s) mod M for s = start, start + 1, ... in
+integers: the window filter walks modulo the primes 2^61 - 1 and
+2^31 - 1 at once (negative s through the integer sum
+g(-k) * (prod |a_i|)^k) and evaluates g exactly only where both
+residues are 0, which every true zero satisfies; the joint modular scan
+walks modulo the lcm of the live moduli; the certificate table and its
+re-verification walk modulo the certificate's modulus.  The dominance
+thresholds are found by doubling and bisection, since each defining
+inequality is monotone past its starting point.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
@@ -86,6 +90,10 @@ _SCAN_MODULUS = ((1 << 61) - 1) * ((1 << 31) - 1)
 # of modular_certificate_search (the lcm of 2..200 has 288 bits), so the
 # cost of one step stays bounded for large m_max.
 _JOINT_BITS = 2048
+
+# One term of an exponential sum on integer coefficients: (base, the
+# coefficients of its polynomial, lowest degree first).
+IntTerm = Tuple[int, Tuple[int, ...]]
 
 
 # ---------------------------------------------------------------------
@@ -160,9 +168,15 @@ class ExpSum:
     polynomials are nonzero with integer coefficients; construction
     merges duplicate bases, drops canceled terms and clears denominators
     by a common positive factor (which preserves the zero set).
+
+    `terms` holds the pairs (a_i, A_i) with A_i a UniPoly, and
+    `int_terms` the same pairs with A_i as its tuple of int coefficients,
+    lowest degree first, computed once here.  The decision rules of this
+    module read `int_terms`; `terms` serves the reports and the Taylor
+    shifts of _branch_pairs.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "int_terms")
 
     def __init__(self, terms: Iterable[Tuple[int, Union[UniPoly, Iterable]]]):
         merged: Dict[int, UniPoly] = {}
@@ -180,12 +194,12 @@ class ExpSum:
         for base in order:
             for c in merged[base].coeffs:
                 den = lcm(den, c.denominator)
-        out = []
-        for base in order:
-            poly = merged[base].scale(den)
-            if not poly.is_zero():
-                out.append((base, poly))
+        out = [(base, merged[base] if den == 1 else merged[base].scale(den))
+               for base in order if not merged[base].is_zero()]
         object.__setattr__(self, "terms", tuple(out))
+        object.__setattr__(
+            self, "int_terms", tuple((b, tuple(c.numerator for c in p.coeffs)) for b, p in out)
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpSum is immutable")
@@ -194,13 +208,19 @@ class ExpSum:
         return not self.terms
 
     def eval(self, s: int) -> Fraction:
-        """g(s), exactly; a^s is not computed where A(s) = 0."""
-        total = Fraction(0)
-        for base, poly in self.terms:
-            c = poly.eval(s)
-            if c:
-                total += Fraction(base) ** s * c
-        return total
+        """g(s), exactly; a^s is not computed where A(s) = 0.
+
+        The numerator is an integer sum: g(s) itself for s >= 0, and for
+        s = -k < 0 the sum g(-k) * (prod |a_i|)^k of _negation_transform,
+        divided by (prod |a_i|)^k in the one Fraction built at the end
+        (no power is formed when the numerator is 0).
+        """
+        if s >= 0:
+            return Fraction(_int_sum(self.int_terms, s))
+        num = _int_sum(_negation_transform(self.int_terms), -s)
+        if not num:
+            return Fraction(0)
+        return Fraction(num, prod(abs(b) for b, _ in self.int_terms) ** -s)
 
     def __eq__(self, other):
         if not isinstance(other, ExpSum):
@@ -451,52 +471,50 @@ class WindowTooWide(ValueError):
     """The certified window would exceed MAX_WINDOW or MAX_THRESHOLD_BITS."""
 
 
-def _int_coeffs(p: UniPoly) -> Tuple[int, ...]:
-    out = []
-    for c in p.coeffs:
-        if c.denominator != 1:
-            raise ValueError("expected integer coefficients, got %r" % (c,))
-        out.append(int(c))
-    return tuple(out)
-
-
 def _abs_eval(coeffs: Sequence[int], t: int) -> int:
     """sum |c_e| * t^e over the nonzero coefficients only."""
     return sum(abs(c) * t ** e for e, c in enumerate(coeffs) if c)
 
 
-def _negation_transform(terms: Sequence[Tuple[int, UniPoly]]) -> List[Tuple[int, UniPoly]]:
-    """Terms of  g(-k) * (prod |a_i|)^k  as an exponential sum in k.
+def _int_sum(terms: Sequence[IntTerm], t: int) -> int:
+    """sum_i b_i^t * C_i(t) over integer terms, t >= 0; b^t is skipped where C(t) = 0."""
+    total = 0
+    for b, coeffs in terms:
+        c = sum(x * t ** e for e, x in enumerate(coeffs) if x)
+        if c:
+            total += b ** t * c
+    return total
+
+
+def _negation_transform(terms: Sequence[IntTerm]) -> List[IntTerm]:
+    """Integer terms of  g(-k) * (prod |a_i|)^k  as an exponential sum in k.
 
     Each base a_i becomes sign(a_i) * prod_{j != i} |a_j| and the
-    coefficient becomes A_i(-k); when the |a_i| are pairwise distinct so
-    are the new absolute bases, and all-positive bases stay positive.
+    coefficient becomes A_i(-k), whose odd coefficients are those of A_i
+    negated; when the |a_i| are pairwise distinct so are the new absolute
+    bases, and all-positive bases stay positive.
     """
-    total = 1
-    for b, _ in terms:
-        total *= abs(b)
-    out = []
-    for b, poly in terms:
-        newbase = (total // abs(b)) * (1 if b > 0 else -1)
-        out.append((newbase, poly.compose_linear(-1, 0)))
-    return out
+    total = prod(abs(b) for b, _ in terms)
+    return [
+        ((total // abs(b)) * (1 if b > 0 else -1),
+         tuple(-c if e % 2 else c for e, c in enumerate(coeffs)))
+        for b, coeffs in terms
+    ]
 
 
 # The rules of a branch certificate.  dominance_bound finds its thresholds
 # with them and verify_dominance rechecks them, so each is stated once.
 
 
-def _ordered(
-    terms: Sequence[Tuple[int, UniPoly]]
-) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+def _ordered(terms: Sequence[IntTerm]) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
     """A branch's bases and integer coefficients, by decreasing |base|."""
     ordered = sorted(terms, key=lambda t: abs(t[0]), reverse=True)
-    return tuple(b for b, _ in ordered), tuple(_int_coeffs(p) for _, p in ordered)
+    return tuple(b for b, _ in ordered), tuple(c for _, c in ordered)
 
 
-def _largest_root(poly: UniPoly) -> int:
+def _largest_root(coeffs: Sequence[int]) -> int:
     """The least threshold of a "single" branch: its largest root >= 0, or 0."""
-    return max([r for r in integer_roots(poly) if r >= 0], default=0)
+    return max([r for r in integer_roots(UniPoly(coeffs)) if r >= 0], default=0)
 
 
 def _ratio_tests(
@@ -523,9 +541,7 @@ def _ratio_tests(
     )
 
 
-def _branch(
-    terms: Sequence[Tuple[int, UniPoly]], parity: str, direction: str
-) -> BranchCertificate:
+def _branch(terms: Sequence[IntTerm], parity: str, direction: str) -> BranchCertificate:
     bases, coeffs = _ordered(terms)
     if len(bases) == 1:
         return BranchCertificate(
@@ -539,7 +555,7 @@ def _branch(
     return BranchCertificate(parity, direction, bases, coeffs, "ratio", T, t1, tstar)
 
 
-def _branch_holds(br: BranchCertificate, terms: Sequence[Tuple[int, UniPoly]]) -> bool:
+def _branch_holds(br: BranchCertificate, terms: Sequence[IntTerm]) -> bool:
     """Whether br certifies the branch sum of `terms`, rechecked exactly.
 
     A "ratio" branch passes its tests at t1, at tstar, and at T, T + 1
@@ -601,9 +617,7 @@ def _least(holds: Callable[[int], bool], start: int, limit: int) -> int:
     return hi
 
 
-def _branch_pairs(
-    g: ExpSum,
-) -> Tuple[Dict[Tuple[str, str], Sequence[Tuple[int, UniPoly]]], Tuple[str, ...]]:
+def _branch_pairs(g: ExpSum) -> Tuple[Dict[Tuple[str, str], Sequence[IntTerm]], Tuple[str, ...]]:
     """The branch sums a dominance certificate of g covers, and its zero parities.
 
     Returns ({(parity, direction): terms}, zero_parities).  When all
@@ -611,19 +625,20 @@ def _branch_pairs(
     Otherwise the even part, in t with s = 2t, and the odd part, with
     s = 2t + 1, are treated separately: bases a and -a merge into a^2
     there, and that is the only way distinct integer bases can collide
-    in absolute value.  A part that vanishes is a zero parity; any other
-    part has a "plus" branch, its own terms, and a "minus" branch, their
-    _negation_transform.
+    in absolute value; each part is an ExpSum, so it merges them, and its
+    integer terms are read.  A part that vanishes is a zero parity; any
+    other part has a "plus" branch, its own terms, and a "minus" branch,
+    their _negation_transform.
     """
-    abs_bases = [abs(b) for b, _ in g.terms]
+    abs_bases = [abs(b) for b, _ in g.int_terms]
     if len(set(abs_bases)) == len(abs_bases):
-        parts = [("all", g.terms)]
+        parts = [("all", g.int_terms)]
     else:
         parts = [
-            ("even", ExpSum((b * b, p.compose_linear(2, 0)) for b, p in g.terms).terms),
-            ("odd", ExpSum((b * b, p.compose_linear(2, 1).scale(b)) for b, p in g.terms).terms),
+            ("even", ExpSum((b * b, p.compose_linear(2, 0)) for b, p in g.terms).int_terms),
+            ("odd", ExpSum((b * b, p.compose_linear(2, 1).scale(b)) for b, p in g.terms).int_terms),
         ]
-    sums: Dict[Tuple[str, str], Sequence[Tuple[int, UniPoly]]] = {}
+    sums: Dict[Tuple[str, str], Sequence[IntTerm]] = {}
     for parity, terms in parts:
         if terms:
             sums[(parity, "plus")] = terms
@@ -710,28 +725,27 @@ def _modular_period(g: ExpSum, m: int, cap: Optional[int] = None) -> Optional[in
     """
     period = 1
     bound = m if cap is None else cap
-    for base, poly in g.terms:
+    for base, coeffs in g.int_terms:
         k, t = 1, base % m
         while t != 1 and k <= bound:
             k, t = k + 1, t * base % m
         if t != 1 and cap is None:
             raise ValueError("base %d is not invertible modulo %d" % (base, m))
-        period = lcm(period, k, m if poly.degree >= 1 else 1)
+        period = lcm(period, k, m if len(coeffs) > 1 else 1)
         if cap is not None and period > cap:
             return None
     return period
 
 
-def _horner(terms: Sequence[Tuple[int, UniPoly]]) -> List[tuple]:
-    """Per term of a sum of base^s * C(s), the (base, c, steps) that _walk reads.
+def _horner(terms: Sequence[IntTerm]) -> List[tuple]:
+    """Per integer term of a sum of base^s * C(s), the (base, c, steps) that _walk reads.
 
     Horner over C's nonzero coefficients, highest exponent first: a starts
     at the leading coefficient c, each step (gap, c_e) makes a = a * s^gap
     + c_e, and a last step (e, 0) follows when the lowest exponent e is > 0.
     """
     plan = []
-    for base, poly in terms:
-        coeffs = _int_coeffs(poly)
+    for base, coeffs in terms:
         exps = [e for e, c in enumerate(coeffs) if c][::-1]
         steps = [(e - f, coeffs[f]) for e, f in zip(exps, exps[1:])]
         if exps[-1]:
@@ -785,17 +799,15 @@ def modular_certificate_search(
     """
     if g.is_zero():
         return None
-    product = 1
-    for base, _ in g.terms:
-        product *= base
-    if max_period is not None and any(p.degree >= 1 for _, p in g.terms):
+    product = prod(base for base, _ in g.int_terms)
+    if max_period is not None and any(len(c) > 1 for _, c in g.int_terms):
         m_max = min(m_max, max_period)  # the period is a multiple of m
     moduli = (
         m for m in range(2, m_max + 1)
         if gcd(product, m) == 1
         and (max_period is None or _modular_period(g, m, max_period) is not None)
     )
-    plan = _horner(g.terms)
+    plan = _horner(g.int_terms)
     for block in _blocks(moduli):
         found = _least_surviving(g, plan, block)
         if found is not None:
@@ -862,7 +874,7 @@ def verify_modular(g: ExpSum, cert: ModularCertificate) -> bool:
     m, period = cert.modulus, cert.period
     if m < 2 or any(gcd(base, m) != 1 for base, _ in g.terms) or period != _modular_period(g, m):
         return False
-    values = [v % m for v in islice(_walk(_horner(g.terms), m, 0), 2 * period)]
+    values = [v % m for v in islice(_walk(_horner(g.int_terms), m, 0), 2 * period)]
     first, second = values[:period], values[period:]
     return tuple(first) == cert.residues and 0 not in first and second == first
 
@@ -911,9 +923,10 @@ def _zeros_between(g: ExpSum, lo: int, hi: int) -> List[int]:
 
     candidates = []
     if lo < 0:
-        candidates += [-k for k in reversed(hits(_negation_transform(g.terms), max(1, -hi), -lo))]
+        negated = _negation_transform(g.int_terms)
+        candidates += [-k for k in reversed(hits(negated, max(1, -hi), -lo))]
     if hi >= 0:
-        candidates += hits(g.terms, max(0, lo), hi)
+        candidates += hits(g.int_terms, max(0, lo), hi)
     return [s for s in candidates if g.eval(s) == 0]
 
 

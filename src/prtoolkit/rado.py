@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from .algebra import RatMatrix, UniPoly, constant_solutions, least_witness, matrix_rank
 from .equations import LinearSystem
@@ -66,7 +66,9 @@ def columns_condition(
 
     Each block search tries subsets of the remaining columns by size,
     summing each candidate afresh, so it is exponential in the number
-    of columns; it refuses to run past `cap` columns.
+    of columns; it refuses to run past `cap` columns.  A single row with
+    no zero-sum subset of its nonzero entries is refused first, from its
+    table of reachable subset sums, when that table is the smaller.
     """
     n = matrix.n
     if n > cap:
@@ -115,6 +117,8 @@ def _next_block(rows: List[List[int]], rest: List[int], first: bool) -> Optional
         nonzero = {j for j in rest if any(row[j] for row in rows)}
         if not nonzero:
             return tuple(rest)
+        if len(rows) == 1 and _zero_sum_ruled_out([rows[0][j] for j in nonzero]):
+            return None
     elif _fits(rows, rest):
         return tuple(rest)
     for size in range(1, len(rest) + 1):
@@ -122,6 +126,25 @@ def _next_block(rows: List[List[int]], rest: List[int], first: bool) -> Optional
             if _fits(rows, block) and (not first or not nonzero.isdisjoint(block)):
                 return block
     return None
+
+
+def _zero_sum_ruled_out(values: List[int]) -> bool:
+    """Whether no nonempty subset of the nonzero `values` sums to 0, by a table.
+
+    The table is the set of reachable nonempty subset sums, built one
+    value at a time.  Every sum lies within +-sum|v|, so it never holds
+    more than min(2^n, 2 sum|v| + 1) entries.  When 2 sum|v| + 1 exceeds
+    2^n it would be no smaller than the subset walk of _next_block, so
+    none is built and the answer is False, as it is once 0 is reached.
+    """
+    if 2 * sum(map(abs, values)) + 1 > 1 << len(values):
+        return False
+    sums: Set[int] = set()
+    for v in values:
+        sums |= {v} | {x + v for x in sums}
+        if 0 in sums:
+            return False
+    return True
 
 
 def verify_columns_condition(matrix: RatMatrix, partition: Sequence[Sequence[int]]) -> bool:

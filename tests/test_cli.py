@@ -365,6 +365,26 @@ def test_certify_absent_is_unknown_exit(capsys):
     assert rep["found"] is False
 
 
+def test_certify_on_a_sum_with_a_zero_runs_no_search(capsys):
+    # g(1) = 0, so no modulus can certify the sum: the window scan finds
+    # the zero and the search over 10^9 moduli is not run
+    t0 = time.monotonic()
+    code, rep = run_cli(capsys, "certify", "--expr", "2^x - 2 = 0", "--mmax", "1000000000")
+    assert time.monotonic() - t0 < 1.0
+    assert (code, rep["found"]) == (2, False)
+    assert rep["note"].startswith("g(1) = 0, ")
+    assert "certificate" not in rep
+
+
+def test_certify_searches_when_the_window_needs_an_incomplete_factorization(capsys):
+    # the roots of the one coefficient need 1000000016000000063 factored,
+    # beyond the budget: no window, so the search runs as before
+    code, rep = run_cli(capsys, "certify", "--expr", "(x - 1000000007)*(x - 1000000009)*2^x = 0",
+                        "--mmax", "50")
+    assert (code, rep["found"]) == (2, False)
+    assert rep["note"].startswith("no modulus up to the cap")
+
+
 def test_rank(capsys):
     code, rep = run_cli(capsys, "rank", "--group=-1,2,3/5")
     assert code == 0

@@ -442,7 +442,7 @@ def test_modular_certificate_examples():
 
 def walk_residues(g, M, start, count):
     """g(start), ..., g(start + count - 1) mod M, read from the walk."""
-    return [v % M for v in islice(polyexp._walk(polyexp._horner(g.terms), M, start), count)]
+    return [v % M for v in islice(polyexp._walk(polyexp._horner(g.int_terms), M, start), count)]
 
 
 def test_residues_match_exact_values():
@@ -547,8 +547,13 @@ def test_decide_against_brute_force():
             assert verify_modular(g, res.modular)
 
 
+def fraction_eval(g, s):
+    """g(s) on Fractions, from the UniPoly terms, apart from ExpSum.eval."""
+    return sum((Fraction(b) ** s * p.eval(s) for b, p in g.terms), Fraction(0))
+
+
 def fraction_scan(g, lo, hi):
-    return [s for s in range(lo, hi + 1) if g.eval(s) == 0]
+    return [s for s in range(lo, hi + 1) if fraction_eval(g, s) == 0]
 
 
 def planted_sum(rng, s0):
@@ -597,6 +602,61 @@ def test_window_scan_matches_fraction_scan():
         planted_negative += any(s < 0 for s in want)
         families += len(want) >= 10
     assert planted_negative >= 60 and families >= 3
+
+
+def reference_branch_pairs(g):
+    """The branch sums of g built on UniPoly terms: the Taylor shifts by
+    compose_linear, read as integers only at the end."""
+    def ints(terms):
+        return [(b, tuple(int(c) for c in p.coeffs)) for b, p in terms]
+
+    abs_bases = [abs(b) for b, _ in g.terms]
+    if len(set(abs_bases)) == len(abs_bases):
+        parts = [("all", g.terms)]
+    else:
+        parts = [
+            ("even", ExpSum((b * b, p.compose_linear(2, 0)) for b, p in g.terms).terms),
+            ("odd", ExpSum((b * b, p.compose_linear(2, 1).scale(b)) for b, p in g.terms).terms),
+        ]
+    sums = {}
+    for parity, terms in parts:
+        if terms:
+            total = 1
+            for b, _ in terms:
+                total *= abs(b)
+            sums[(parity, "plus")] = ints(terms)
+            sums[(parity, "minus")] = ints(
+                ((total // abs(b)) * (1 if b > 0 else -1), p.compose_linear(-1, 0)) for b, p in terms
+            )
+    return sums, tuple(parity for parity, terms in parts if not terms)
+
+
+@st.composite
+def small_sums(draw):
+    """Bases in +-13, a and -a both present half the time, degree <= 3."""
+    bases = draw(st.lists(st.integers(-13, 13).filter(bool), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        a = draw(st.integers(1, 13))
+        bases = [b for b in bases if abs(b) != a] + [a, -a]
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3)))
+    return ExpSum(
+        (b, UniPoly(draw(st.lists(coeff, min_size=1, max_size=4)))) for b in bases
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_sums())
+def test_integer_form_matches_fraction_reference(g):
+    assert g.int_terms == tuple((b, tuple(int(c) for c in p.coeffs)) for b, p in g.terms)
+    assert all(fraction_eval(g, s) == g.eval(s) for s in range(-30, 31))
+    if g.is_zero():
+        return
+    sums, zero_parities = polyexp._branch_pairs(g)
+    assert ({k: list(v) for k, v in sums.items()}, zero_parities) == reference_branch_pairs(g)
+    res = decide_constant_solution(g)
+    if res.window is not None:
+        lo, hi = res.window
+        assert list(res.solutions_in_window) == fraction_scan(g, lo, hi)
 
 
 def test_constant_solution_scan_reports_planted_zeros():
@@ -728,10 +788,7 @@ def per_modulus_search(g, m_max, max_period=None):
         period = polyexp._modular_period(g, m)
         if max_period is not None and period > max_period:
             continue
-        terms = [
-            (base % m, [int(c) % m for c in reversed(polyexp._int_coeffs(poly))])
-            for base, poly in g.terms
-        ]
+        terms = [(base % m, [c % m for c in reversed(coeffs)]) for base, coeffs in g.int_terms]
         powers = [1] * len(terms)
         residues = []
         for s in range(period):

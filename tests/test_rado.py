@@ -283,6 +283,15 @@ def test_wide_single_equation_is_quick():
     assert verify_columns_condition(cls.matrix, v.partition)
 
 
+def test_wide_single_equation_without_zero_sum_is_quick():
+    # x1 + 2*x2 + .. + 40*x40 = 0: no subset of the coefficients sums to
+    # zero, which its 820 reachable subset sums show without the 2^40 walk
+    t0 = time.monotonic()
+    v = rado_single(range(1, 41))
+    assert time.monotonic() - t0 < 1.0
+    assert (v.status, v.partition) == ("NOT_PR", None)
+
+
 def test_multirow_system_pr_example():
     # x - y = 0 and y - z = 0 force x = y = z: all-constant, trivially PR
     v = decide_linear(linsys([[1, -1, 0], [0, 1, -1]]))
