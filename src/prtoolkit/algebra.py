@@ -7,9 +7,11 @@ results are reproducible bit for bit.
 
 Multivariate polynomials are sparse dictionaries mapping exponent tuples
 to nonzero rational coefficients; univariate polynomials are dense
-coefficient tuples.  Matrix rank is computed by fraction-free elimination
-with a deterministic pivot rule (leftmost column, topmost nonzero row),
-so certificates built on top of it are reproducible.
+coefficient tuples.  Matrix rank and rado.columns_condition share one
+fraction-free (Bareiss) step on integer rows.  Its pivot rule: pivoting
+out column j removes the topmost row with a nonzero entry there and
+clears column j from the other rows.  matrix_rank pivots the columns out
+left to right, so certificates built on it are reproducible.
 
 All classes here are immutable after construction and safe to share
 across threads.
@@ -18,7 +20,7 @@ across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -361,37 +363,6 @@ class UniPoly:
         c = _as_fraction(c)
         return UniPoly([c * v for v in self.coeffs])
 
-    def compose_linear(self, a: Rat, b: Rat) -> "UniPoly":
-        """Return self(a*w + b), by the binomial expansion over the integers.
-
-        With b = 0 the coefficients are just c_k * a^k.  Otherwise write
-        c_k = n_k / D and a*w + b = (A*w + B) / L with integers; then
-        coefficient j is A^j * sum_{k>=j} n_k C(k, j) B^(k-j) L^(d-k),
-        divided by D * L^d, where d is the degree.
-        """
-        if not self.coeffs or b == 0:
-            return UniPoly([c * _as_fraction(a) ** k for k, c in enumerate(self.coeffs)])
-        a, b = _as_fraction(a), _as_fraction(b)
-        L = a.denominator * b.denominator
-        A = a.numerator * b.denominator
-        B = b.numerator * a.denominator
-        D = lcm(*(c.denominator for c in self.coeffs))
-        n = [c.numerator * (D // c.denominator) for c in self.coeffs]
-        d = len(n) - 1
-        bpow = [1] * (d + 1)
-        lpow = [1] * (d + 1)
-        for k in range(1, d + 1):
-            bpow[k] = bpow[k - 1] * B
-            lpow[k] = lpow[k - 1] * L
-        den = D * lpow[d]
-        out = []
-        apow = 1
-        for j in range(d + 1):
-            total = sum(n[k] * comb(k, j) * bpow[k - j] * lpow[d - k] for k in range(j, d + 1))
-            out.append(Fraction(apow * total, den))
-            apow *= A
-        return UniPoly(out)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -441,39 +412,8 @@ class RatMatrix:
         return tuple(row[j] for row in self.rows)
 
     def rank(self) -> int:
-        """Rank by fraction-free (Bareiss) elimination.
-
-        Pivot rule: leftmost column, topmost row with a nonzero entry.
-        Rows are first scaled to integers (rank-preserving), after which
-        all intermediate divisions are exact.
-        """
-        work: List[List[int]] = []
-        for row in self.rows:
-            den = lcm(*(x.denominator for x in row))
-            work.append([int(x * den) for x in row])
-        m, n = len(work), self.n
-        rank = 0
-        col = 0
-        prev = 1
-        while rank < m and col < n:
-            piv = None
-            for i in range(rank, m):
-                if work[i][col] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                col += 1
-                continue
-            work[rank], work[piv] = work[piv], work[rank]
-            p = work[rank][col]
-            for i in range(rank + 1, m):
-                f = work[i][col]
-                for j in range(col, n):
-                    work[i][j] = (p * work[i][j] - f * work[rank][j]) // prev
-            prev = p
-            rank += 1
-            col += 1
-        return rank
+        """Rank by the fraction-free elimination of matrix_rank."""
+        return matrix_rank(self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
@@ -492,11 +432,49 @@ class RatMatrix:
 # -- functions over the classes above ------------------------------------
 
 
+def _clear_denominators(values: Iterable[Rat]) -> List[int]:
+    """`values` times the lcm of their denominators, as ints.
+
+    A row so scaled keeps every linear relation between columns, and a
+    polynomial so scaled keeps its roots.
+    """
+    vals = list(values)
+    den = lcm(*(x.denominator for x in vals))
+    return [x.numerator * (den // x.denominator) for x in vals]
+
+
+def _pivot_out(rows: List[List[int]], j: int, prev: int) -> int:
+    """One Bareiss step on the int `rows`, in place: the pivot, or 0 if none.
+
+    The topmost row with an entry p != 0 in column j is removed, and every
+    other row r becomes (p r - r[j] pivot) / prev, zero in column j.  With
+    prev the previous pivot (1 at first) the division is exact (Bareiss).
+    """
+    i = next((i for i, row in enumerate(rows) if row[j]), None)
+    if i is None:
+        return 0
+    pivot = rows.pop(i)
+    p = pivot[j]
+    for row in rows:
+        f = row[j]
+        row[:] = [(p * x - f * y) // prev for x, y in zip(row, pivot)]
+    return p
+
+
 def matrix_rank(mat) -> int:
-    """Rank of a RatMatrix or of a plain sequence of rows."""
-    if not isinstance(mat, RatMatrix):
-        mat = RatMatrix([list(row) for row in mat])
-    return mat.rank()
+    """Rank of a RatMatrix or of a sequence of int or Fraction rows.
+
+    Each row is scaled to integers on its own, and the columns are pivoted
+    out left to right; each pivot removes one row.
+    """
+    rows = [_clear_denominators(r) for r in (mat.rows if isinstance(mat, RatMatrix) else mat)]
+    m, width = len(rows), len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged rows")
+    prev = 1
+    for j in range(width):
+        prev = _pivot_out(rows, j, prev) or prev
+    return m - len(rows)
 
 
 def integer_roots(p: UniPoly, budget: int = DEFAULT_FACTOR_BUDGET) -> List[int]:
@@ -510,8 +488,7 @@ def integer_roots(p: UniPoly, budget: int = DEFAULT_FACTOR_BUDGET) -> List[int]:
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every integer as a root")
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
+    ints = _clear_denominators(p.coeffs)
     k = 0
     while ints[k] == 0:
         k += 1

@@ -43,6 +43,7 @@ from .polyexp import (
     HypothesisReport,
     ModularCertificate,
     PolyExpEquation,
+    _StepBudgetSpent,
     bell_number,
     compute_constants,
     decide_constant_solution,
@@ -101,7 +102,8 @@ def _build_parser() -> _Parser:
     d = sub.add_parser("decide", help="decide partition regularity")
     add_input(d)
     d.add_argument("--domain", choices=["N", "Z"], default="N")
-    d.add_argument("--group", help="comma-separated generators: decide over this subgroup of Q*")
+    d.add_argument("--group", help="comma-separated generators: decide over this subgroup of Q*, "
+                   "e.g. --group=-1,2,3/5")
     d.add_argument("--bound", type=int, help="user search bound for the constant-solution scan")
     d.add_argument("--mmax", type=int, default=DEFAULT_MODULUS_CAP,
                    help="modulus cap for a modular certificate of period <= window width")
@@ -127,7 +129,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--mmax", type=int, default=DEFAULT_MODULUS_CAP)
 
     r = sub.add_parser("rank", help="rank and bounds for a subgroup of Q*")
-    r.add_argument("--group", required=True, help="comma-separated generators, e.g. '-1,2,3/5'")
+    r.add_argument("--group", required=True, help="comma-separated generators, e.g. --group=-1,2,3/5")
 
     b = sub.add_parser("bound", help="solution-count bound for a polyexponential equation")
     add_input(b)
@@ -438,7 +440,15 @@ def _cmd_certify(args) -> int:
         scan = decide_constant_solution(g, m_max=1)
     except IncompleteFactorization:  # no window, so the search decides alone
         scan = ConstantSolutionResult("UNKNOWN")
-    cert = None if scan.status == "FOUND" else modular_certificate_search(g, args.mmax)
+    cert, note = None, None
+    if scan.status == "FOUND":
+        note = "g(%s) = 0, so no modulus certifies the sum nonvanishing; none was tried" % (
+            _num(scan.witness))
+    else:
+        try:
+            cert = modular_certificate_search(g, args.mmax)
+        except _StepBudgetSpent as e:
+            note = "%s; absence proves nothing" % e
     report = {
         "command": "certify",
         "class": class_to_json(cls),
@@ -448,12 +458,8 @@ def _cmd_certify(args) -> int:
         "time_ms": int((time.monotonic() - t0) * 1000),
     }
     if cert is None:
-        report["note"] = (
-            "g(%s) = 0, so no modulus certifies the sum nonvanishing; none was tried"
-            % _num(scan.witness)
-            if scan.status == "FOUND"
-            else "no modulus up to the cap certifies the sum nonvanishing; absence proves nothing"
-        )
+        report["note"] = note or (
+            "no modulus up to the cap certifies the sum nonvanishing; absence proves nothing")
         _emit(report)
         return EXIT_UNKNOWN
     if not verify_modular(g, cert):

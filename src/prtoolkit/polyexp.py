@@ -32,14 +32,14 @@ every such pair partition, which takes C(m, 2) rank checks, not Bell(m).
 
 Deciding whether g has an integer zero is done with exact arithmetic
 only, and on integers: ExpSum scales g once to integer coefficients
-(ExpSum.int_terms), and every rule below reads that form.  Fractions
-remain only in ExpSum.eval's result and in the parity parts of a sum
-with bases a and -a, which are Taylor-shifted as UniPolys and scaled
-back to integers by ExpSum.  A dominance certificate confines all zeros
-to a finite window which is then scanned, and an independent modular
-certificate (all residues of g nonzero modulo some M coprime to the
-bases) can confirm emptiness a second way.  Every residue comes from
-one walk, which yields g(s) mod M for s = start, start + 1, ... in
+(ExpSum.int_terms), and every rule below reads that form, the parity
+parts of a sum with bases a and -a included.  The character-group rank
+is taken on the integer valuation rows themselves, so Fractions remain
+only in ExpSum.eval and polyexp_eval.  A dominance certificate confines
+all zeros to a finite window which is then scanned, and an independent
+modular certificate (all residues of g nonzero modulo some M coprime to
+the bases) can confirm emptiness a second way.  Every residue comes
+from one walk, which yields g(s) mod M for s = start, start + 1, ... in
 integers: the window filter walks modulo the primes 2^61 - 1 and
 2^31 - 1 at once (negative s through the integer sum
 g(-k) * (prod |a_i|)^k) and evaluates g exactly only where both
@@ -55,7 +55,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, islice
+from itertools import combinations, count, islice, zip_longest
 from math import comb, gcd, lcm, prod
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -63,11 +63,11 @@ from .algebra import (
     DEFAULT_FACTOR_BUDGET,
     IncompleteFactorization,
     MultiPoly,
-    RatMatrix,
     UniPoly,
     factor_integer,
     integer_roots,
     least_witness,
+    matrix_rank,
 )
 
 DEFAULT_PARTITION_CAP = 12
@@ -90,6 +90,13 @@ _SCAN_MODULUS = ((1 << 61) - 1) * ((1 << 31) - 1)
 # of modular_certificate_search (the lcm of 2..200 has 288 bits), so the
 # cost of one step stays bounded for large m_max.
 _JOINT_BITS = 2048
+
+# Walk steps of modular_certificate_search, summed over its blocks.  A
+# modulus m may walk m steps to its first zero, so a sum with a zero modulo
+# every m costs about m_max^2 steps, each about 13 us at _JOINT_BITS bits
+# for one term of degree 6 (Intel Xeon, Python 3.11).  Every period modulo
+# m <= 200 is below 40,000, so the default m_max never reaches the budget.
+_SEARCH_STEPS = 1 << 18
 
 # One term of an exponential sum on integer coefficients: (base, the
 # coefficients of its polynomial, lowest degree first).
@@ -172,8 +179,7 @@ class ExpSum:
     `terms` holds the pairs (a_i, A_i) with A_i a UniPoly, and
     `int_terms` the same pairs with A_i as its tuple of int coefficients,
     lowest degree first, computed once here.  The decision rules of this
-    module read `int_terms`; `terms` serves the reports and the Taylor
-    shifts of _branch_pairs.
+    module read `int_terms`; `terms` serves the reports.
     """
 
     __slots__ = ("terms", "int_terms")
@@ -190,10 +196,7 @@ class ExpSum:
             else:
                 merged[base] = poly
                 order.append(base)
-        den = 1
-        for base in order:
-            for c in merged[base].coeffs:
-                den = lcm(den, c.denominator)
+        den = lcm(*(c.denominator for p in merged.values() for c in p.coeffs))
         out = [(base, merged[base] if den == 1 else merged[base].scale(den))
                for base in order if not merged[base].is_zero()]
         object.__setattr__(self, "terms", tuple(out))
@@ -341,24 +344,12 @@ def character_group_trivial(
 
     rows: List[List[int]] = []
     for block in partition:
-        block = list(block)
-        for a in range(len(block)):
-            for b in range(a + 1, len(block)):
-                i, j = block[a], block[b]
-                primes = set()
-                for k in range(n):
-                    primes.update(vals(chars[i][k]))
-                    primes.update(vals(chars[j][k]))
-                for p in sorted(primes):
-                    rows.append(
-                        [
-                            vals(chars[i][k]).get(p, 0) - vals(chars[j][k]).get(p, 0)
-                            for k in range(n)
-                        ]
-                    )
-    if not rows:
-        return False  # no pair constraints: G = Z^n, never trivial for n >= 1
-    return RatMatrix(rows).rank() == n
+        for i, j in combinations(block, 2):
+            pairs = [(vals(x), vals(y)) for x, y in zip(chars[i], chars[j])]
+            primes = sorted({p for u, v in pairs for p in (*u, *v)})
+            rows += [[u.get(p, 0) - v.get(p, 0) for u, v in pairs] for p in primes]
+    # no rows (no pair constraints) means G = Z^n, never trivial for n >= 1
+    return matrix_rank(rows) == n
 
 
 def mutually_coprime(characters: Sequence[Tuple[int, ...]]) -> Tuple[bool, bool]:
@@ -469,6 +460,10 @@ class DominanceCertificate:
 
 class WindowTooWide(ValueError):
     """The certified window would exceed MAX_WINDOW or MAX_THRESHOLD_BITS."""
+
+
+class _StepBudgetSpent(Exception):
+    """modular_certificate_search walked _SEARCH_STEPS steps without an answer."""
 
 
 def _abs_eval(coeffs: Sequence[int], t: int) -> int:
@@ -623,21 +618,17 @@ def _branch_pairs(g: ExpSum) -> Tuple[Dict[Tuple[str, str], Sequence[IntTerm]], 
     Returns ({(parity, direction): terms}, zero_parities).  When all
     absolute bases are distinct the single part "all" is g itself.
     Otherwise the even part, in t with s = 2t, and the odd part, with
-    s = 2t + 1, are treated separately: bases a and -a merge into a^2
-    there, and that is the only way distinct integer bases can collide
-    in absolute value; each part is an ExpSum, so it merges them, and its
-    integer terms are read.  A part that vanishes is a zero parity; any
-    other part has a "plus" branch, its own terms, and a "minus" branch,
-    their _negation_transform.
+    s = 2t + 1, are treated separately (_parity_part): bases a and -a
+    merge into a^2 there, and that is the only way distinct integer bases
+    can collide in absolute value.  A part that vanishes is a zero
+    parity; any other part has a "plus" branch, its own terms, and a
+    "minus" branch, their _negation_transform.
     """
     abs_bases = [abs(b) for b, _ in g.int_terms]
     if len(set(abs_bases)) == len(abs_bases):
         parts = [("all", g.int_terms)]
     else:
-        parts = [
-            ("even", ExpSum((b * b, p.compose_linear(2, 0)) for b, p in g.terms).int_terms),
-            ("odd", ExpSum((b * b, p.compose_linear(2, 1).scale(b)) for b, p in g.terms).int_terms),
-        ]
+        parts = [(parity, _parity_part(g.int_terms, parity == "odd")) for parity in ("even", "odd")]
     sums: Dict[Tuple[str, str], Sequence[IntTerm]] = {}
     for parity, terms in parts:
         if terms:
@@ -646,6 +637,27 @@ def _branch_pairs(g: ExpSum) -> Tuple[Dict[Tuple[str, str], Sequence[IntTerm]], 
     if not sums:
         raise ValueError("nonzero exponential sum cannot vanish on all of Z")
     return sums, tuple(parity for parity, terms in parts if not terms)
+
+
+def _parity_part(terms: Sequence[IntTerm], odd: bool) -> List[IntTerm]:
+    """The integer terms of g(2t), or of g(2t + 1) when `odd`, as a sum in t.
+
+    b^s * sum_k c_k s^k becomes (b^2)^t times sum_k c_k 2^k t^k, or times
+    b * sum_j (sum_{k>=j} c_k C(k, j)) 2^j t^j.  Terms with a common new
+    base merge, in order of first appearance, and canceled ones drop out.
+    """
+    merged: Dict[int, List[int]] = {}
+    for b, coeffs in terms:
+        if odd:
+            shifted = [b * sum(c * comb(k, j) for k, c in enumerate(coeffs[j:], j)) << j
+                       for j in range(len(coeffs))]
+        else:
+            shifted = [c << k for k, c in enumerate(coeffs)]
+        total = [x + y for x, y in zip_longest(merged.get(b * b, ()), shifted, fillvalue=0)]
+        while total and not total[-1]:
+            total.pop()
+        merged[b * b] = total
+    return [(base, tuple(total)) for base, total in merged.items() if total]
 
 
 def dominance_bound(g: ExpSum) -> DominanceCertificate:
@@ -796,6 +808,8 @@ def modular_certificate_search(
     decide_constant_solution passes its window width W as `max_period`:
     only periods <= W are tried, since a longer one costs more to check
     than the window scan it duplicates.  `certify` runs the full search.
+    Either way the walk steps of all blocks together are charged against
+    _SEARCH_STEPS, and _StepBudgetSpent is raised when they run out.
     """
     if g.is_zero():
         return None
@@ -808,8 +822,9 @@ def modular_certificate_search(
         and (max_period is None or _modular_period(g, m, max_period) is not None)
     )
     plan = _horner(g.int_terms)
+    steps = count(1)
     for block in _blocks(moduli):
-        found = _least_surviving(g, plan, block)
+        found = _least_surviving(g, plan, block, steps)
         if found is not None:
             m, period = found
             residues = tuple(v % m for v in islice(_walk(plan, m, 0), period))
@@ -835,13 +850,16 @@ def _blocks(moduli: Iterable[int]) -> Iterator[List[int]]:
         yield block
 
 
-def _least_surviving(g: ExpSum, plan: List[tuple], moduli: List[int]) -> Optional[Tuple[int, int]]:
+def _least_surviving(
+    g: ExpSum, plan: List[tuple], moduli: List[int], steps: Iterator[int]
+) -> Optional[Tuple[int, int]]:
     """(least m in `moduli` with no zero of g mod m over its period, that period).
 
     `moduli` ascend and are coprime to every base; None when every one
     of them has a zero.  The values come from one walk modulo the lcm Q
     of the live moduli (`plan` is g's _horner plan), restarted at the
-    next s modulo the new Q whenever Q is rebuilt.
+    next s modulo the new Q whenever Q is rebuilt.  Each step draws a
+    count from `steps`; one past _SEARCH_STEPS raises _StepBudgetSpent.
     """
     live = list(moduli)
     Q = lcm(*live)
@@ -850,6 +868,9 @@ def _least_surviving(g: ExpSum, plan: List[tuple], moduli: List[int]) -> Optiona
     s = 0
     while True:
         for v in _walk(plan, Q, s):
+            if next(steps) > _SEARCH_STEPS:
+                raise _StepBudgetSpent("the modular search spent its step budget of %d walk "
+                                       "steps with modulus %d still open" % (_SEARCH_STEPS, live[0]))
             G = gcd(v, Q)
             s += 1
             if G >= live[0]:
@@ -987,7 +1008,10 @@ def decide_constant_solution(
             "FOUND", least_witness(list(zeros) + family_reps), tuple(zeros), families,
             window=window, dominance=cert,
         )
-    modular = modular_certificate_search(g, m_max, max_period=window[1] - window[0] + 1)
+    try:
+        modular = modular_certificate_search(g, m_max, max_period=window[1] - window[0] + 1)
+    except _StepBudgetSpent:  # a second proof only: the window scan has decided
+        modular = None
     if modular is not None and not verify_modular(g, modular):
         raise RuntimeError("internal error: modular certificate failed re-verification")
     return ConstantSolutionResult(

@@ -32,10 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
-from .algebra import RatMatrix, UniPoly, constant_solutions, least_witness, matrix_rank
+from .algebra import (
+    RatMatrix,
+    UniPoly,
+    _clear_denominators,
+    _pivot_out,
+    constant_solutions,
+    least_witness,
+    matrix_rank,
+)
 from .equations import LinearSystem
 
 Partition = Tuple[Tuple[int, ...], ...]
@@ -76,16 +83,11 @@ def columns_condition(
             "columns condition search over %d columns exceeds the cap %d; "
             "pass a larger cap to proceed" % (n, cap)
         )
-    # rows scaled to integers keep every linear relation between columns.
-    # Each used column r_j with a nonzero entry in row p then maps every
-    # column v to r_j[p] v - v[p] r_j, a linear map whose kernel is
-    # span(r_j), so a set of columns fits iff its columns here sum to
-    # zero.  Dividing by the previous pivot is exact (Bareiss) and keeps
-    # the entries small.
-    rows = []
-    for row in matrix.rows:
-        den = lcm(*(x.denominator for x in row))
-        rows.append([int(x * den) for x in row])
+    # Rows scaled to integers keep every linear relation between columns.
+    # Pivoting out a used column c_j at its entry p in row i maps every
+    # column v to (p v - v[i] c_j) / prev, a linear map whose kernel is
+    # span(c_j), so a set of columns fits iff its columns here sum to zero.
+    rows = [_clear_denominators(row) for row in matrix.rows]
     rest = list(range(n))
     blocks: List[Tuple[int, ...]] = []
     prev = 1
@@ -96,14 +98,7 @@ def columns_condition(
         blocks.append(block)
         rest = [j for j in rest if j not in block]
         for j in block:
-            pivot = next((row for row in rows if row[j]), None)
-            if pivot is None:
-                continue
-            a, f = pivot[j], list(pivot)
-            for row in rows:
-                b = row[j]
-                row[:] = [(a * x - f[k] * b) // prev for k, x in enumerate(row)]
-            prev = a
+            prev = _pivot_out(rows, j, prev) or prev
     return tuple(tuple(j + 1 for j in block) for block in blocks)
 
 

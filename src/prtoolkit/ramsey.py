@@ -53,7 +53,7 @@ from itertools import product
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import MultiPoly
+from .algebra import MultiPoly, _clear_denominators
 from .equations import (
     GeneralPolySystem,
     LinearSystem,
@@ -97,9 +97,7 @@ def _system_polys(cls) -> Tuple[Tuple[str, ...], List[MultiPoly]]:
 
 def _scaled_terms(poly: MultiPoly) -> List[Tuple[int, Tuple[int, ...]]]:
     """Terms of `poly` times the lcm of its coefficient denominators."""
-    scale = math.lcm(*(c.denominator for c in poly.terms.values()))
-    return [(c.numerator * (scale // c.denominator), exps)
-            for exps, c in poly.terms.items()]
+    return list(zip(_clear_denominators(poly.terms.values()), poly.terms))
 
 
 def _sparse(exps: Sequence[int]) -> Tuple[Tuple[int, int], ...]:

@@ -77,16 +77,12 @@ def make_group(
     maps = [_exponent_map(g, budget) for g in gens]
     primes = tuple(sorted({p for m in maps for p in m}))
     rows = tuple(tuple(m.get(p, 0) for p in primes) for m in maps)
-    if primes:
-        rank = matrix_rank([list(r) for r in rows])
-    else:
-        rank = 0
     return GroupSpec(
         generators=gens,
         primes=primes,
         exponents=rows,
         signs=tuple(0 if g > 0 else 1 for g in gens),
-        rank=rank,
+        rank=matrix_rank(rows),
     )
 
 

@@ -385,6 +385,28 @@ def test_certify_searches_when_the_window_needs_an_incomplete_factorization(caps
     assert rep["note"].startswith("no modulus up to the cap")
 
 
+def test_certify_stops_at_its_step_budget(capsys, monkeypatch):
+    # the polynomial has a root modulo every integer, so every modulus shows
+    # a zero, each up to m steps in: the search ends at the step budget,
+    # long before the cap of 10^6 moduli, and the note names the budget
+    from prtoolkit import polyexp
+
+    monkeypatch.setattr(polyexp, "_SEARCH_STEPS", 3000)
+    code, rep = run_cli(capsys, "certify", "--expr", "(x^2 - 13)*(x^2 - 17)*(x^2 - 221)*2^x = 0",
+                        "--mmax", "1000000")
+    assert (code, rep["found"]) == (2, False)
+    assert rep["note"].startswith("the modular search spent its step budget of 3000 walk steps")
+    assert rep["note"].endswith("; absence proves nothing")
+
+
+def test_group_help_shows_the_equals_form(capsys):
+    # argparse reads "--group -1,2" as a missing value: the help shows "--group=-1,2,3/5"
+    for command in ("decide", "rank"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--group=-1,2,3/5" in capsys.readouterr().out
+
+
 def test_rank(capsys):
     code, rep = run_cli(capsys, "rank", "--group=-1,2,3/5")
     assert code == 0

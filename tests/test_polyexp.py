@@ -491,6 +491,23 @@ def test_walk_matches_exact_values(terms, M, start, count):
     assert walk_residues(g, M, start, count) == want
 
 
+def test_search_charges_its_steps_across_blocks(monkeypatch):
+    # every modulus shows a zero of (s^2 - 13)(s^2 - 17)(s^2 - 221) 2^s; up to
+    # m_max = 3,000 the blocks walk 616, 1,004 and 1,345 steps, each within a
+    # budget of 2,000 steps but not together
+    g = expsum((2, [-48841, 0, 6851, 0, -251, 0, 1]))
+    assert modular_certificate_search(g, 3000) is None
+    monkeypatch.setattr(polyexp, "_SEARCH_STEPS", 2000)
+    with pytest.raises(polyexp._StepBudgetSpent, match="step budget of 2000 walk steps"):
+        modular_certificate_search(g, 3000)
+    # decide_constant_solution keeps its verdict and drops the second proof
+    g = ExpSum([(4, UniPoly([Fraction(1)])), (1, UniPoly([Fraction(2)]))])
+    assert decide_constant_solution(g).modular is not None
+    monkeypatch.setattr(polyexp, "_SEARCH_STEPS", 0)
+    res = decide_constant_solution(g)
+    assert (res.status, res.window, res.modular) == ("NONE", (-1, 2), None)
+
+
 def test_modular_period_includes_modulus_for_nonconstant_coeffs():
     # s * 2^s mod 5: base order 4, full period lcm(4, 5) = 20
     g = expsum((2, [0, 1]))
@@ -604,9 +621,18 @@ def test_window_scan_matches_fraction_scan():
     assert planted_negative >= 60 and families >= 3
 
 
+def horner_compose(p, a, b):
+    """p(a*w + b) by Horner's rule on UniPolys."""
+    lin = UniPoly([b, a])
+    out = UniPoly(())
+    for c in reversed(p.coeffs):
+        out = out * lin + UniPoly([c])
+    return out
+
+
 def reference_branch_pairs(g):
     """The branch sums of g built on UniPoly terms: the Taylor shifts by
-    compose_linear, read as integers only at the end."""
+    Horner composition, read as integers only at the end."""
     def ints(terms):
         return [(b, tuple(int(c) for c in p.coeffs)) for b, p in terms]
 
@@ -615,8 +641,8 @@ def reference_branch_pairs(g):
         parts = [("all", g.terms)]
     else:
         parts = [
-            ("even", ExpSum((b * b, p.compose_linear(2, 0)) for b, p in g.terms).terms),
-            ("odd", ExpSum((b * b, p.compose_linear(2, 1).scale(b)) for b, p in g.terms).terms),
+            ("even", ExpSum((b * b, horner_compose(p, 2, 0)) for b, p in g.terms).terms),
+            ("odd", ExpSum((b * b, horner_compose(p, 2, 1).scale(b)) for b, p in g.terms).terms),
         ]
     sums = {}
     for parity, terms in parts:
@@ -626,7 +652,7 @@ def reference_branch_pairs(g):
                 total *= abs(b)
             sums[(parity, "plus")] = ints(terms)
             sums[(parity, "minus")] = ints(
-                ((total // abs(b)) * (1 if b > 0 else -1), p.compose_linear(-1, 0)) for b, p in terms
+                ((total // abs(b)) * (1 if b > 0 else -1), horner_compose(p, -1, 0)) for b, p in terms
             )
     return sums, tuple(parity for parity, terms in parts if not terms)
 
