@@ -29,6 +29,7 @@ from .equations import (
     ParseError,
     SchemaError,
     TwoVarPolySystem,
+    _bound_num,
     _num,
     class_from_json,
     class_to_json,
@@ -50,7 +51,6 @@ from .polyexp import (
     decide_polyexp_pr,
     diagonalize,
     modular_certificate_search,
-    solution_count_bound,
     verify_modular,
 )
 from .rado import DEFAULT_COLUMN_CAP, decide_linear, verify_columns_condition
@@ -326,7 +326,7 @@ def _cmd_decide(args) -> int:
         report["constants"] = {"A": _num(constants.A), "B": _num(constants.B)}
         bits = 35 * constants.B ** 3
         if bits <= _MAX_BOUND_BITS:
-            report["solution_bound"] = _num(solution_count_bound(cls))
+            report["solution_bound"] = _bound_num(bell_number(len(cls.terms)), constants.B)
         else:
             report["notes"].append(
                 "solution-count bound omitted: 2^(35 B^3) needs %d bits" % bits)
@@ -511,7 +511,7 @@ def _cmd_bound(args) -> int:
     B = constants.B
     bits = 35 * B ** 3 + 6 * B ** 2 * max(args.degree.bit_length() - 1, 0)
     if bits <= _MAX_BOUND_BITS:
-        report["bound"] = _num(solution_count_bound(cls, args.degree))
+        report["bound"] = _bound_num(bell, B, args.degree)
     else:
         report["bound_factored"] = {
             "bell_m": _num(bell),

@@ -40,9 +40,10 @@ import decimal
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import add
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .algebra import MultiPoly, RatMatrix
+from .algebra import MultiPoly, Rat, RatMatrix
 from .polyexp import PolyExpEquation, PolyExpTerm
 
 MAX_VARIABLES = 26
@@ -87,55 +88,52 @@ class SchemaError(Exception):
 # tokens
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUM, IDENT, or a literal operator character; END at EOF
     text: str
     line: int
     col: int
 
 
-_OPS = set("+-*^/()=;")
+_OPS = frozenset("+-*^/()=;")
 
 
 def _tokenize(src: str) -> List[_Token]:
+    """Tokens of `src`, or a ParseError at the first character that starts none.
+
+    Each character is one column and '\n' starts a line, so a column is
+    the offset from the line's first character plus 1.
+    """
     toks: List[_Token] = []
-    line, col = 1, 1
+    append = toks.append
+    n = len(src)
+    line, bol = 1, 0  # bol: index of the line's first character
     i = 0
-    while i < len(src):
+    while i < n:
         ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            toks.append(_Token("NUM", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Token("IDENT", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
         if ch in _OPS:
-            toks.append(_Token(ch, ch, line, col))
-            col += 1
+            append(_Token(ch, ch, line, i - bol + 1))
             i += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    toks.append(_Token("END", "", line, col))
+        elif ch == "\n":
+            i += 1
+            line, bol = line + 1, i
+        elif ch.isspace():
+            i += 1
+        elif ch.isdigit():
+            j = i + 1
+            while j < n and src[j].isdigit():
+                j += 1
+            append(_Token("NUM", src[i:j], line, i - bol + 1))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            append(_Token("IDENT", src[i:j], line, i - bol + 1))
+            i = j
+        else:
+            raise ParseError("unexpected character %r" % ch, line, i - bol + 1)
+    append(_Token("END", "", line, n - bol + 1))
     return toks
 
 
@@ -502,9 +500,17 @@ EquationClass = Union[LinearSystem, TwoVarPolySystem, PolyExpEquation, GeneralPo
 _Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
-def _term_map(e: Expr, variables: Tuple[str, ...]) -> Dict[_Key, Fraction]:
+def _join_bases(i: int, j: int) -> int:
+    return i * j if i and j else i or j
+
+
+def _term_map(e: Expr, variables: Tuple[str, ...]) -> Dict[_Key, Rat]:
     """`e` multiplied out, with like terms combined at every '+', '-' and '*'.
 
+    Coefficients are ints while the literals are: a Num contributes its
+    numerator when its denominator is 1, and every variable, power and
+    exponential the int 1, so only rational literals bring in Fractions
+    (int * Fraction promotes); `classify` turns them into Fractions.
     Canceled terms stay in the map with coefficient 0, so every key keeps
     its first-appearance position in the fully expanded sum.  The walk is
     post-order on an explicit stack: long '+' and '*' chains need no
@@ -515,19 +521,20 @@ def _term_map(e: Expr, variables: Tuple[str, ...]) -> Dict[_Key, Fraction]:
     none = (0,) * len(variables)
     spent = 0
     todo: List[Tuple[Expr, bool]] = [(e, False)]
-    done: List[Dict[_Key, Fraction]] = []
+    done: List[Dict[_Key, Rat]] = []
     while todo:
         node, ready = todo.pop()
         if isinstance(node, Num):
-            done.append({(none, none): node.value})
+            v = node.value
+            done.append({(none, none): v.numerator if v.denominator == 1 else v})
         elif isinstance(node, (Var, VarPow)):
             exps = list(none)
             exps[index[node.name]] = node.exp if isinstance(node, VarPow) else 1
-            done.append({(tuple(exps), none): Fraction(1)})
+            done.append({(tuple(exps), none): 1})
         elif isinstance(node, ExpPow):
             bases = list(none)
             bases[index[node.var]] = node.base
-            done.append({(none, tuple(bases)): Fraction(1)})
+            done.append({(none, tuple(bases)): 1})
         elif not ready:
             todo.append((node, True))
             if isinstance(node, Neg):
@@ -544,12 +551,14 @@ def _term_map(e: Expr, variables: Tuple[str, ...]) -> Dict[_Key, Fraction]:
                     "expanding the products needs at least %d term products (cap %d)"
                     % (spent, MAX_EXPANSION)
                 )
-            prod: Dict[_Key, Fraction] = {}
+            prod: Dict[_Key, Rat] = {}
+            others = [(e2, b2, b2 == none, c2) for (e2, b2), c2 in right.items()]
             for (e1, b1), c1 in left.items():
-                for (e2, b2), c2 in right.items():
+                plain = b1 == none
+                for e2, b2, plain2, c2 in others:
                     key = (
-                        tuple(i + j for i, j in zip(e1, e2)),
-                        tuple(i * j if i and j else i or j for i, j in zip(b1, b2)),
+                        tuple(map(add, e1, e2)),
+                        b1 if plain2 else b2 if plain else tuple(map(_join_bases, b1, b2)),
                     )
                     prod[key] = prod.get(key, 0) + c1 * c2
             done.append(prod)
@@ -606,7 +615,7 @@ def classify(ast: EquationAST) -> EquationClass:
                     if any(exps):
                         row[exps.index(1)] = c
                 rows.append(row)
-            rhs = tuple(-m.get((none, none), Fraction(0)) for m in maps)
+            rhs = tuple(Fraction(-m.get((none, none), 0)) for m in maps)
             return LinearSystem(variables, RatMatrix(rows), rhs)
         polys = [MultiPoly(variables, {exps: c for (exps, _), c in m.items()}) for m in maps]
         polys = [p for p in polys if not p.is_zero()]  # 0 = 0 imposes nothing
@@ -695,6 +704,20 @@ def _num(x) -> str:
 
     digits = str(to_decimal(abs(x), x.bit_length()))
     return digits if x > 0 else "-" + digits
+
+
+def _bound_num(bell: int, B: int, d: int = 1) -> str:
+    """Exact decimal string of Bell(m) * 2^(35 B^3) * d^(6 B^2), the
+    solution-count bound, computed from its factors in `decimal`.
+
+    The same text as _num(polyexp.solution_count_bound(...)), without
+    building the int: libmpdec raises 2 and d to their powers directly,
+    and _EXACT makes any rounding raise.
+    """
+    x = _EXACT.multiply(decimal.Decimal(bell), _EXACT.power(2, 35 * B ** 3))
+    if d > 1:
+        x = _EXACT.multiply(x, _EXACT.power(d, 6 * B ** 2))
+    return str(x)
 
 
 def _rat_from(v) -> Fraction:

@@ -726,16 +726,21 @@ class ModularCertificate:
     residues: Tuple[int, ...]
 
 
-def _modular_period(g: ExpSum, m: int, cap: Optional[int] = None) -> Optional[int]:
+def _modular_period(
+    g: ExpSum, m: int, cap: Optional[int] = None, steps: Optional[Iterator[int]] = None
+) -> Optional[int]:
     """Period of s -> g(s) mod m, or None once it is known to exceed `cap`.
 
     The period is the lcm of the bases' multiplicative orders modulo m,
     joined with m itself when some coefficient polynomial is
     non-constant.  An order is counted to cap at most, or to m without a
     cap: a unit's order modulo m is below m, so a base whose powers get
-    that far without reaching 1 is not invertible.
+    that far without reaching 1 is not invertible.  Given `steps`, the
+    counter of modular_certificate_search, the order walks of m draw their
+    steps from it at once, and one past _SEARCH_STEPS raises
+    _StepBudgetSpent.
     """
-    period = 1
+    period, walked = 1, 0
     bound = m if cap is None else cap
     for base, coeffs in g.int_terms:
         k, t = 1, base % m
@@ -743,9 +748,14 @@ def _modular_period(g: ExpSum, m: int, cap: Optional[int] = None) -> Optional[in
             k, t = k + 1, t * base % m
         if t != 1 and cap is None:
             raise ValueError("base %d is not invertible modulo %d" % (base, m))
+        walked += k
         period = lcm(period, k, m if len(coeffs) > 1 else 1)
         if cap is not None and period > cap:
-            return None
+            period = None
+            break
+    if steps is not None and next(islice(steps, walked - 1, None)) > _SEARCH_STEPS:
+        raise _StepBudgetSpent("the modular search spent its step budget of %d walk "
+                               "steps filtering modulus %d by its period" % (_SEARCH_STEPS, m))
     return period
 
 
@@ -808,21 +818,22 @@ def modular_certificate_search(
     decide_constant_solution passes its window width W as `max_period`:
     only periods <= W are tried, since a longer one costs more to check
     than the window scan it duplicates.  `certify` runs the full search.
-    Either way the walk steps of all blocks together are charged against
-    _SEARCH_STEPS, and _StepBudgetSpent is raised when they run out.
+    Either way the walk steps of all blocks together, and the order walks
+    of that period filter, are charged against _SEARCH_STEPS, and
+    _StepBudgetSpent is raised when they run out.
     """
     if g.is_zero():
         return None
     product = prod(base for base, _ in g.int_terms)
     if max_period is not None and any(len(c) > 1 for _, c in g.int_terms):
         m_max = min(m_max, max_period)  # the period is a multiple of m
+    steps = count(1)
     moduli = (
         m for m in range(2, m_max + 1)
         if gcd(product, m) == 1
-        and (max_period is None or _modular_period(g, m, max_period) is not None)
+        and (max_period is None or _modular_period(g, m, max_period, steps) is not None)
     )
     plan = _horner(g.int_terms)
-    steps = count(1)
     for block in _blocks(moduli):
         found = _least_surviving(g, plan, block, steps)
         if found is not None:

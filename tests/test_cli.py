@@ -21,7 +21,16 @@ from hypothesis import strategies as st
 
 from prtoolkit import cli
 from prtoolkit.cli import EXIT_BROKEN_PIPE, main
-from prtoolkit.equations import _EXACT, _LEAF_BITS, ParseError, _num, parse_equation_text
+from prtoolkit.equations import (
+    _EXACT,
+    _LEAF_BITS,
+    ParseError,
+    _bound_num,
+    _num,
+    classify,
+    parse_equation_text,
+)
+from prtoolkit.polyexp import bell_number, compute_constants, solution_count_bound
 
 
 def run_cli(capsys, *argv):
@@ -532,6 +541,62 @@ def test_decide_renders_the_full_solution_bound(capsys):
     with unlimited_int_str():
         assert rep["solution_bound"] == str(2 * 2 ** 372680)
     assert len(rep["solution_bound"]) == 112189
+
+
+def _bound_equation(B, m):
+    """x^(B - m)*2^x plus m - 1 constant terms: m terms with A = B."""
+    text = " + ".join(["x^%d*2^x" % (B - m)] + ["%d^x" % b for b in (3, 5, 7, 11, 13)[:m - 1]])
+    eq = classify(parse_equation_text(text + " = 0"))
+    assert (len(eq.terms), compute_constants(eq).B) == (m, B)
+    return eq
+
+
+def _times(digits, k):
+    """str(k * int(digits)) for a small k >= 1, by long multiplication on 100-digit chunks."""
+    chunks, carry = [], 0
+    for end in range(len(digits), 0, -100):
+        carry, r = divmod(int(digits[max(end - 100, 0):end]) * k + carry, 10 ** 100)
+        chunks.append("%0100d" % r)
+    text = "".join(reversed(chunks))
+    return str(carry) + text if carry else text.lstrip("0")
+
+
+def test_bound_num_matches_exact_ints():
+    # every B whose bound fits _MAX_BOUND_BITS (B <= 25), m in 1..min(B, 6) and
+    # field degree d in 1..3.  str() of the exact m = 1 bound (Bell(1) = 1) is
+    # the reference, and Bell(m) times it, by long multiplication, that of
+    # m > 1: one quadratic str() per (B, d) instead of one per case.  Up to
+    # B = 12 every case is also compared with str() of its own bound.
+    with unlimited_int_str():
+        for B in range(1, 26):
+            for d in (1, 2, 3):
+                assert 35 * B ** 3 + 6 * B ** 2 * (d.bit_length() - 1) <= cli._MAX_BOUND_BITS
+                one = str(solution_count_bound(_bound_equation(B, 1), d))
+                for m in range(1, min(B, 6) + 1):
+                    text = _bound_num(bell_number(m), B, d)
+                    assert text == _times(one, bell_number(m)), (B, m, d)
+                    if B <= 12:
+                        assert text == str(solution_count_bound(_bound_equation(B, m), d))
+
+
+def test_solution_bound_cap_boundary(capsys):
+    # B = 25: 2^(35 B^3) has 546,875 bits, within _MAX_BOUND_BITS, and is
+    # rendered; B = 26 needs 615,160 bits: decide notes the omission and
+    # bound reports the factors
+    code, rep = run_cli(capsys, "decide", "--expr", "x^24*2^x = 0")
+    assert (code, rep["constants"]["B"]) == (0, "25")
+    assert rep["solution_bound"] == _bound_num(1, 25)
+    code, rep = run_cli(capsys, "bound", "--expr", "x^24*2^x = 0", "--degree", "3")
+    assert (code, rep["bound"]) == (0, _bound_num(1, 25, 3))
+    code, rep = run_cli(capsys, "decide", "--expr", "x^25*2^x = 0")
+    assert (code, rep["constants"]["B"]) == (0, "26")
+    assert "solution_bound" not in rep
+    assert "solution-count bound omitted: 2^(35 B^3) needs 615160 bits" in rep["notes"]
+    code, rep = run_cli(capsys, "bound", "--expr", "x^25*2^x = 0")
+    assert code == 0 and "bound" not in rep
+    assert rep["bound_factored"] == {
+        "bell_m": "1", "power_of_two_exponent": "615160", "degree": "1", "degree_exponent": "4056",
+    }
 
 
 # --- input channels and errors ----------------------------------------------------

@@ -3,7 +3,9 @@
 import random
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import List
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from prtoolkit.equations import (
     TwoVarPolySystem,
     Var,
     VarPow,
+    _tokenize,
     class_from_json,
     class_to_json,
     classify,
@@ -275,6 +278,134 @@ def test_expansion_budget_covers_the_whole_equation(factor, count):
     with pytest.raises(ClassifyError, match="term products"):
         classify(parse_equation_text(text))
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ("x + 2*y = 3*z", LinearSystem),
+        ("1/2*x - y = 3/4", LinearSystem),
+        ("x^2 - 3*y = 5", TwoVarPolySystem),
+        ("2/3*x^2 + y = 1/2", TwoVarPolySystem),
+        ("x*y*z + x = 8", GeneralPolySystem),
+        ("x*y*z = 1/2*x + 3", GeneralPolySystem),
+        ("(x^2 + 3)*2^x + 5*3^x = 0", PolyExpEquation),
+        ("1/2*x*2^x*3^y - 3/4*5^y = z", PolyExpEquation),
+    ],
+)
+def test_classify_hands_out_only_fractions(text, kind):
+    # the expansion runs on ints; each class still holds Fractions only
+    cls = classify(parse_equation_text(text))
+    assert type(cls) is kind
+    if kind is LinearSystem:
+        coeffs = [c for row in cls.matrix.rows for c in row] + list(cls.rhs)
+    else:
+        polys = cls.polys if hasattr(cls, "polys") else [t.poly for t in cls.terms]
+        coeffs = [c for p in polys for c in p.terms.values()]
+    assert coeffs and all(type(c) is Fraction for c in coeffs), coeffs
+
+
+@pytest.mark.parametrize("factor, terms", [("(x + y)", 101), ("(x + 1/2)", 100)])
+def test_expansion_cap_message_on_binomial_products(factor, terms):
+    # k factors form 2 * (2 + 3 + ... + k) = k(k + 1) - 2 term products:
+    # 9,898 for k = 99, under the cap, and 10,098 for k = 100, over it
+    cls = classify(parse_equation_text("*".join([factor] * 99) + " = 1"))
+    assert len(cls.polys[0].terms) == terms
+    for k in (100, 130):
+        with pytest.raises(ClassifyError) as e:
+            classify(parse_equation_text("*".join([factor] * k) + " = 1"))
+        assert str(e.value) == "expanding the products needs at least 10098 term products (cap 10000)"
+
+
+# --- the tokenizer against its first version -------------------------------
+#
+# A verbatim copy of the tokenizer that built frozen dataclass tokens and
+# carried the column by hand; the NamedTuple tokenizer must give the same
+# tokens, or the same error at the same place.
+
+
+@dataclass(frozen=True)
+class _RefToken:
+    kind: str  # NUM, IDENT, or a literal operator character; END at EOF
+    text: str
+    line: int
+    col: int
+
+
+_REF_OPS = set("+-*^/()=;")
+
+
+def _ref_tokenize(src: str) -> List[_RefToken]:
+    toks: List[_RefToken] = []
+    line, col = 1, 1
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(src) and src[j].isdigit():
+                j += 1
+            toks.append(_RefToken("NUM", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            toks.append(_RefToken("IDENT", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in _REF_OPS:
+            toks.append(_RefToken(ch, ch, line, col))
+            col += 1
+            i += 1
+            continue
+        raise ParseError("unexpected character %r" % ch, line, col)
+    toks.append(_RefToken("END", "", line, col))
+    return toks
+
+
+def _lexed(tokenize, text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as e:
+        return "ParseError", str(e), e.line, e.col
+
+
+# ASCII operators and names, a superscript digit (isdigit but not
+# decimal), an Arabic-Indic digit, an information separator and a no-break
+# space (both isspace), letters of other scripts, and characters that
+# start no token
+_LEX_ALPHABET = list("+-*^/()=;xy_09") + ["\u00b2", "\u0663", "\x1c", "\u00a0", "\n", "\t", " ",
+                                          "\u00e9", "\u03bb", "\u0436", "\u4e2d", ".", "#", "\u2212"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.sampled_from(_LEX_ALPHABET), max_size=40))
+def test_tokenizer_matches_its_first_version(text):
+    assert _lexed(_tokenize, text) == _lexed(_ref_tokenize, text)
+
+
+def test_tokenizer_reports_lines_and_columns():
+    toks = _tokenize("x\u00b2 =\n\t3\u0663*y\x1c")
+    assert [tuple(t) for t in toks] == [
+        ("IDENT", "x\u00b2", 1, 1), ("=", "=", 1, 4), ("NUM", "3\u0663", 2, 2),
+        ("*", "*", 2, 4), ("IDENT", "y", 2, 5), ("END", "", 2, 7),
+    ]
+    with pytest.raises(ParseError) as e:
+        _tokenize("x = 1\n  y # 2")
+    assert (e.value.line, e.value.col) == (2, 5)
 
 
 # --- classify against the full expansion ---------------------------------

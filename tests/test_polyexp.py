@@ -508,6 +508,21 @@ def test_search_charges_its_steps_across_blocks(monkeypatch):
     assert (res.status, res.window, res.modular) == ("NONE", (-1, 2), None)
 
 
+def test_period_filter_draws_from_the_step_budget():
+    # no modulus of period <= 4 certifies 16*7^s + 25*10^s - 29, and with
+    # constant coefficients m_max is not capped by the window, so decide's
+    # period filter would walk the orders of every modulus up to 10^7
+    g = expsum((7, [16]), (10, [25]), (1, [-29]))
+    start = time.perf_counter()
+    with pytest.raises(polyexp._StepBudgetSpent, match="walk steps filtering modulus"):
+        modular_certificate_search(g, 10 ** 7, max_period=4)
+    res = decide_constant_solution(g, m_max=10 ** 7)
+    assert time.perf_counter() - start < 2
+    assert (res.status, res.window, res.modular) == ("NONE", (-1, 2), None)
+    # the filter and the walk share one budget: certify's full search finds 53
+    assert modular_certificate_search(g).modulus == 53
+
+
 def test_modular_period_includes_modulus_for_nonconstant_coeffs():
     # s * 2^s mod 5: base order 4, full period lcm(4, 5) = 20
     g = expsum((2, [0, 1]))
