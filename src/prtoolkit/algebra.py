@@ -28,6 +28,11 @@ Rat = Union[int, Fraction]
 DEFAULT_FACTOR_BUDGET = 10 ** 6
 
 
+# raised by ramsey; defined here so that cli can catch it without importing ramsey
+class BudgetExceeded(Exception):
+    """Raised when enumeration or search would exceed its budget."""
+
+
 class IncompleteFactorization(Exception):
     """Raised when trial division exhausts its budget with a cofactor left.
 

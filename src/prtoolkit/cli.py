@@ -18,15 +18,18 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .algebra import IncompleteFactorization, constant_solutions, least_witness
-from .diophantine import decide_twovar
+# Only the modules every subcommand needs are imported here; each
+# handler imports the decision module it calls, so `decide` on a linear
+# system never loads polyexp, ramsey, sunit or diophantine.
+from .algebra import BudgetExceeded, IncompleteFactorization, constant_solutions, least_witness
 from .equations import (
     ClassifyError,
     GeneralPolySystem,
     LinearSystem,
     ParseError,
+    PolyExpEquation,
     SchemaError,
     TwoVarPolySystem,
     _bound_num,
@@ -36,36 +39,15 @@ from .equations import (
     classify,
     parse_equation_text,
 )
-from .polyexp import (
-    DEFAULT_MODULUS_CAP,
-    ConstantSolutionResult,
-    DominanceCertificate,
-    ExpSum,
-    HypothesisReport,
-    ModularCertificate,
-    PolyExpEquation,
-    _StepBudgetSpent,
-    bell_number,
-    compute_constants,
-    decide_constant_solution,
-    decide_polyexp_pr,
-    diagonalize,
-    modular_certificate_search,
-    verify_modular,
-)
-from .rado import DEFAULT_COLUMN_CAP, decide_linear, verify_columns_condition
-from .ramsey import (
-    BudgetExceeded,
-    enumerate_solutions,
-    filter_injectivity,
-    search_avoiding_coloring,
-)
-from .sunit import (
-    make_group,
-    sunit_solution_bound,
-    decide_sunit_3var,
-    two_term_unit_bound,
-)
+
+if TYPE_CHECKING:
+    from .polyexp import (
+        ConstantSolutionResult,
+        DominanceCertificate,
+        ExpSum,
+        HypothesisReport,
+        ModularCertificate,
+    )
 
 EXIT_DECIDED = 0
 EXIT_USAGE = 1
@@ -105,9 +87,11 @@ def _build_parser() -> _Parser:
     d.add_argument("--group", help="comma-separated generators: decide over this subgroup of Q*, "
                    "e.g. --group=-1,2,3/5")
     d.add_argument("--bound", type=int, help="user search bound for the constant-solution scan")
-    d.add_argument("--mmax", type=int, default=DEFAULT_MODULUS_CAP,
+    # None stands for the deciding module's own default, so that building
+    # the parser imports neither polyexp nor rado
+    d.add_argument("--mmax", type=int,
                    help="modulus cap for a modular certificate of period <= window width")
-    d.add_argument("--cap", type=int, default=DEFAULT_COLUMN_CAP,
+    d.add_argument("--cap", type=int,
                    help="column cap of the columns-condition search for systems "
                    "of two or more equations")
 
@@ -126,7 +110,7 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("certify", help="search a modular certificate for the diagonal sum")
     add_input(c)
-    c.add_argument("--mmax", type=int, default=DEFAULT_MODULUS_CAP)
+    c.add_argument("--mmax", type=int)
 
     r = sub.add_parser("rank", help="rank and bounds for a subgroup of Q*")
     r.add_argument("--group", required=True, help="comma-separated generators, e.g. --group=-1,2,3/5")
@@ -234,8 +218,16 @@ def _constant_result_json(res: ConstantSolutionResult) -> dict:
 # subcommands
 
 
+def _require_positive(args, name: str) -> None:
+    value = getattr(args, name)
+    if value is not None and value < 1:
+        raise _UsageError("--%s must be at least 1" % name)
+
+
 def _cmd_decide(args) -> int:
     t0 = time.monotonic()
+    _require_positive(args, "mmax")
+    _require_positive(args, "cap")
     cls = _load_class(args)
     report = {
         "command": "decide",
@@ -258,6 +250,8 @@ def _cmd_decide(args) -> int:
                 "--group applies to a single homogeneous linear equation "
                 "in three variables with nonzero coefficients"
             )
+        from .sunit import decide_sunit_3var
+
         a, b, c = cls.matrix.rows[0]
         verdict = decide_sunit_3var(a, b, c, group=gens)
         report["group"] = [_num(g) for g in gens]
@@ -273,7 +267,9 @@ def _cmd_decide(args) -> int:
         return EXIT_DECIDED
 
     if isinstance(cls, LinearSystem):
-        verdict = decide_linear(cls, domain=args.domain, cap=args.cap)
+        from .rado import DEFAULT_COLUMN_CAP, decide_linear, verify_columns_condition
+
+        verdict = decide_linear(cls, domain=args.domain, cap=args.cap or DEFAULT_COLUMN_CAP)
         report["status"] = verdict.status
         report["homogeneous"] = verdict.homogeneous
         report["witness"] = None if verdict.witness is None else _num(verdict.witness)
@@ -294,6 +290,8 @@ def _cmd_decide(args) -> int:
         report["summary"] = "%s (linear system over %s)" % (verdict.status, args.domain)
 
     elif isinstance(cls, TwoVarPolySystem):
+        from .diophantine import decide_twovar
+
         verdict = decide_twovar(cls, domain=args.domain)
         report["status"] = verdict.status
         _witness_json(report, verdict.witness, verdict.witnesses)
@@ -303,12 +301,15 @@ def _cmd_decide(args) -> int:
             verdict.status, args.domain)
 
     elif isinstance(cls, PolyExpEquation):
+        from .polyexp import DEFAULT_MODULUS_CAP, bell_number, compute_constants, decide_polyexp_pr
+
         if args.domain == "N":
             report["notes"].append(
                 "polyexponential equations are decided over Z (ground set of "
                 "the constant-solution criterion)"
             )
-        verdict = decide_polyexp_pr(cls, user_bound=args.bound, m_max=args.mmax)
+        verdict = decide_polyexp_pr(cls, user_bound=args.bound,
+                                    m_max=args.mmax or DEFAULT_MODULUS_CAP)
         report["status"] = verdict.status
         if verdict.hypothesis is not None:
             report["hypothesis"] = _hypothesis_json(verdict.hypothesis)
@@ -368,6 +369,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .ramsey import search_avoiding_coloring
+
     t0 = time.monotonic()
     cls = _load_class(args)
     if args.min_injectivity < 1:
@@ -396,6 +399,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .ramsey import enumerate_solutions, filter_injectivity
+
     t0 = time.monotonic()
     cls = _load_class(args)
     if args.min_injectivity < 1:
@@ -429,7 +434,19 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .polyexp import (
+        DEFAULT_MODULUS_CAP,
+        ConstantSolutionResult,
+        _StepBudgetSpent,
+        decide_constant_solution,
+        diagonalize,
+        modular_certificate_search,
+        verify_modular,
+    )
+
     t0 = time.monotonic()
+    _require_positive(args, "mmax")
+    m_max = args.mmax or DEFAULT_MODULUS_CAP
     cls = _load_class(args)
     if not isinstance(cls, PolyExpEquation):
         raise _UsageError("certify expects a polyexponential equation")
@@ -446,14 +463,14 @@ def _cmd_certify(args) -> int:
             _num(scan.witness))
     else:
         try:
-            cert = modular_certificate_search(g, args.mmax)
+            cert = modular_certificate_search(g, m_max)
         except _StepBudgetSpent as e:
             note = "%s; absence proves nothing" % e
     report = {
         "command": "certify",
         "class": class_to_json(cls),
         "diagonal": _expsum_json(g),
-        "mmax": args.mmax,
+        "mmax": m_max,
         "found": cert is not None,
         "time_ms": int((time.monotonic() - t0) * 1000),
     }
@@ -471,6 +488,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from .sunit import make_group, sunit_solution_bound, two_term_unit_bound
+
     t0 = time.monotonic()
     gens = _parse_group(args.group)
     spec = make_group(gens)
@@ -489,6 +508,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .polyexp import bell_number, compute_constants
+
     t0 = time.monotonic()
     cls = _load_class(args)
     if not isinstance(cls, PolyExpEquation):

@@ -27,6 +27,8 @@ of '(' and unary '-' may nest; deeper input is a ParseError.
 one map from (exponents, bases) to coefficient with like terms combined
 at every '+', '-' and '*', and reports the most specific class:
 LinearSystem, TwoVarPolySystem, PolyExpEquation, or GeneralPolySystem.
+All four classes, with PolyExpTerm and polyexp_eval, are defined here,
+so parsing and classifying import no decision module.
 The '*'s of one equation may form at most MAX_EXPANSION term products
 in all; more is a ClassifyError.  Chains of '+', '-' and '*' are
 parsed, printed and classified in loops, so their length is not
@@ -44,7 +46,6 @@ from operator import add
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .algebra import MultiPoly, Rat, RatMatrix
-from .polyexp import PolyExpEquation, PolyExpTerm
 
 MAX_VARIABLES = 26
 MAX_POLY_DEGREE = 10_000
@@ -482,6 +483,63 @@ class TwoVarPolySystem:
 
     variables: Tuple[str, ...]
     polys: Tuple[MultiPoly, ...]
+
+
+@dataclass(frozen=True)
+class PolyExpTerm:
+    """One additive term: poly * product of characters."""
+
+    poly: MultiPoly
+    characters: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class PolyExpEquation:
+    """A polynomial-exponential equation, normalized to `sum = 0` form.
+
+    `variables` lists every variable in declaration order; `exp_vars`
+    are the ones appearing in exponent position (character vectors are
+    aligned with this tuple); `param_var` is the distinguished variable
+    appearing only polynomially, if any.
+    """
+
+    variables: Tuple[str, ...]
+    exp_vars: Tuple[str, ...]
+    param_var: Optional[str]
+    terms: Tuple[PolyExpTerm, ...]
+
+    def __post_init__(self):
+        if not self.exp_vars:
+            raise ValueError("a polyexp equation needs at least one exponent variable")
+        if not self.terms:
+            raise ValueError("a polyexp equation needs at least one term")
+        seen = set()
+        for t in self.terms:
+            if len(t.characters) != len(self.exp_vars):
+                raise ValueError("character vector length must match exp_vars")
+            if any((not isinstance(b, int)) or b == 0 for b in t.characters):
+                raise ValueError("character entries must be nonzero integers")
+            if t.poly.is_zero():
+                raise ValueError("term polynomial must be nonzero")
+            if t.characters in seen:
+                raise ValueError(
+                    "duplicate character vector %r; merge the terms" % (t.characters,)
+                )
+            seen.add(t.characters)
+
+
+def polyexp_eval(eq: PolyExpEquation, values: Sequence[Union[int, Fraction]]) -> Fraction:
+    """Evaluate the equation's left-hand side at integer variable values."""
+    if len(values) != len(eq.variables):
+        raise ValueError("need one value per variable")
+    vmap = dict(zip(eq.variables, values))
+    total = Fraction(0)
+    for t in eq.terms:
+        part = t.poly.eval([vmap[v] for v in t.poly.vars])
+        for b, v in zip(t.characters, eq.exp_vars):
+            part *= Fraction(b) ** int(vmap[v])
+        total += part
+    return total
 
 
 @dataclass(frozen=True)

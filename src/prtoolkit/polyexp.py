@@ -17,6 +17,10 @@ when the character-group hypothesis below holds, the absence of constant
 solutions decides non-regularity, because every monochromatic solution
 family would otherwise be forced through the diagonal.
 
+The equation class PolyExpEquation, with PolyExpTerm and polyexp_eval,
+is defined in `equations` next to the other equation classes and
+imported here, so `prtoolkit.polyexp.PolyExpEquation` is the same class.
+
 Hypothesis.  For a partition of the term indices, the group
 G = { z in Z^n : a_i^z = a_j^z whenever i, j share a block } must be
 trivial for every partition with at least one block of size >= 2
@@ -62,13 +66,13 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from .algebra import (
     DEFAULT_FACTOR_BUDGET,
     IncompleteFactorization,
-    MultiPoly,
     UniPoly,
     factor_integer,
     integer_roots,
     least_witness,
     matrix_rank,
 )
+from .equations import PolyExpEquation, PolyExpTerm, polyexp_eval  # the last two re-exported
 
 DEFAULT_PARTITION_CAP = 12
 DEFAULT_MODULUS_CAP = 200
@@ -101,67 +105,6 @@ _SEARCH_STEPS = 1 << 18
 # One term of an exponential sum on integer coefficients: (base, the
 # coefficients of its polynomial, lowest degree first).
 IntTerm = Tuple[int, Tuple[int, ...]]
-
-
-# ---------------------------------------------------------------------
-# equation structure
-
-
-@dataclass(frozen=True)
-class PolyExpTerm:
-    """One additive term: poly * product of characters."""
-
-    poly: MultiPoly
-    characters: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PolyExpEquation:
-    """A polynomial-exponential equation, normalized to `sum = 0` form.
-
-    `variables` lists every variable in declaration order; `exp_vars`
-    are the ones appearing in exponent position (character vectors are
-    aligned with this tuple); `param_var` is the distinguished variable
-    appearing only polynomially, if any.
-    """
-
-    variables: Tuple[str, ...]
-    exp_vars: Tuple[str, ...]
-    param_var: Optional[str]
-    terms: Tuple[PolyExpTerm, ...]
-
-    def __post_init__(self):
-        if not self.exp_vars:
-            raise ValueError("a polyexp equation needs at least one exponent variable")
-        if not self.terms:
-            raise ValueError("a polyexp equation needs at least one term")
-        seen = set()
-        for t in self.terms:
-            if len(t.characters) != len(self.exp_vars):
-                raise ValueError("character vector length must match exp_vars")
-            if any((not isinstance(b, int)) or b == 0 for b in t.characters):
-                raise ValueError("character entries must be nonzero integers")
-            if t.poly.is_zero():
-                raise ValueError("term polynomial must be nonzero")
-            if t.characters in seen:
-                raise ValueError(
-                    "duplicate character vector %r; merge the terms" % (t.characters,)
-                )
-            seen.add(t.characters)
-
-
-def polyexp_eval(eq: PolyExpEquation, values: Sequence[Union[int, Fraction]]) -> Fraction:
-    """Evaluate the equation's left-hand side at integer variable values."""
-    if len(values) != len(eq.variables):
-        raise ValueError("need one value per variable")
-    vmap = dict(zip(eq.variables, values))
-    total = Fraction(0)
-    for t in eq.terms:
-        part = t.poly.eval([vmap[v] for v in t.poly.vars])
-        for b, v in zip(t.characters, eq.exp_vars):
-            part *= Fraction(b) ** int(vmap[v])
-        total += part
-    return total
 
 
 # ---------------------------------------------------------------------

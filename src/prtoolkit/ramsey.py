@@ -53,14 +53,15 @@ from itertools import product
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import MultiPoly, _clear_denominators
+from .algebra import BudgetExceeded, MultiPoly, _clear_denominators
 from .equations import (
     GeneralPolySystem,
     LinearSystem,
+    PolyExpEquation,
     TwoVarPolySystem,
     linear_polys,
+    polyexp_eval,
 )
-from .polyexp import PolyExpEquation, polyexp_eval
 
 DEFAULT_NODE_BUDGET = 100_000_000
 DEFAULT_CELL_BUDGET = 10_000_000
@@ -70,10 +71,6 @@ TABLE_BYTES = 1 << 23
 Coloring = Tuple[int, ...]
 # an integer coefficient times prod(point[j]**e) over its (j, e) pairs
 Term = Tuple[int, Tuple[Tuple[int, int], ...]]
-
-
-class BudgetExceeded(Exception):
-    """Raised when enumeration or search would exceed its budget."""
 
 
 def _budgets(node_budget: Optional[int], cell_budget: Optional[int]) -> Tuple[int, int]:

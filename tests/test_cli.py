@@ -245,13 +245,12 @@ def test_search_reports_verified_coloring(capsys):
 
 
 def test_search_enumerates_once(capsys, monkeypatch):
-    from prtoolkit import cli, ramsey
+    from prtoolkit import ramsey
 
     calls = []
     enumerate_solutions = ramsey.enumerate_solutions
     spy = lambda *a, **k: calls.append(a) or enumerate_solutions(*a, **k)
     monkeypatch.setattr(ramsey, "enumerate_solutions", spy)
-    monkeypatch.setattr(cli, "enumerate_solutions", spy)
     code, rep = run_cli(capsys, "search", "--expr", "x + y = z",
                         "--range", "13", "--colors", "3")
     assert (code, rep["status"], rep["verified"]) == (0, "AVOIDING", True)
@@ -406,6 +405,32 @@ def test_certify_stops_at_its_step_budget(capsys, monkeypatch):
     assert (code, rep["found"]) == (2, False)
     assert rep["note"].startswith("the modular search spent its step budget of 3000 walk steps")
     assert rep["note"].endswith("; absence proves nothing")
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--expr", "2^x + 3^x + 5 = 0", "--mmax", "-3"],
+    ["certify", "--expr", "2^x + 3^x + 5 = 0", "--mmax", "0"],
+    ["decide", "--expr", "2^x + 3^x + 5 = 0", "--mmax", "0"],
+    ["decide", "--expr", "x + y = z", "--cap", "-1"],
+    ["decide", "--expr", "x + y = z; y + w = 2*z", "--cap", "0"],
+])
+def test_caps_below_one_are_usage_errors(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s must be at least 1\n" % argv[-2]
+
+
+def test_caps_default_and_accept_one(capsys):
+    code, rep = run_cli(capsys, "certify", "--expr", "2^x + 3^x + 5 = 0")
+    assert (code, rep["mmax"], rep["certificate"]["modulus"]) == (0, 200, "11")
+    code, rep = run_cli(capsys, "certify", "--expr", "2^x + 3^x + 5 = 0", "--mmax", "1")
+    assert (code, rep["mmax"], rep["found"]) == (2, 1, False)
+    # 1 passes the check and reaches the columns-condition search
+    assert main(["decide", "--expr", "x + y = z; y + w = 2*z", "--cap", "1"]) == 1
+    assert "over 4 columns exceeds the cap 1;" in capsys.readouterr().err
+    code, rep = run_cli(capsys, "decide", "--expr", "x + y = z; y + w = 2*z", "--cap", "4")
+    assert (code, rep["status"]) == (0, "PR_COLUMNS")
 
 
 def test_group_help_shows_the_equals_form(capsys):
