@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 # Only the modules every subcommand needs are imported here; each
@@ -550,9 +551,42 @@ class _StdoutClosed(Exception):
     """Standard output was closed before the report was written."""
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """`value` as `json.dumps(value, indent=2)` writes it, by the C string encoder.
+
+    Reports hold dicts with str keys, lists, tuples, str, int, bool and
+    None; any other type, a float included, raises TypeError.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError("report keys are str, not %s" % type(key).__name__)
+            items.append(_quote(key) + ": " + _json_text(item, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(item, inner) for item in value]) + indent + "]"
+    raise TypeError("a report holds no %s" % type(value).__name__)
+
+
 def _emit(report: dict) -> None:
     try:
-        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write(_json_text(report))
         sys.stdout.write("\n")
         # a closed pipe raises here, inside main, and not at interpreter exit
         sys.stdout.flush()

@@ -15,15 +15,13 @@ identically, i.e. when (x - y) divides every P_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .algebra import constant_solutions, least_witness
+from .algebra import Record, constant_solutions, least_witness
 from .equations import TwoVarPolySystem
 
 
-@dataclass(frozen=True)
-class TwoVarVerdict:
+class TwoVarVerdict(Record):
     """Constant-solution analysis of a two-variable polynomial system.
 
     `witnesses` is the marker "all" when every ground-set element is a

@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import decimal
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .algebra import MultiPoly, Rat, RatMatrix
+from .algebra import MultiPoly, Rat, RatMatrix, Record
 
 MAX_VARIABLES = 26
 MAX_POLY_DEGREE = 10_000
@@ -142,47 +141,39 @@ def _tokenize(src: str) -> List[_Token]:
 # AST
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class VarPow:
+class VarPow(Record):
     name: str
     exp: int
 
 
-@dataclass(frozen=True)
-class ExpPow:
+class ExpPow(Record):
     base: int
     var: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Record):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(Record):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(Record):
     left: "Expr"
     right: "Expr"
 
@@ -190,14 +181,12 @@ class Mul:
 Expr = Union[Num, Var, VarPow, ExpPow, Neg, Add, Sub, Mul]
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Record):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
-class EquationAST:
+class EquationAST(Record):
     equations: Tuple[Equation, ...]
     variables: Tuple[str, ...]  # first-appearance order across the system
 
@@ -464,8 +453,7 @@ def format_system(ast: EquationAST) -> str:
 # classification
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     """A x = b over the listed variables, exact rational entries."""
 
     variables: Tuple[str, ...]
@@ -473,8 +461,7 @@ class LinearSystem:
     rhs: Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class TwoVarPolySystem:
+class TwoVarPolySystem(Record):
     """Polynomial system in at most two variables, each P of degree >= 1.
 
     Polynomials are stored normalized to `P = 0` form; equations that
@@ -485,16 +472,14 @@ class TwoVarPolySystem:
     polys: Tuple[MultiPoly, ...]
 
 
-@dataclass(frozen=True)
-class PolyExpTerm:
+class PolyExpTerm(Record):
     """One additive term: poly * product of characters."""
 
     poly: MultiPoly
     characters: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PolyExpEquation:
+class PolyExpEquation(Record):
     """A polynomial-exponential equation, normalized to `sum = 0` form.
 
     `variables` lists every variable in declaration order; `exp_vars`
@@ -542,8 +527,7 @@ def polyexp_eval(eq: PolyExpEquation, values: Sequence[Union[int, Fraction]]) ->
     return total
 
 
-@dataclass(frozen=True)
-class GeneralPolySystem:
+class GeneralPolySystem(Record):
     """Polynomial system in three or more variables, or with a constant
     nonzero equation (NOT_PR): else only a constant solution decides it."""
 

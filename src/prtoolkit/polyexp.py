@@ -57,7 +57,6 @@ inequality is monotone past its starting point.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice, zip_longest
 from math import comb, gcd, lcm, prod
@@ -66,6 +65,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from .algebra import (
     DEFAULT_FACTOR_BUDGET,
     IncompleteFactorization,
+    Record,
     UniPoly,
     factor_integer,
     integer_roots,
@@ -149,6 +149,9 @@ class ExpSum:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpSum is immutable")
+
+    def __reduce__(self):
+        return ExpSum, (self.terms,)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -314,8 +317,7 @@ def mutually_coprime(characters: Sequence[Tuple[int, ...]]) -> Tuple[bool, bool]
 # combinatorial constants
 
 
-@dataclass(frozen=True)
-class ABConstants:
+class ABConstants(Record):
     A: int
     B: int
 
@@ -354,8 +356,7 @@ def solution_count_bound(eq: PolyExpEquation, d: int = 1) -> int:
 # dominance certificates
 
 
-@dataclass(frozen=True)
-class BranchCertificate:
+class BranchCertificate(Record):
     """Tail guarantee for one direction of (a parity class of) g.
 
     The branch sum is an exponential sum in a local coordinate t >= 0
@@ -386,8 +387,7 @@ class BranchCertificate:
     tstar: int
 
 
-@dataclass(frozen=True)
-class DominanceCertificate:
+class DominanceCertificate(Record):
     """Window [-s_minus, s_plus] containing every integer zero of g.
 
     `zero_parities` lists parity classes on which g vanishes
@@ -653,8 +653,7 @@ def verify_dominance(g: ExpSum, cert: DominanceCertificate) -> bool:
 # modular certificates
 
 
-@dataclass(frozen=True)
-class ModularCertificate:
+class ModularCertificate(Record):
     """Proof that g(s) != 0 for every integer s, via residues.
 
     M is coprime to every base, so s -> g(s) mod M is defined on all of
@@ -782,7 +781,7 @@ def modular_certificate_search(
         if found is not None:
             m, period = found
             residues = tuple(v % m for v in islice(_walk(plan, m, 0), period))
-            return ModularCertificate(modulus=m, period=period, residues=residues)
+            return ModularCertificate(m, period, residues)
     return None
 
 
@@ -858,8 +857,7 @@ def verify_modular(g: ExpSum, cert: ModularCertificate) -> bool:
 # constant-solution decision
 
 
-@dataclass(frozen=True)
-class ConstantSolutionResult:
+class ConstantSolutionResult(Record):
     """Outcome of the integer-zero search for a diagonal sum g.
 
     status FOUND: `witness` is the zero of least |s| (nonnegative wins
@@ -959,8 +957,7 @@ def decide_constant_solution(
     if zeros or families:
         family_reps = [0 if f in ("all", "even") else 1 for f in families]
         return ConstantSolutionResult(
-            "FOUND", least_witness(list(zeros) + family_reps), tuple(zeros), families,
-            window=window, dominance=cert,
+            "FOUND", least_witness(list(zeros) + family_reps), tuple(zeros), families, window, cert,
         )
     try:
         modular = modular_certificate_search(g, m_max, max_period=window[1] - window[0] + 1)
@@ -969,8 +966,8 @@ def decide_constant_solution(
     if modular is not None and not verify_modular(g, modular):
         raise RuntimeError("internal error: modular certificate failed re-verification")
     return ConstantSolutionResult(
-        "NONE", window=window, dominance=cert, modular=modular,
-        note="window scanned exhaustively; no integer zero exists",
+        "NONE", None, (), (), window, cert, modular,
+        "window scanned exhaustively; no integer zero exists",
     )
 
 
@@ -978,8 +975,7 @@ def decide_constant_solution(
 # the partition-regularity decision
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(Record):
     """Character-group hypothesis audit for a polyexp equation.
 
     `trivial_for_all` covers every partition of the term set having at
@@ -1004,8 +1000,7 @@ class HypothesisReport:
     degenerate_possible: bool
 
 
-@dataclass(frozen=True)
-class PolyExpVerdict:
+class PolyExpVerdict(Record):
     status: str  # "PR_CONSTANT" | "NOT_PR" | "UNKNOWN"
     result: Optional[ConstantSolutionResult]
     hypothesis: Optional[HypothesisReport]
@@ -1036,14 +1031,7 @@ def check_hypothesis(
             break
     coprime, unit = mutually_coprime(chars)
     safe = any(t.poly.degree() == 0 for t in eq.terms)
-    return HypothesisReport(
-        checked_partitions=bell_number(m) - 1,
-        trivial_for_all=failing is None,
-        failing_partition=failing,
-        coprime=coprime,
-        unit_entry_warning=unit,
-        degenerate_possible=not safe,
-    )
+    return HypothesisReport(bell_number(m) - 1, failing is None, failing, coprime, unit, not safe)
 
 
 def decide_polyexp_pr(

@@ -29,13 +29,13 @@ lexicographically least, zero-sum subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from .algebra import (
     RatMatrix,
+    Record,
     UniPoly,
     _clear_denominators,
     _pivot_out,
@@ -162,8 +162,7 @@ def verify_columns_condition(matrix: RatMatrix, partition: Sequence[Sequence[int
     return True
 
 
-@dataclass(frozen=True)
-class LinearVerdict:
+class LinearVerdict(Record):
     """Partition-regularity verdict for a linear system.
 
     status "PR_CONSTANT" carries `witness`: the constant a with

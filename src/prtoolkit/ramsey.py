@@ -48,12 +48,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from itertools import product
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import BudgetExceeded, MultiPoly, _clear_denominators
+from .algebra import BudgetExceeded, MultiPoly, Record, _clear_denominators
 from .equations import (
     GeneralPolySystem,
     LinearSystem,
@@ -410,8 +409,7 @@ def verify_coloring(
     return not offenders, tuple(offenders)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """Outcome of the exhaustive avoiding-coloring search.
 
     status "AVOIDING": `coloring` is the lexicographically least

@@ -23,20 +23,18 @@ which keeps it exact and finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import DEFAULT_FACTOR_BUDGET, factor_integer, matrix_rank
+from .algebra import DEFAULT_FACTOR_BUDGET, Record, factor_integer, matrix_rank
 
 Rational = Union[int, Fraction]
 
 DEFAULT_ENUM_CELLS = 5_000_000
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """A finitely generated multiplicative subgroup of Q*.
 
     `exponents` has one row per generator, giving its exponent over the
@@ -167,8 +165,7 @@ def count_unit_equation_solutions(
     return len(sols), tuple(sols)
 
 
-@dataclass(frozen=True)
-class SUnitVerdict:
+class SUnitVerdict(Record):
     """Partition-regularity verdict for a x + b y + c z = 0 over a group.
 
     PR_CONSTANT iff the coefficient sum vanishes; then every constant

@@ -813,3 +813,34 @@ def test_parser_is_built_once_per_process():
             assert main(["decide", "--expr", "x + y = z"]) == 0
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 9)
+
+
+# --- the report writer --------------------------------------------------------
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\n\r\t\x00\x1f\x7f é€😀'))
+_SCALARS = (
+    st.none() | st.booleans() | _TEXT | st.integers()
+    | st.integers(min_value=2 ** 64, max_value=2 ** 200).flatmap(lambda n: st.sampled_from((n, -n)))
+)
+_REPORT_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_report_writer_on_empty_containers():
+    for value in ({}, [], (), {"a": {}, "b": [], "c": [[], {}]}, [(), [()]]):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "one"}, {"a": Fraction(1, 2)}, {"a": {1, 2}}])
+def test_report_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)

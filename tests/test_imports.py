@@ -17,20 +17,22 @@ import prtoolkit.polyexp
 
 _SRC = os.path.dirname(os.path.dirname(prtoolkit.__file__))
 
-_LIST_MODULES = (
-    "\nimport sys"
-    "\nprint(' '.join(sorted(m[10:] for m in sys.modules if m.startswith('prtoolkit.'))))"
-)
+_LIST_MODULES = "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
 
 
-def _loaded(code):
-    """The prtoolkit submodules a fresh interpreter has loaded after running `code`."""
+def _modules(code):
+    """Every module a fresh interpreter has loaded after running `code`."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=_SRC + (os.pathsep + path if path else ""))
     p = subprocess.run([sys.executable, "-c", code + _LIST_MODULES],
                        capture_output=True, text=True, env=env, timeout=60)
     assert p.returncode == 0, p.stderr
     return set(p.stdout.splitlines()[-1].split())
+
+
+def _loaded(code):
+    """The prtoolkit submodules a fresh interpreter has loaded after running `code`."""
+    return {m[10:] for m in _modules(code) if m.startswith("prtoolkit.")}
 
 
 def test_polyexp_entry_loads_only_what_it_uses():
@@ -49,6 +51,18 @@ def test_search_loads_ramsey_but_not_polyexp():
                      'cli.main(["search", "--expr", "x + y = z", "--range", "5", "--colors", "2"])')
     assert "ramsey" in loaded
     assert "polyexp" not in loaded, loaded
+
+
+@pytest.mark.parametrize("code", [
+    "import prtoolkit.equations, prtoolkit.polyexp",
+    'from prtoolkit import cli\ncli.main(["decide", "--expr", "x + y = z"])',
+    'from prtoolkit import cli\ncli.main(["decide", "--expr", "2^x + 3^x = 5^x"])',
+    'from prtoolkit import cli\n'
+    'cli.main(["search", "--expr", "x + y = z", "--range", "5", "--colors", "2"])',
+], ids=["polyexp-import", "linear-decide", "polyexp-decide", "search"])
+def test_entry_points_load_neither_dataclasses_nor_inspect(code):
+    # dataclasses imports inspect, ast, dis and tokenize, and execs every class's methods
+    assert not _modules(code) & {"dataclasses", "inspect"}
 
 
 def test_bare_package_import_loads_no_submodule():

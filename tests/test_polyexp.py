@@ -5,7 +5,6 @@ Frozen threshold values (t1, tstar, T) were computed by hand from the
 defining inequalities before the search code existed.
 """
 
-import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -336,11 +335,16 @@ def test_dominance_zero_sum_rejected():
         dominance_bound(ExpSum([]))
 
 
+def replace(cert, **changes):
+    """cert rebuilt through its constructor with some fields changed."""
+    return type(cert)(**{**vars(cert), **changes})
+
+
 def with_branch(cert, i, **changes):
     """cert with its i-th branch changed."""
     branches = list(cert.branches)
-    branches[i] = dataclasses.replace(branches[i], **changes)
-    return dataclasses.replace(cert, branches=tuple(branches))
+    branches[i] = replace(branches[i], **changes)
+    return replace(cert, branches=tuple(branches))
 
 
 def test_verify_dominance_rejects_tampering():
@@ -352,7 +356,7 @@ def test_verify_dominance_rejects_tampering():
     other = expsum((6, [2, -1, 1]), (35, [2, 2]))
     assert not verify_dominance(other, cert)
     tampered = [
-        dataclasses.replace(cert, s_plus=cert.s_plus - 2),
+        replace(cert, s_plus=cert.s_plus - 2),
         with_branch(cert, 0, t1=plus.t1 - 1),
         with_branch(cert, 0, tstar=plus.tstar - 1),
         with_branch(cert, 0, threshold=plus.threshold - 1),
@@ -362,11 +366,11 @@ def test_verify_dominance_rejects_tampering():
         with_branch(cert, 0, kind="linear"),
         with_branch(cert, 0, bases=(plus.bases[1], plus.bases[0]) + plus.bases[2:]),
         with_branch(cert, 0, coeffs=((plus.coeffs[0][0] + 1,) + plus.coeffs[0][1:],) + plus.coeffs[1:]),
-        dataclasses.replace(cert, branches=cert.branches[:1]),
-        dataclasses.replace(cert, branches=cert.branches + cert.branches[:1]),
-        dataclasses.replace(cert, branches=(plus, plus)),
-        dataclasses.replace(cert, zero_parities=("odd",)),
-        dataclasses.replace(cert, s_minus=cert.s_minus - 1),
+        replace(cert, branches=cert.branches[:1]),
+        replace(cert, branches=cert.branches + cert.branches[:1]),
+        replace(cert, branches=(plus, plus)),
+        replace(cert, zero_parities=("odd",)),
+        replace(cert, s_minus=cert.s_minus - 1),
     ]
     for bad in tampered:
         assert not verify_dominance(g, bad), bad
@@ -393,7 +397,7 @@ def test_verify_dominance_rejects_tampering():
     assert verify_dominance(g, cert)
     assert not verify_dominance(g, with_branch(cert, 0, threshold=2))
     assert not verify_dominance(g, with_branch(cert, 0, kind="ratio"))
-    assert not verify_dominance(g, dataclasses.replace(cert, zero_parities=()))
+    assert not verify_dominance(g, replace(cert, zero_parities=()))
 
 
 def test_parity_split_with_sign_collision():
@@ -534,9 +538,9 @@ def test_modular_period_includes_modulus_for_nonconstant_coeffs():
 def test_verify_modular_rejects_tampering():
     g = ExpSum([(4, UniPoly([Fraction(1)])), (1, UniPoly([Fraction(2)]))])
     cert = modular_certificate_search(g)
-    bad = dataclasses.replace(cert, residues=(3, 2))
+    bad = replace(cert, residues=(3, 2))
     assert not verify_modular(g, bad)
-    bad2 = dataclasses.replace(cert, period=4)
+    bad2 = replace(cert, period=4)
     assert not verify_modular(g, bad2)
 
 
