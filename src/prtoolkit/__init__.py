@@ -90,80 +90,7 @@ _SUBMODULE = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ABConstants",
-    "BranchCertificate",
-    "BudgetExceeded",
-    "ClassifyError",
-    "ConstantSolutionResult",
-    "DEFAULT_FACTOR_BUDGET",
-    "DominanceCertificate",
-    "EquationAST",
-    "ExpSum",
-    "GeneralPolySystem",
-    "GroupSpec",
-    "HypothesisReport",
-    "IncompleteFactorization",
-    "LinearSystem",
-    "LinearVerdict",
-    "ModularCertificate",
-    "MultiPoly",
-    "ParseError",
-    "PolyExpEquation",
-    "PolyExpTerm",
-    "PolyExpVerdict",
-    "RatMatrix",
-    "SUnitVerdict",
-    "SchemaError",
-    "SearchResult",
-    "TwoVarPolySystem",
-    "TwoVarVerdict",
-    "UniPoly",
-    "bell_number",
-    "canonical_coloring",
-    "character_group_trivial",
-    "check_hypothesis",
-    "class_from_json",
-    "class_to_json",
-    "classify",
-    "columns_condition",
-    "compute_constants",
-    "constant_solutions",
-    "count_unit_equation_solutions",
-    "decide_constant_solution",
-    "decide_linear",
-    "decide_polyexp_pr",
-    "decide_sunit_3var",
-    "decide_twovar",
-    "diagonalize",
-    "divisors_from_factors",
-    "dominance_bound",
-    "enumerate_group_elements",
-    "enumerate_partitions",
-    "enumerate_solutions",
-    "factor_integer",
-    "filter_injectivity",
-    "format_system",
-    "from_json",
-    "integer_roots",
-    "make_group",
-    "matrix_rank",
-    "modular_certificate_search",
-    "mutually_coprime",
-    "parse_equation_text",
-    "polyexp_eval",
-    "rado_single",
-    "search_avoiding_coloring",
-    "solution_count_bound",
-    "subgroup_rank",
-    "sunit_solution_bound",
-    "to_json",
-    "two_term_unit_bound",
-    "verify_coloring",
-    "verify_columns_condition",
-    "verify_dominance",
-    "verify_modular",
-]
+__all__ = sorted(_SUBMODULE)
 
 
 def __getattr__(name: str):

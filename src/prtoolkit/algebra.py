@@ -14,11 +14,14 @@ clears column j from the other rows.  matrix_rank pivots the columns out
 left to right, so certificates built on it are reproducible.
 
 All classes here are immutable after construction and safe to share
-across threads.  `Record` is the base of the package's other immutable
-classes (AST nodes, equation classes, certificates, verdicts): it reads
-their fields from the class annotations and generates no code, so an
-entry point imports neither `dataclasses` nor the `inspect`, `ast` and
-`dis` modules that come with it.  Importing `prtoolkit.equations` and
+across threads.  `Record` is the one base of every immutable class in
+the package: the value classes here (MultiPoly, UniPoly, RatMatrix) and
+polyexp's ExpSum, the AST nodes, equation classes, certificates and
+verdicts.  It alone refuses assignment and deletion and defines
+equality, hashing, pickling and copying.  It reads the fields from the
+class annotations and generates no code, so an entry point imports
+neither `dataclasses` nor the `inspect`, `ast` and `dis` modules that
+come with it.  Importing `prtoolkit.equations` and
 `prtoolkit.polyexp` with no bytecode cache (the `setup_s` of the
 benchmark's `polyexp` workload) takes 0.034 s instead of the 0.058 s it
 took with frozen dataclasses: medians of 10 runs each on a shared
@@ -123,7 +126,7 @@ _set = object.__setattr__
 
 
 class Record:
-    """Base of the immutable records: AST nodes, equation classes, certificates, verdicts.
+    """Base of the immutable classes: values, AST nodes, equation classes, certificates, verdicts.
 
     A subclass declares its fields as class annotations, in order, with
     optional defaults; `__init_subclass__` reads them once.  Records
@@ -131,10 +134,14 @@ class Record:
     `__post_init__` after the fields are set, compare and hash by their
     field values (only with a record of the same class), print as
     `Name(field=value, ...)` and refuse assignment and deletion with
-    AttributeError.  No code is generated, so defining a record costs
-    no `exec` at import.  A keyword call costs about twice a positional
-    one, since the keywords reach `__init__` as a dict to bind by name,
-    so the hot paths of `polyexp` pass their records' fields by position.
+    AttributeError; pickle and copy restore the fields without calling
+    `__init__`.  A value class that normalizes its arguments (MultiPoly,
+    UniPoly, RatMatrix, ExpSum) has its own `__init__`, which sets the
+    fields with `object.__setattr__`, and its own repr.  No code is
+    generated, so defining a record costs no `exec` at import.  A
+    keyword call costs about twice a positional one, since the keywords
+    reach `__init__` as a dict to bind by name, so the hot paths of
+    `polyexp` pass their records' fields by position.
     """
 
     _fields: Tuple[str, ...] = ()
@@ -147,10 +154,9 @@ class Record:
         fields = cls._fields + tuple(own)
         cls._fields = cls.__match_args__ = fields
         cls._defaults = {**cls._defaults, **{f: cls.__dict__[f] for f in own if f in cls.__dict__}}
-        # the tuple of field values, a 1-tuple for a single field
-        cls._key = staticmethod(
-            attrgetter(*fields) if len(fields) > 1 else lambda r: tuple(getattr(r, f) for f in fields)
-        )
+        # the tuple of field values, a plain 1-tuple for a single field
+        get = attrgetter(*fields)
+        cls._key = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -207,13 +213,14 @@ def _as_fraction(x: Rat) -> Fraction:
     raise TypeError("expected int or Fraction, got %r" % type(x).__name__)
 
 
-class MultiPoly:
+class MultiPoly(Record):
     """Sparse multivariate polynomial with exact rational coefficients.
 
     Terms map exponent tuples (one nonnegative int per variable in
     `vars`) to nonzero Fraction coefficients.  Zero coefficients are
     dropped on construction, so the zero polynomial has no terms and
-    degree() == -1.
+    degree() == -1.  `terms` is a dict, so the hash reads the terms in
+    their canonical order.
 
     >>> p = MultiPoly(("x", "y"), {(1, 1): 1, (0, 0): 2})   # x*y + 2
     >>> p.degree()
@@ -222,7 +229,8 @@ class MultiPoly:
     Fraction(14, 1)
     """
 
-    __slots__ = ("vars", "terms")
+    vars: Tuple[str, ...]
+    terms: Dict[Tuple[int, ...], Fraction]
 
     def __init__(self, variables: Sequence[str], terms: Dict[Tuple[int, ...], Rat]):
         vs = tuple(variables)
@@ -240,15 +248,8 @@ class MultiPoly:
                 clean[exps] = clean.get(exps, Fraction(0)) + c
                 if clean[exps] == 0:
                     del clean[exps]
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, not __setattr__
-        return MultiPoly, (self.vars, self.terms)
+        _set(self, "vars", vs)
+        _set(self, "terms", clean)
 
     # -- constructors -------------------------------------------------
 
@@ -260,13 +261,6 @@ class MultiPoly:
     def constant(cls, variables: Sequence[str], c: Rat) -> "MultiPoly":
         n = len(tuple(variables))
         return cls(variables, {(0,) * n: c})
-
-    @classmethod
-    def variable(cls, variables: Sequence[str], name: str) -> "MultiPoly":
-        vs = tuple(variables)
-        i = vs.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(vs)))
-        return cls(vs, {exps: 1})
 
     # -- queries ------------------------------------------------------
 
@@ -371,11 +365,6 @@ class MultiPoly:
         c = _as_fraction(c)
         return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.vars, tuple(self.sorted_terms())))
 
@@ -396,26 +385,20 @@ class MultiPoly:
         return "MultiPoly(%r, %s)" % (self.vars, " + ".join(bits))
 
 
-class UniPoly:
+class UniPoly(Record):
     """Dense univariate polynomial with exact rational coefficients.
 
     Coefficients are stored low degree first; the leading coefficient is
     nonzero unless the polynomial is zero (empty tuple, degree -1).
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: Tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Rat]):
         cs = [_as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    def __reduce__(self):
-        return UniPoly, (self.coeffs,)
+        _set(self, "coeffs", tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -423,11 +406,6 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def eval(self, x: Rat) -> Fraction:
         x = _as_fraction(x)
@@ -464,14 +442,6 @@ class UniPoly:
         c = _as_fraction(c)
         return UniPoly([c * v for v in self.coeffs])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "UniPoly(0)"
@@ -489,10 +459,12 @@ class UniPoly:
         return "UniPoly(%s)" % " + ".join(bits)
 
 
-class RatMatrix:
+class RatMatrix(Record):
     """Immutable rational matrix with exact fraction-free rank."""
 
-    __slots__ = ("rows", "m", "n")
+    rows: Tuple[Tuple[Fraction, ...], ...]
+    m: int
+    n: int
 
     def __init__(self, rows: Sequence[Sequence[Rat]]):
         rws = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
@@ -502,15 +474,9 @@ class RatMatrix:
                 raise ValueError("ragged rows")
         else:
             width = 0
-        object.__setattr__(self, "rows", rws)
-        object.__setattr__(self, "m", len(rws))
-        object.__setattr__(self, "n", width)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    def __reduce__(self):
-        return RatMatrix, (self.rows,)
+        _set(self, "rows", rws)
+        _set(self, "m", len(rws))
+        _set(self, "n", width)
 
     def column(self, j: int) -> Tuple[Fraction, ...]:
         return tuple(row[j] for row in self.rows)
@@ -518,14 +484,6 @@ class RatMatrix:
     def rank(self) -> int:
         """Rank by the fraction-free elimination of matrix_rank."""
         return matrix_rank(self.rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         return "RatMatrix(%r)" % (

@@ -111,7 +111,7 @@ IntTerm = Tuple[int, Tuple[int, ...]]
 # exponential sums in one variable
 
 
-class ExpSum:
+class ExpSum(Record):
     """Exact exponential sum  g(s) = sum_i a_i^s * A_i(s)  over Z.
 
     Bases are pairwise distinct nonzero integers and coefficient
@@ -125,7 +125,8 @@ class ExpSum:
     module read `int_terms`; `terms` serves the reports.
     """
 
-    __slots__ = ("terms", "int_terms")
+    terms: Tuple[Tuple[int, UniPoly], ...]
+    int_terms: Tuple[Tuple[int, Tuple[int, ...]], ...]
 
     def __init__(self, terms: Iterable[Tuple[int, Union[UniPoly, Iterable]]]):
         merged: Dict[int, UniPoly] = {}
@@ -147,12 +148,6 @@ class ExpSum:
             self, "int_terms", tuple((b, tuple(c.numerator for c in p.coeffs)) for b, p in out)
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpSum is immutable")
-
-    def __reduce__(self):
-        return ExpSum, (self.terms,)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -170,14 +165,6 @@ class ExpSum:
         if not num:
             return Fraction(0)
         return Fraction(num, prod(abs(b) for b, _ in self.int_terms) ** -s)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExpSum):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
 
     def __repr__(self):
         return "ExpSum(%s)" % ", ".join(

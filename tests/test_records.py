@@ -1,7 +1,9 @@
 """The immutable record base: construction, equality, repr, immutability, copies.
 
 Every record class is checked against a frozen dataclass built here with
-the same fields, which is the behaviour the records replace.
+the same fields, which is the behaviour the records replace.  The value
+classes, which normalize their arguments in their own `__init__`, share
+the immutability, equality and copying of the base.
 """
 
 import copy
@@ -12,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from prtoolkit import diophantine, equations, polyexp, rado, ramsey, sunit
-from prtoolkit.algebra import MultiPoly
+from prtoolkit.algebra import MultiPoly, RatMatrix, Record, UniPoly
 from prtoolkit.equations import Add, Num, PolyExpEquation, PolyExpTerm, Sub, Var, classify, parse_equation_text
 
 RECORDS = (
@@ -24,6 +26,8 @@ RECORDS = (
         "ConstantSolutionResult", "HypothesisReport", "PolyExpVerdict")]
     + [diophantine.TwoVarVerdict, rado.LinearVerdict, ramsey.SearchResult, sunit.GroupSpec, sunit.SUnitVerdict]
 )
+
+VALUES = (MultiPoly, UniPoly, RatMatrix, polyexp.ExpSum)
 
 _EQUATION = classify(parse_equation_text("(x - 5)*2^x - (-2)^x = 0"))
 
@@ -48,10 +52,8 @@ def _values(cls):
 
 
 def test_every_record_class_is_listed():
-    from prtoolkit.algebra import Record
-
     found = {c for c in Record.__subclasses__() if c.__module__.startswith("prtoolkit.")}
-    assert found == set(RECORDS) and len(RECORDS) == 27
+    assert found == set(RECORDS) | set(VALUES) and (len(RECORDS), len(VALUES)) == (27, 4)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -127,6 +129,62 @@ def test_polyexp_equation_validation(exp_vars, terms, message):
         PolyExpEquation(("x",), exp_vars, None, terms)
 
 
+def _value_examples():
+    """One instance of each value class, with a Fraction among its values."""
+    return [
+        MultiPoly(("x", "y"), {(1, 1): 1, (0, 0): Fraction(1, 2)}),
+        UniPoly([1, Fraction(-2, 3)]),
+        RatMatrix([[1, 2], [Fraction(1, 2), 0]]),
+        polyexp.ExpSum([(2, [1, 1]), (-3, [5])]),
+    ]
+
+
+@pytest.mark.parametrize("value", _value_examples(), ids=lambda v: type(v).__name__)
+def test_value_fields_refuse_assignment_and_deletion(value):
+    before = repr(value)
+    for name in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before and value == copy.copy(value)
+
+
+@pytest.mark.parametrize("value", _value_examples(), ids=lambda v: type(v).__name__)
+def test_value_equality_follows_the_class(value):
+    cls = type(value)
+    other = type("Other" + cls.__name__, (cls,), {})
+    twin = other.__new__(other)
+    twin.__dict__.update(vars(value))
+    assert value != twin and twin != value
+    assert value != tuple(getattr(value, f) for f in cls._fields)
+
+
+# `pickle.dumps` of _value_examples() by the classes' former `__reduce__`,
+# which rebuilt each value through its constructor
+_OLD_PICKLES = (
+    b"\x80\x04\x95l\x00\x00\x00\x00\x00\x00\x00\x8c\x11prtoolkit.algebra\x94\x8c\tMultiPoly\x94\x93\x94"
+    b"\x8c\x01x\x94\x8c\x01y\x94\x86\x94}\x94(K\x01K\x01\x86\x94\x8c\tfractions\x94\x8c\x08Fraction\x94"
+    b"\x93\x94K\x01K\x01\x86\x94R\x94K\x00K\x00\x86\x94h\nK\x01K\x02\x86\x94R\x94u\x86\x94R\x94.",
+    b"\x80\x04\x95U\x00\x00\x00\x00\x00\x00\x00\x8c\x11prtoolkit.algebra\x94\x8c\x07UniPoly\x94\x93\x94"
+    b"\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94K\x01K\x01\x86\x94R\x94h\x05J\xfe\xff\xff\xffK\x03"
+    b"\x86\x94R\x94\x86\x94\x85\x94R\x94.",
+    b"\x80\x04\x95l\x00\x00\x00\x00\x00\x00\x00\x8c\x11prtoolkit.algebra\x94\x8c\tRatMatrix\x94\x93\x94"
+    b"\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94K\x01K\x01\x86\x94R\x94h\x05K\x02K\x01\x86\x94R\x94"
+    b"\x86\x94h\x05K\x01K\x02\x86\x94R\x94h\x05K\x00K\x01\x86\x94R\x94\x86\x94\x86\x94\x85\x94R\x94.",
+    b"\x80\x04\x95\x94\x00\x00\x00\x00\x00\x00\x00\x8c\x11prtoolkit.polyexp\x94\x8c\x06ExpSum\x94\x93\x94"
+    b"K\x02\x8c\x11prtoolkit.algebra\x94\x8c\x07UniPoly\x94\x93\x94\x8c\tfractions\x94\x8c\x08Fraction\x94"
+    b"\x93\x94K\x01K\x01\x86\x94R\x94h\x08K\x01K\x01\x86\x94R\x94\x86\x94\x85\x94R\x94\x86\x94J\xfd"
+    b"\xff\xff\xffh\x05h\x08K\x05K\x01\x86\x94R\x94\x85\x94\x85\x94R\x94\x86\x94\x86\x94\x85\x94R\x94.",
+)
+
+
+@pytest.mark.parametrize("data, value", zip(_OLD_PICKLES, _value_examples()), ids=[c.__name__ for c in VALUES])
+def test_value_pickles_of_the_former_form_still_load(data, value):
+    loaded = pickle.loads(data)
+    assert type(loaded) is type(value) and loaded == value and repr(loaded) == repr(value)
+
+
 def _examples():
     ast = parse_equation_text("x + 2*y = z^2; 3^x = -y")
     return [
@@ -137,6 +195,7 @@ def _examples():
         polyexp.decide_polyexp_pr(classify(parse_equation_text("2^x + 3^x + 5 = 0"))),
         rado.decide_linear(classify(parse_equation_text("x + y = z"))),
         sunit.make_group([2, 3]),
+        *_value_examples(),
     ]
 
 
