@@ -135,9 +135,11 @@ class Record:
     field values (only with a record of the same class), print as
     `Name(field=value, ...)` and refuse assignment and deletion with
     AttributeError; pickle and copy restore the fields without calling
-    `__init__`.  A value class that normalizes its arguments (MultiPoly,
-    UniPoly, RatMatrix, ExpSum) has its own `__init__`, which sets the
-    fields with `object.__setattr__`, and its own repr.  No code is
+    `__init__`.  A class whose fields derive from one another may set its
+    own `_key`, the function of a record that `==` and `hash` compare.
+    A value class that normalizes its arguments (MultiPoly, UniPoly,
+    RatMatrix, ExpSum) has its own `__init__`, which sets the fields
+    with `object.__setattr__`, and its own repr.  No code is
     generated, so defining a record costs no `exec` at import.  A
     keyword call costs about twice a positional one, since the keywords
     reach `__init__` as a dict to bind by name, so the hot paths of
@@ -154,9 +156,10 @@ class Record:
         fields = cls._fields + tuple(own)
         cls._fields = cls.__match_args__ = fields
         cls._defaults = {**cls._defaults, **{f: cls.__dict__[f] for f in own if f in cls.__dict__}}
-        # the tuple of field values, a plain 1-tuple for a single field
-        get = attrgetter(*fields)
-        cls._key = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
+        if "_key" not in cls.__dict__:
+            # the tuple of field values, a plain 1-tuple for a single field
+            get = attrgetter(*fields)
+            cls._key = staticmethod(get if len(fields) > 1 else lambda r: (get(r),))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

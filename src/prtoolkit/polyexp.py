@@ -60,6 +60,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, count, islice, zip_longest
 from math import comb, gcd, lcm, prod
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
@@ -122,11 +123,13 @@ class ExpSum(Record):
     `terms` holds the pairs (a_i, A_i) with A_i a UniPoly, and
     `int_terms` the same pairs with A_i as its tuple of int coefficients,
     lowest degree first, computed once here.  The decision rules of this
-    module read `int_terms`; `terms` serves the reports.
+    module read `int_terms`; `terms` serves the reports.  `==` and `hash`
+    read `terms` alone, since `int_terms` derives from it.
     """
 
     terms: Tuple[Tuple[int, UniPoly], ...]
     int_terms: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    _key = staticmethod(attrgetter("terms"))
 
     def __init__(self, terms: Iterable[Tuple[int, Union[UniPoly, Iterable]]]):
         merged: Dict[int, UniPoly] = {}
@@ -744,9 +747,13 @@ def modular_certificate_search(
     moduli are scanned in ascending blocks whose lcm stays within
     _JOINT_BITS bits; the first block with a survivor holds the answer.
 
-    decide_constant_solution passes its window width W as `max_period`:
-    only periods <= W are tried, since a longer one costs more to check
-    than the window scan it duplicates.  `certify` runs the full search.
+    decide_constant_solution runs this search before its window scan
+    and passes the window width W as `max_period`: only periods <= W
+    are tried, since a longer one costs more to check than the scan it
+    would spare.  A sum with a zero then pays for a failed search, but a
+    short one: every kept modulus has period <= W, so it shows a zero
+    within W steps, and each block (the moduli up to 200 make one) walks
+    at most W steps.  `certify` runs the full search.
     Either way the walk steps of all blocks together, and the order walks
     of that period filter, are charged against _SEARCH_STEPS, and
     _StepBudgetSpent is raised when they run out.
@@ -850,13 +857,14 @@ class ConstantSolutionResult(Record):
     status FOUND: `witness` is the zero of least |s| (nonnegative wins
     ties); `solutions_in_window` lists every zero inside the certified
     window and `families` names parity classes consisting entirely of
-    zeros ("all", "even", "odd").  status NONE: the dominance window was
-    scanned exhaustively and is empty, and `modular`, when present, is
-    an independent second proof whose period is at most the window
-    width W (`decide` tries no longer one; `certify` does).  status
-    UNKNOWN: only a user-supplied window was scanned, or the certified
-    window exceeds MAX_WINDOW and none was; nothing outside a scanned
-    window is claimed.
+    zeros ("all", "even", "odd").  status NONE: g has no integer zero.
+    Either `modular` holds a verified certificate whose period is at
+    most the window width W (`decide` tries no longer one; `certify`
+    does), and the window was not scanned, or `modular` is None and the
+    dominance window was scanned exhaustively and is empty; `note` says
+    which.  status UNKNOWN: only a user-supplied window was scanned, or
+    the certified window exceeds MAX_WINDOW and none was; nothing
+    outside a scanned window is claimed.
     """
 
     status: str
@@ -898,16 +906,22 @@ def decide_constant_solution(
     """Decide whether g(s) = 0 for some integer s, with certificates.
 
     Without `user_bound` the decision is complete: a dominance
-    certificate confines zeros to a finite window, which is scanned with
-    a residue filter (g(s) modulo 2^61 - 1 and 2^31 - 1, in integers)
-    and every candidate confirmed by exact evaluation.  A one-term sum
-    a^s * A(s) is not scanned: its zeros are the integer roots of A,
-    each confirmed by exact evaluation.  With
-    `user_bound` only [-user_bound, user_bound] is scanned, the same
-    way, and an empty scan yields UNKNOWN.  A window beyond MAX_WINDOW
-    points (or MAX_THRESHOLD_BITS) is not scanned: UNKNOWN, with a note
-    naming the cap.  A NONE gets the least modular certificate of period
-    at most the window width W; `certify` searches every period.
+    certificate confines zeros to a finite window of width W.  For a
+    sum of two or more terms with no parity class of zeros, the least
+    modular certificate of period at most W is searched for first
+    (modular_certificate_search with max_period=W); a verified one
+    decides NONE and the window is not scanned.  Otherwise, or when the
+    search spends its step budget, the window is scanned with a residue
+    filter (g(s) modulo 2^61 - 1 and 2^31 - 1, in integers) and every
+    candidate confirmed by exact evaluation.  A one-term sum a^s * A(s)
+    is not scanned: its zeros are the integer roots of A, each confirmed
+    by exact evaluation, and a NONE then gets the certificate as a
+    second proof.  The result is the same in either order, apart from
+    the note.  With `user_bound` only
+    [-user_bound, user_bound] is scanned, the same way, and an empty
+    scan yields UNKNOWN.  A window beyond MAX_WINDOW points (or
+    MAX_THRESHOLD_BITS) is not scanned: UNKNOWN, with a note naming the
+    cap.  `certify` searches every period.
     """
     if g.is_zero():
         return ConstantSolutionResult(
@@ -936,26 +950,44 @@ def decide_constant_solution(
     if not verify_dominance(g, cert):
         raise RuntimeError("internal error: dominance certificate failed re-verification")
     window = (-cert.s_minus, cert.s_plus)
+    families = cert.zero_parities
+    search_first = len(g.terms) > 1 and not families
+    modular = _certificate_within(g, m_max, window) if search_first else None
+    if modular is not None:
+        return ConstantSolutionResult(
+            "NONE", None, (), (), window, cert, modular,
+            "modular certificate proves no integer zero exists; window not scanned",
+        )
     if len(g.terms) == 1:
         zeros = [s for s in integer_roots(g.terms[0][1]) if g.eval(s) == 0]
     else:
         zeros = _zeros_between(g, *window)
-    families = cert.zero_parities
     if zeros or families:
         family_reps = [0 if f in ("all", "even") else 1 for f in families]
         return ConstantSolutionResult(
             "FOUND", least_witness(list(zeros) + family_reps), tuple(zeros), families, window, cert,
         )
-    try:
-        modular = modular_certificate_search(g, m_max, max_period=window[1] - window[0] + 1)
-    except _StepBudgetSpent:  # a second proof only: the window scan has decided
-        modular = None
-    if modular is not None and not verify_modular(g, modular):
-        raise RuntimeError("internal error: modular certificate failed re-verification")
+    if not search_first:  # a one-term sum: the certificate is a second proof
+        modular = _certificate_within(g, m_max, window)
     return ConstantSolutionResult(
         "NONE", None, (), (), window, cert, modular,
         "window scanned exhaustively; no integer zero exists",
     )
+
+
+def _certificate_within(
+    g: ExpSum, m_max: int, window: Tuple[int, int]
+) -> Optional[ModularCertificate]:
+    """The least verified modular certificate of g with period at most the
+    window width, or None when there is none or the step budget runs out
+    (the window scan then decides)."""
+    try:
+        modular = modular_certificate_search(g, m_max, max_period=window[1] - window[0] + 1)
+    except _StepBudgetSpent:
+        return None
+    if modular is not None and not verify_modular(g, modular):
+        raise RuntimeError("internal error: modular certificate failed re-verification")
+    return modular
 
 
 # ---------------------------------------------------------------------

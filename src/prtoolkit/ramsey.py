@@ -21,10 +21,10 @@ two, y and z, tabulated over y = 1..N from powers of y tabulated once
 per call.  One without z keeps the y where it vanishes; one whose
 terms with z hold no other variable, A(z) + B = 0, looks B up in a map
 from -A(z) to z built once per call; any other gives at each y integer
-coefficients in z, solved by one exact division when linear, by one
-integer square root when quadratic, and by testing the divisors of the
-constant term otherwise.  No rational arithmetic and no factoring run
-per prefix.
+coefficients in z, solved by one exact division when linear (for the
+whole column of y at once), by one integer square root when
+quadratic, and by testing the divisors of the constant term
+otherwise.  No rational arithmetic and no factoring run per prefix.
 
 The search assigns colors to 1, 2, .., N in order, breaks color
 symmetry by allowing at most one brand-new color per step, and checks
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import product
+from itertools import product, repeat
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -159,8 +159,7 @@ def _roots(cs: Sequence[int], N: int) -> Optional[List[int]]:
         return []
     c0 = cs[low]
     if top == low + 1:
-        q, r = divmod(-c0, cs[top])
-        return [q] if r == 0 and 1 <= q <= N else []
+        return _linear_roots(c0, cs[top], N)
     if top == low + 2:
         a, b = cs[top], cs[low + 1]
         disc = b * b - 4 * a * c0
@@ -172,6 +171,14 @@ def _roots(cs: Sequence[int], N: int) -> Optional[List[int]]:
     rest = cs[low:top + 1]
     return [t for t in range(1, min(N, abs(c0)) + 1)
             if c0 % t == 0 and _horner(rest, t) == 0]
+
+
+def _linear_roots(c0: int, c1: int, N: int) -> Optional[List[int]]:
+    """`_roots([c0, c1], N)`: [-c0 / c1] where that is an integer in [1, N]."""
+    if not c1:
+        return None if not c0 else []
+    q, r = divmod(-c0, c1)
+    return [q] if r == 0 and 1 <= q <= N else []
 
 
 def enumerate_solutions(
@@ -239,7 +246,8 @@ def _back_substituted(scaled, k: int, N: int) -> Iterator[Tuple[int, ...]]:
       give it is built once, and B's column is looked up in it.
     - mixed: at each (prefix, y) the groups' columns give the integer
       coefficients of a polynomial in z, whose roots (see `_roots`) are
-      the candidates.
+      the candidates.  One of degree 1 in z, c1 z + c0, is solved for
+      the whole column at once by exact division.
 
     Where a table would exceed about TABLE_BYTES, y runs in blocks whose
     powers are tabulated as they come, and a separated polynomial is
@@ -297,6 +305,10 @@ def _solve_last(prefix, ys, rows, polys, k: int,
             hits = list(map(table.get, cols[0]))
             alive = [i for i in alive if hits[i]]
             found.append(hits)
+        elif top == 1:
+            hits = list(map(_linear_roots, cols[0], cols[1], repeat(N)))
+            alive = [i for i in alive if hits[i] != []]  # None: every z
+            found.append(hits)
         else:
             mixed.append(cols)
         if not alive:
@@ -304,7 +316,8 @@ def _solve_last(prefix, ys, rows, polys, k: int,
     for i in alive:
         zs = None
         for hits in found:
-            zs = hits[i] if zs is None else [z for z in zs if z in hits[i]]
+            if hits[i] is not None:
+                zs = hits[i] if zs is None else [z for z in zs if z in hits[i]]
         for cols in mixed:
             if zs is not None and not zs:
                 break

@@ -77,6 +77,17 @@ def test_expsum_rejects_zero_base():
         ExpSum([(0, UniPoly([Fraction(1)]))])
 
 
+def test_expsum_equality_reads_terms_only():
+    # int_terms derives from terms, so == and hash key on terms alone
+    a = ExpSum([(2, [1, 2]), (-3, [5])])
+    b = ExpSum([(2, UniPoly([Fraction(1), Fraction(2)])), (-3, UniPoly([Fraction(10, 2)]))])
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) and a.int_terms == b.int_terms == ((2, (1, 2)), (-3, (5,)))
+    assert a != ExpSum([(2, [1, 2]), (-3, [6])])
+    object.__setattr__(b, "int_terms", ())
+    assert a == b and hash(a) == hash(b)
+
+
 # --- diagonalization --------------------------------------------------------------
 
 
@@ -504,12 +515,15 @@ def test_search_charges_its_steps_across_blocks(monkeypatch):
     monkeypatch.setattr(polyexp, "_SEARCH_STEPS", 2000)
     with pytest.raises(polyexp._StepBudgetSpent, match="step budget of 2000 walk steps"):
         modular_certificate_search(g, 3000)
-    # decide_constant_solution keeps its verdict and drops the second proof
+    # decide_constant_solution keeps its verdict: the window scan decides it
     g = ExpSum([(4, UniPoly([Fraction(1)])), (1, UniPoly([Fraction(2)]))])
-    assert decide_constant_solution(g).modular is not None
+    res = decide_constant_solution(g)
+    assert (res.status, res.modular.modulus) == ("NONE", 5)
+    assert res.note == "modular certificate proves no integer zero exists; window not scanned"
     monkeypatch.setattr(polyexp, "_SEARCH_STEPS", 0)
     res = decide_constant_solution(g)
     assert (res.status, res.window, res.modular) == ("NONE", (-1, 2), None)
+    assert res.note == "window scanned exhaustively; no integer zero exists"
 
 
 def test_period_filter_draws_from_the_step_budget():
@@ -974,6 +988,75 @@ def test_decide_certificate_changes_with_the_window():
     assert (res.modular.modulus, res.modular.period) == (73, 6)
     assert res.modular == per_modulus_search(g, 200, max_period=9)
     assert decide_constant_solution(g, m_max=72).modular is None
+
+
+def scan_first(g, m_max=200):
+    """decide_constant_solution's fields in its former order: the window
+    scan first, then the search for a certificate of period <= W."""
+    cert = dominance_bound(g)
+    window = (-cert.s_minus, cert.s_plus)
+    zeros = _zeros_between(g, *window)
+    families = cert.zero_parities
+    if zeros or families:
+        reps = [0 if f in ("all", "even") else 1 for f in families]
+        witness = min(zeros + reps, key=lambda w: (abs(w), w < 0))
+        return ("FOUND", witness, tuple(zeros), families, window, cert, None)
+    try:
+        modular = modular_certificate_search(g, m_max, max_period=window[1] - window[0] + 1)
+    except polyexp._StepBudgetSpent:
+        modular = None
+    return ("NONE", None, (), (), window, cert, modular)
+
+
+def search_first_sums(rng):
+    """Random sums: bases in +-13, pairs a and -a, degree <= 3, and zeros
+    planted on both sides of 0."""
+    bases = [b for b in range(-13, 14) if b != 0]
+    for _ in range(170):
+        yield ExpSum([(rng.choice(bases), [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))])
+                      for _ in range(rng.randint(1, 4))])
+    for _ in range(60):
+        a = rng.randint(2, 13)
+        p = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
+        terms = [(a, p), (-a, [rng.choice((1, -1)) * c for c in p])]
+        if rng.random() < 0.5:
+            terms.append((rng.choice(bases), [rng.randint(-9, 9)]))
+        yield ExpSum(terms)
+    for _ in range(100):
+        yield planted_sum(rng, rng.randint(-4, 6))
+
+
+def test_search_first_matches_scan_first():
+    rng = random.Random(2602)
+    seen = dict.fromkeys(("certified", "scanned", "found_negative", "found_nonnegative", "families"), 0)
+    total = 0
+    for g in search_first_sums(rng):
+        if g.is_zero():
+            continue
+        res = decide_constant_solution(g)
+        if res.status == "UNKNOWN":
+            continue
+        total += 1
+        fields = (res.status, res.witness, res.solutions_in_window, res.families,
+                  res.window, res.dominance, res.modular)
+        assert fields == scan_first(g), g
+        if res.status == "NONE" and res.modular is not None:
+            assert _zeros_between(g, *res.window) == []
+            seen["certified"] += res.note.startswith("modular certificate proves")
+        elif res.status == "NONE":
+            seen["scanned"] += res.note == "window scanned exhaustively; no integer zero exists"
+        elif res.families:
+            seen["families"] += 1
+        else:
+            seen["found_negative" if res.witness < 0 else "found_nonnegative"] += 1
+    assert total >= 300 and min(seen.values()) >= 5, (total, seen)
+
+
+def test_search_first_sum_with_a_zero():
+    # the search finds no certificate, so the window scan finds the zero -7
+    g = diagonalize(parse_eq("(x + 7)*x^200*2^x + (x + 7)*3^x = 0"))
+    res = decide_constant_solution(g)
+    assert (res.status, res.witness, res.window, res.modular) == ("FOUND", -7, (-14, 4106), None)
 
 
 # --- the hypothesis, pair by pair ---------------------------------------------

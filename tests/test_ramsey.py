@@ -349,6 +349,22 @@ def test_separated_polynomials_are_looked_up(monkeypatch):
     assert enumerate_solutions(pythagorean, 20) == scan(lambda x, y, z: x * x + y * y == z * z, 3, 20)
 
 
+def test_linear_in_z_columns_are_solved_without_roots():
+    # x*y*z - 24 is c1 z + c0 under each (x, y): every column is solved by
+    # exact division, so none of the 40,000 cells calls `_roots`
+    cls = classify(parse_equation_text("x*y*z = 24"))
+    with mock.patch.object(ramsey, "_roots", wraps=ramsey._roots) as roots:
+        sols = enumerate_solutions(cls, 200)
+    assert roots.call_count == 0
+    assert sols == tuple((x, y, 24 // (x * y)) for x in range(1, 25) for y in range(1, 25)
+                         if 24 % (x * y) == 0)
+    # c1 = c0 = 0 admits every z: x*z - y*z = 0 holds on the diagonal x = y
+    diagonal = classify(parse_equation_text("(x - y)*z = 0"))
+    with mock.patch.object(ramsey, "_roots", wraps=ramsey._roots) as roots:
+        assert enumerate_solutions(diagonal, 9) == scan(lambda x, y, z: x == y, 3, 9)
+    assert roots.call_count == 0
+
+
 def divisor_scan_roots(cs, N):
     """Roots in [1, N] by testing every divisor of the lowest nonzero coefficient."""
     low = next(d for d, c in enumerate(cs) if c)
