@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 # Only the modules every subcommand needs are imported here; each
 # handler imports the decision module it calls, so `decide` on a linear
 # system never loads polyexp, ramsey, sunit or diophantine.
-from .algebra import BudgetExceeded, IncompleteFactorization, constant_solutions, least_witness
+from .algebra import BudgetExceeded, IncompleteFactorization, Record
 from .equations import (
     ClassifyError,
     GeneralPolySystem,
@@ -42,13 +42,7 @@ from .equations import (
 )
 
 if TYPE_CHECKING:
-    from .polyexp import (
-        ConstantSolutionResult,
-        DominanceCertificate,
-        ExpSum,
-        HypothesisReport,
-        ModularCertificate,
-    )
+    from .polyexp import ConstantSolutionResult, ExpSum, HypothesisReport
 
 EXIT_DECIDED = 0
 EXIT_USAGE = 1
@@ -154,64 +148,40 @@ def _expsum_json(g: ExpSum) -> dict:
     }
 
 
-def _dominance_json(cert: DominanceCertificate) -> dict:
-    return {
-        "s_plus": _num(cert.s_plus),
-        "s_minus": _num(cert.s_minus),
-        "zero_parities": list(cert.zero_parities),
-        "branches": [
-            {
-                "parity": br.parity,
-                "direction": br.direction,
-                "bases": [_num(b) for b in br.bases],
-                "coeffs": [[_num(c) for c in cs] for cs in br.coeffs],
-                "kind": br.kind,
-                "threshold": _num(br.threshold),
-                "t1": _num(br.t1),
-                "tstar": _num(br.tstar),
-            }
-            for br in cert.branches
-        ],
-    }
+def _record_json(rec: Record) -> dict:
+    """The fields of a record, in declaration order, as report values:
+    tuples become lists, str, bool and None pass through, nested records
+    recurse, and numbers become exact decimal strings by `_num`."""
+    return {f: _json_value(getattr(rec, f)) for f in rec._fields}
 
 
-def _modular_json(cert: ModularCertificate) -> dict:
-    return {
-        "modulus": _num(cert.modulus),
-        "period": _num(cert.period),
-        "residues": [_num(r) for r in cert.residues],
-    }
+def _json_value(v):
+    """`v` as a report value, by the rules of `_record_json`."""
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    if v is None or isinstance(v, (str, bool)):
+        return v
+    if isinstance(v, Record):
+        return _record_json(v)
+    return _num(v)
 
 
 def _hypothesis_json(h: HypothesisReport) -> dict:
-    failing = None
-    if h.failing_partition is not None:
-        failing = [[i + 1 for i in block] for block in h.failing_partition]
-    return {
-        "checked_partitions": h.checked_partitions,
-        "trivial_for_all": h.trivial_for_all,
-        "failing_partition": failing,
-        "coprime": h.coprime,
-        "unit_entry_warning": h.unit_entry_warning,
-        "degenerate_possible": h.degenerate_possible,
-    }
+    out = _record_json(h)
+    if h.failing_partition is not None:  # blocks of 1-based term numbers
+        out["failing_partition"] = [[i + 1 for i in block] for block in h.failing_partition]
+    return out
 
 
-def _witness_json(report: dict, witness, witnesses) -> None:
-    report["witness"] = None if witness is None else _num(witness)
-    report["witnesses"] = witnesses if witnesses == "all" else [_num(w) for w in witnesses]
-
-
-def _constant_result_json(res: ConstantSolutionResult) -> dict:
-    out = {
-        "status": res.status,
-        "witness": None if res.witness is None else _num(res.witness),
-        "solutions_in_window": [_num(s) for s in res.solutions_in_window],
-        "families": list(res.families),
-        "window": None if res.window is None else [_num(res.window[0]), _num(res.window[1])],
-    }
-    if res.note:
-        out["note"] = res.note
+def _constant_result_json(res: ConstantSolutionResult, certificates: dict) -> dict:
+    """`res` as a report's constant_solution; its certificates move to `certificates`."""
+    out = _record_json(res)
+    for kind in ("dominance", "modular"):
+        cert = out.pop(kind)
+        if cert is not None:
+            certificates[kind] = cert
+    if not res.note:
+        del out["note"]
     return out
 
 
@@ -259,7 +229,7 @@ def _cmd_decide(args) -> int:
         report["status"] = verdict.status
         report["coefficient_sum"] = _num(verdict.coefficient_sum)
         report["rank"] = verdict.rank
-        report["solution_bound"] = None if verdict.bound is None else _num(verdict.bound)
+        report["solution_bound"] = _json_value(verdict.bound)
         report["notes"].append(verdict.note)
         report["summary"] = "%s over the given group (coefficient sum %s)" % (
             verdict.status, report["coefficient_sum"])
@@ -273,7 +243,7 @@ def _cmd_decide(args) -> int:
         verdict = decide_linear(cls, domain=args.domain, cap=args.cap or DEFAULT_COLUMN_CAP)
         report["status"] = verdict.status
         report["homogeneous"] = verdict.homogeneous
-        report["witness"] = None if verdict.witness is None else _num(verdict.witness)
+        report["witness"] = _json_value(verdict.witness)
         if verdict.partition is not None:
             if not verify_columns_condition(cls.matrix, verdict.partition):
                 raise RuntimeError("internal error: partition failed re-verification")
@@ -290,16 +260,24 @@ def _cmd_decide(args) -> int:
             report["witnesses"] = "all" if w == "all" else [] if w is None else [_num(w)]
         report["summary"] = "%s (linear system over %s)" % (verdict.status, args.domain)
 
-    elif isinstance(cls, TwoVarPolySystem):
+    elif isinstance(cls, (TwoVarPolySystem, GeneralPolySystem)):
         from .diophantine import decide_twovar
 
         verdict = decide_twovar(cls, domain=args.domain)
+        two_var = isinstance(cls, TwoVarPolySystem)
         report["status"] = verdict.status
-        _witness_json(report, verdict.witness, verdict.witnesses)
-        report["infinitely_pr"] = verdict.infinitely_pr
-        report["divisible_by_x_minus_y"] = verdict.infinitely_pr
-        report["summary"] = "%s (two-variable polynomial system over %s)" % (
-            verdict.status, args.domain)
+        if verdict.note:
+            report["notes"].append(verdict.note)
+        if two_var or verdict.status == "PR_CONSTANT":
+            report["witness"] = _json_value(verdict.witness)
+            report["witnesses"] = _json_value(verdict.witnesses)
+        if two_var:
+            report["infinitely_pr"] = verdict.infinitely_pr
+            report["divisible_by_x_minus_y"] = verdict.infinitely_pr
+            report["summary"] = "%s (two-variable polynomial system over %s)" % (
+                verdict.status, args.domain)
+        else:
+            report["summary"] = "%s (general polynomial system)" % verdict.status
 
     elif isinstance(cls, PolyExpEquation):
         from .polyexp import DEFAULT_MODULUS_CAP, bell_number, compute_constants, decide_polyexp_pr
@@ -317,13 +295,8 @@ def _cmd_decide(args) -> int:
         if verdict.diagonal is not None:
             report["diagonal"] = _expsum_json(verdict.diagonal)
         if verdict.result is not None:
-            report["constant_solution"] = _constant_result_json(verdict.result)
-            if verdict.result.dominance is not None:
-                report["certificates"]["dominance"] = _dominance_json(
-                    verdict.result.dominance)
-            if verdict.result.modular is not None:
-                report["certificates"]["modular"] = _modular_json(
-                    verdict.result.modular)
+            report["constant_solution"] = _constant_result_json(
+                verdict.result, report["certificates"])
         constants = compute_constants(cls)
         report["constants"] = {"A": _num(constants.A), "B": _num(constants.B)}
         bits = 35 * constants.B ** 3
@@ -334,32 +307,6 @@ def _cmd_decide(args) -> int:
                 "solution-count bound omitted: 2^(35 B^3) needs %d bits" % bits)
         report["notes"].extend(verdict.notes)
         report["summary"] = "%s (polyexponential equation over Z)" % verdict.status
-
-    elif isinstance(cls, GeneralPolySystem):
-        # PR by a constant solution, NOT_PR by an equation c = 0 (c != 0), else UNKNOWN
-        constant = [p.eval([0] * len(cls.variables)) for p in cls.polys if p.degree() == 0]
-        incomplete = None
-        try:
-            found = constant_solutions([p.diagonal() for p in cls.polys], args.domain)
-        except IncompleteFactorization as exc:
-            found, incomplete = (), exc
-        if constant:
-            report["status"] = "NOT_PR"
-            report["notes"].append("an equation reduces to %s = 0: no solution" % _num(constant[0]))
-        elif found:
-            report["status"] = "PR_CONSTANT"
-            ground_least = 1 if args.domain == "N" else 0
-            _witness_json(report, ground_least if found == "all" else least_witness(found), found)
-        else:
-            report["status"] = "UNKNOWN"
-            report["notes"].append(
-                "no decision procedure for this polynomial system beyond its "
-                "constant solutions; try `search` for finite evidence"
-                if incomplete is None else
-                "the constant-solution search stopped on an incomplete "
-                "factorization: %s" % incomplete
-            )
-        report["summary"] = "%s (general polynomial system)" % report["status"]
 
     else:
         raise _UsageError("unsupported equation class")
@@ -482,7 +429,7 @@ def _cmd_certify(args) -> int:
         return EXIT_UNKNOWN
     if not verify_modular(g, cert):
         raise RuntimeError("internal error: modular certificate failed re-verification")
-    report["certificate"] = _modular_json(cert)
+    report["certificate"] = _record_json(cert)
     report["verified"] = True
     _emit(report)
     return EXIT_DECIDED

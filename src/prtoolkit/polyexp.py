@@ -387,8 +387,8 @@ class DominanceCertificate(Record):
 
     s_plus: int
     s_minus: int
-    branches: Tuple[BranchCertificate, ...]
     zero_parities: Tuple[str, ...]
+    branches: Tuple[BranchCertificate, ...]
 
 
 class WindowTooWide(ValueError):
@@ -614,7 +614,7 @@ def dominance_bound(g: ExpSum) -> DominanceCertificate:
             "the certified window [%d, %d] exceeds MAX_WINDOW = %d points"
             % (-s_minus, s_plus, MAX_WINDOW)
         )
-    return DominanceCertificate(s_plus, s_minus, branches, zero_parities)
+    return DominanceCertificate(s_plus, s_minus, zero_parities, branches)
 
 
 def verify_dominance(g: ExpSum, cert: DominanceCertificate) -> bool:
@@ -858,13 +858,16 @@ class ConstantSolutionResult(Record):
     ties); `solutions_in_window` lists every zero inside the certified
     window and `families` names parity classes consisting entirely of
     zeros ("all", "even", "odd").  status NONE: g has no integer zero.
-    Either `modular` holds a verified certificate whose period is at
-    most the window width W (`decide` tries no longer one; `certify`
-    does), and the window was not scanned, or `modular` is None and the
-    dominance window was scanned exhaustively and is empty; `note` says
-    which.  status UNKNOWN: only a user-supplied window was scanned, or
-    the certified window exceeds MAX_WINDOW and none was; nothing
-    outside a scanned window is claimed.
+    For a sum of two or more terms, either `modular` holds a verified
+    certificate whose period is at most the window width W (`decide`
+    tries no longer one; `certify` does), and the window was not
+    scanned, or `modular` is None and the dominance window was scanned
+    exhaustively and is empty.  A one-term sum a^s * A(s) is never
+    scanned: A has no integer root, and `modular`, when there is one,
+    is a second proof.  `note` says which.  status UNKNOWN: only a
+    user-supplied window was scanned, or the certified window exceeds
+    MAX_WINDOW and none was; nothing outside a scanned window is
+    claimed.
     """
 
     status: str
@@ -969,10 +972,9 @@ def decide_constant_solution(
         )
     if not search_first:  # a one-term sum: the certificate is a second proof
         modular = _certificate_within(g, m_max, window)
-    return ConstantSolutionResult(
-        "NONE", None, (), (), window, cert, modular,
-        "window scanned exhaustively; no integer zero exists",
-    )
+    return ConstantSolutionResult("NONE", None, (), (), window, cert, modular, (
+        "window scanned exhaustively; no integer zero exists" if search_first else
+        "the coefficient polynomial has no integer root; window not scanned"))
 
 
 def _certificate_within(
@@ -1063,19 +1065,15 @@ def decide_polyexp_pr(
     A FOUND constant solution certifies regularity unconditionally.
     An empty certified window decides non-regularity provided the
     character-group hypothesis holds; when the hypothesis fails, no
-    negative claim is made and the verdict is UNKNOWN.
+    negative claim is made and the verdict is UNKNOWN.  A hypothesis
+    check or constant-solution search stopped by an incomplete
+    factorization is UNKNOWN too, with a note.
     """
     notes: List[str] = []
     try:
         hypothesis = check_hypothesis(eq)
     except IncompleteFactorization as e:
-        return PolyExpVerdict(
-            status="UNKNOWN",
-            result=None,
-            hypothesis=None,
-            diagonal=None,
-            notes=("hypothesis check aborted: %s" % e,),
-        )
+        return PolyExpVerdict("UNKNOWN", None, None, None, ("hypothesis check aborted: %s" % e,))
     if hypothesis.unit_entry_warning:
         notes.append("characters contain unit entries (zero exponent vectors)")
     if hypothesis.degenerate_possible:
@@ -1085,7 +1083,11 @@ def decide_polyexp_pr(
         )
 
     g = diagonalize(eq)
-    result = decide_constant_solution(g, user_bound=user_bound, m_max=m_max)
+    try:
+        result = decide_constant_solution(g, user_bound=user_bound, m_max=m_max)
+    except IncompleteFactorization as e:
+        notes.append("constant-solution search aborted: %s" % e)
+        return PolyExpVerdict("UNKNOWN", None, hypothesis, g, tuple(notes))
     if result.status == "FOUND":
         status = "PR_CONSTANT"
     elif result.status == "NONE":

@@ -194,6 +194,65 @@ def test_decide_general_system_with_a_constant_equation_is_not_pr(capsys, expr, 
         assert rep["summary"] == "NOT_PR (general polynomial system)"
 
 
+INCOMPLETE_NOTE = (
+    "factorization of %s1000000016000000063 incomplete: cofactor "
+    "1000000016000000063 exceeds budget^2 = 1000000000000"
+)
+
+
+@pytest.mark.parametrize(
+    "expr, sign",
+    [
+        # w^3 + w - (10^9 + 7)(10^9 + 9): the roots need a factorization beyond the budget
+        ("x^3 + x = 1000000016000000063", "-"),
+        ("(x - 1000000007)*(x - 1000000009)*(x + 1) = 0", ""),
+    ],
+)
+def test_decide_two_variable_incomplete_factorization_is_reported(capsys, expr, sign):
+    code, rep = run_cli(capsys, "decide", "--expr", expr)
+    assert code == 2
+    assert rep["class"]["class"] == "twovar_poly_system"
+    assert (rep["status"], rep["witness"], rep["witnesses"]) == ("UNKNOWN", None, [])
+    assert rep["notes"] == [
+        "the constant-solution search stopped on an incomplete factorization: "
+        + INCOMPLETE_NOTE % sign]
+    assert rep["summary"] == "UNKNOWN (two-variable polynomial system over N)"
+
+
+def test_decide_polyexp_incomplete_factorization_is_reported(capsys):
+    # the one coefficient's roots, which span the window, need the product factored
+    code, rep = run_cli(capsys, "decide", "--expr",
+                        "(x - 1000000007)*(x - 1000000009)*(x + 1)*2^x = 0")
+    assert code == 2
+    assert rep["status"] == "UNKNOWN"
+    assert rep["hypothesis"]["trivial_for_all"] is True
+    assert rep["diagonal"]["bases"] == ["2"]
+    assert "constant_solution" not in rep and rep["certificates"] == {}
+    assert rep["notes"][-1] == "constant-solution search aborted: " + INCOMPLETE_NOTE % ""
+
+
+def test_decide_json_two_variable_constant_equation_is_not_pr(tmp_path, capsys):
+    # classify files 5 = 0 as a general system; a class JSON may still hold it
+    j = tmp_path / "constant.json"
+    j.write_text(json.dumps({"class": "twovar_poly_system", "vars": ["x", "y"],
+                             "equations": [[{"coeff": "5", "exps": [0, 0]}]]}))
+    code, rep = run_cli(capsys, "decide", "--json", str(j))
+    assert code == 0
+    assert (rep["status"], rep["witness"], rep["witnesses"]) == ("NOT_PR", None, [])
+    assert rep["notes"] == ["an equation reduces to 5 = 0: no solution"]
+    assert (rep["infinitely_pr"], rep["divisible_by_x_minus_y"]) == (False, False)
+
+
+def test_checked_partitions_is_a_decimal_string(capsys):
+    # Bell(23) - 1 is above 2^53, where a reader that uses doubles rounds
+    primes = [p for p in range(2, 84) if all(p % q for q in range(2, p))]
+    assert len(primes) == 23
+    code, rep = run_cli(capsys, "decide", "--expr", " + ".join("%d^x" % p for p in primes) + " = 0")
+    assert code == 0
+    assert rep["hypothesis"]["checked_partitions"] == "44152005855084345"
+    assert int(rep["hypothesis"]["checked_partitions"]) == bell_number(23) - 1 > 2 ** 53
+
+
 def test_decide_linear_row_without_a_constant_solution(capsys):
     # the row 0 = 1 holds at no constant: no witnesses, not infinitely PR
     code, rep = run_cli(capsys, "decide", "--expr", "x = x + 1")

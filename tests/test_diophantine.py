@@ -4,7 +4,9 @@ The criterion: a two-variable system is PR exactly when some w solves
 every diagonal P_i(w, w) = 0, and infinitely PR exactly when every
 diagonal vanishes identically, i.e. (x - y) divides every P_i.  Linear
 systems in two variables reach the same diagonals through
-`decide_linear`, whose rows give rowsum_i * w - b_i.
+`decide_linear`, whose rows give rowsum_i * w - b_i.  `decide_twovar`
+decides general polynomial systems by the same diagonals, except that
+no witness leaves them UNKNOWN in three or more variables.
 """
 
 import random
@@ -15,6 +17,7 @@ import pytest
 from prtoolkit.algebra import MultiPoly, constant_solutions
 from prtoolkit.diophantine import decide_twovar
 from prtoolkit.equations import (
+    GeneralPolySystem,
     TwoVarPolySystem,
     classify,
     linear_polys,
@@ -106,9 +109,49 @@ def test_system_intersects_witness_sets():
 
 
 def test_unsatisfiable_constant_equation():
-    sys_bad = system(poly2({(0, 0): 5}))
-    with pytest.raises(ValueError):
-        decide_twovar(sys_bad)
+    # 5 = 0 holds nowhere, so no coloring has a solution
+    v = decide_twovar(system(poly2({(0, 0): 5})))
+    assert (v.status, v.witnesses, v.witness) == ("NOT_PR", (), None)
+    assert v.note == "an equation reduces to 5 = 0: no solution"
+
+
+INCOMPLETE = (
+    "the constant-solution search stopped on an incomplete factorization: "
+    "factorization of -1000000016000000063 incomplete: cofactor "
+    "1000000016000000063 exceeds budget^2 = 1000000000000"
+)
+NO_PROCEDURE = (
+    "no decision procedure for this polynomial system beyond its constant "
+    "solutions; try `search` for finite evidence"
+)
+
+
+@pytest.mark.parametrize(
+    "expr, cls, status, witnesses, witness, note",
+    [
+        ("x*y = 4", TwoVarPolySystem, "PR_CONSTANT", (2,), 2, ""),
+        ("x*y*z = 8", GeneralPolySystem, "PR_CONSTANT", (2,), 2, ""),
+        ("x^2 = y^2", TwoVarPolySystem, "PR_CONSTANT", "all", 1, ""),
+        ("x^2 + y^2 = 2*z^2", GeneralPolySystem, "PR_CONSTANT", "all", 1, ""),
+        ("x*y = x*y + 1; x = y^2", GeneralPolySystem, "NOT_PR", (), None,
+         "an equation reduces to -1 = 0: no solution"),
+        ("x = y^2; x*y*z + 3 = x*y*z", GeneralPolySystem, "NOT_PR", (), None,
+         "an equation reduces to 3 = 0: no solution"),
+        # no root: decided in two variables, not in three
+        ("x*y = 2", TwoVarPolySystem, "NOT_PR", (), None, ""),
+        ("x^2 + y^2 = z^2", GeneralPolySystem, "UNKNOWN", (), None, NO_PROCEDURE),
+        # w^3 + w - (10^9 + 7)(10^9 + 9) needs a factorization the budget cannot finish
+        ("x^3 + x = 1000000016000000063", TwoVarPolySystem, "UNKNOWN", (), None, INCOMPLETE),
+        ("x*y*z + x = 1000000016000000063", GeneralPolySystem, "UNKNOWN", (), None, INCOMPLETE),
+    ],
+)
+def test_one_decision_for_both_polynomial_classes(expr, cls, status, witnesses, witness, note):
+    system_ = classify(parse_equation_text(expr))
+    assert type(system_) is cls
+    v = decide_twovar(system_)
+    assert (v.status, v.witnesses, v.witness, v.note) == (status, witnesses, witness, note)
+    assert v.infinitely_pr == (witnesses == "all")
+    assert v.domain == "N"
 
 
 def test_decide_infinitely_pr_helper():
@@ -147,10 +190,7 @@ def test_infinitely_pr_iff_every_diagonal_vanishes():
         polys = [random_poly2(rng, divisible) for _ in range(rng.randint(1, 3))]
         sys_ = system(*polys)
         want = all(division_by_x_minus_y_is_exact(p) for p in polys)
-        try:
-            got = decide_twovar(sys_, domain="Z").infinitely_pr
-        except ValueError:
-            continue  # nonzero-constant equation: unsatisfiable, skip
+        got = decide_twovar(sys_, domain="Z").infinitely_pr
         assert got == want, [p.terms for p in polys]
 
 
@@ -159,10 +199,7 @@ def test_witnesses_against_brute_scan():
     for _ in range(60):
         polys = [random_poly2(rng, False) for _ in range(rng.randint(1, 2))]
         sys_ = system(*polys)
-        try:
-            v = decide_twovar(sys_)
-        except ValueError:
-            continue
+        v = decide_twovar(sys_)
         brute = [
             w for w in range(1, 1001)
             if all(p.eval((w, w)) == 0 for p in polys)

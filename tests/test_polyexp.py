@@ -5,6 +5,7 @@ Frozen threshold values (t1, tstar, T) were computed by hand from the
 defining inequalities before the search code existed.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prtoolkit.algebra import IncompleteFactorization, MultiPoly, UniPoly
-from prtoolkit.equations import classify, parse_equation_text
-from prtoolkit import polyexp
+from prtoolkit.equations import _num, classify, parse_equation_text
+from prtoolkit import cli, polyexp
 from prtoolkit.polyexp import (
     ExpSum,
     WindowTooWide,
@@ -1050,6 +1051,111 @@ def test_search_first_matches_scan_first():
         else:
             seen["found_negative" if res.witness < 0 else "found_nonnegative"] += 1
     assert total >= 300 and min(seen.values()) >= 5, (total, seen)
+
+
+# --- report JSON of the certificates -------------------------------------------
+# The hand-written converters the report fields were read by before
+# cli._record_json; the reports must keep their text and key order.
+
+
+def reference_dominance_json(cert):
+    return {
+        "s_plus": _num(cert.s_plus),
+        "s_minus": _num(cert.s_minus),
+        "zero_parities": list(cert.zero_parities),
+        "branches": [
+            {
+                "parity": br.parity,
+                "direction": br.direction,
+                "bases": [_num(b) for b in br.bases],
+                "coeffs": [[_num(c) for c in cs] for cs in br.coeffs],
+                "kind": br.kind,
+                "threshold": _num(br.threshold),
+                "t1": _num(br.t1),
+                "tstar": _num(br.tstar),
+            }
+            for br in cert.branches
+        ],
+    }
+
+
+def reference_modular_json(cert):
+    return {
+        "modulus": _num(cert.modulus),
+        "period": _num(cert.period),
+        "residues": [_num(r) for r in cert.residues],
+    }
+
+
+def reference_constant_result_json(res):
+    out = {
+        "status": res.status,
+        "witness": None if res.witness is None else _num(res.witness),
+        "solutions_in_window": [_num(s) for s in res.solutions_in_window],
+        "families": list(res.families),
+        "window": None if res.window is None else [_num(res.window[0]), _num(res.window[1])],
+    }
+    if res.note:
+        out["note"] = res.note
+    return out
+
+
+def reference_hypothesis_json(h):
+    failing = None
+    if h.failing_partition is not None:
+        failing = [[i + 1 for i in block] for block in h.failing_partition]
+    return {
+        "checked_partitions": _num(h.checked_partitions),  # a raw int before
+        "trivial_for_all": h.trivial_for_all,
+        "failing_partition": failing,
+        "coprime": h.coprime,
+        "unit_entry_warning": h.unit_entry_warning,
+        "degenerate_possible": h.degenerate_possible,
+    }
+
+
+def test_record_json_matches_the_hand_written_converters():
+    rng = random.Random(2602)
+    kinds = dict.fromkeys(("dominance", "modular", "certify", "note", "no_note"), 0)
+    for g in search_first_sums(rng):
+        if g.is_zero():
+            continue
+        res = decide_constant_solution(g)
+        certificates = {}
+        got = cli._constant_result_json(res, certificates)
+        assert json.dumps(got) == json.dumps(reference_constant_result_json(res)), g
+        want = {}
+        if res.dominance is not None:
+            want["dominance"] = reference_dominance_json(res.dominance)
+            assert cli._record_json(res.dominance) == want["dominance"]
+        if res.modular is not None:
+            want["modular"] = reference_modular_json(res.modular)
+        assert json.dumps(certificates) == json.dumps(want), g
+        full = modular_certificate_search(g)
+        if full is not None:
+            assert json.dumps(cli._record_json(full)) == json.dumps(reference_modular_json(full))
+            kinds["certify"] += 1
+        kinds["dominance"] += "dominance" in want
+        kinds["modular"] += "modular" in want
+        kinds["note" if res.note else "no_note"] += 1
+    assert min(kinds.values()) >= 5, kinds
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2^x + 3^x = 5^x",
+        "(x^2 + 3)*2^x + (-2)^x = 0",
+        "2^x + 2^y = 2^z",
+        "(x^2 - 7)*2^x + (x + 1)*(-2)^x + 3^x = 0",
+        "x*2^x + 4^x + 2*6^x + 3*(-6)^x = 0",
+        " + ".join("%d^x" % p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                                           47, 53, 59, 61, 67, 71, 73, 79, 83)) + " = 0",
+    ],
+)
+def test_hypothesis_json_matches_the_hand_written_converter(text):
+    h = check_hypothesis(parse_eq(text))
+    assert json.dumps(cli._hypothesis_json(h)) == json.dumps(reference_hypothesis_json(h))
 
 
 def test_search_first_sum_with_a_zero():
