@@ -40,7 +40,7 @@ Rat = Union[int, Fraction]
 DEFAULT_FACTOR_BUDGET = 10 ** 6
 
 
-# raised by ramsey; defined here so that cli can catch it without importing ramsey
+# raised by ramsey and polyexp; defined here so that cli catches it without importing them
 class BudgetExceeded(Exception):
     """Raised when enumeration or search would exceed its budget."""
 

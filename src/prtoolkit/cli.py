@@ -382,15 +382,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    from .polyexp import (
-        DEFAULT_MODULUS_CAP,
-        ConstantSolutionResult,
-        _StepBudgetSpent,
-        decide_constant_solution,
-        diagonalize,
-        modular_certificate_search,
-        verify_modular,
-    )
+    from .polyexp import DEFAULT_MODULUS_CAP, diagonalize, verify_modular
 
     t0 = time.monotonic()
     _require_positive(args, "mmax")
@@ -399,21 +391,9 @@ def _cmd_certify(args) -> int:
     if not isinstance(cls, PolyExpEquation):
         raise _UsageError("certify expects a polyexponential equation")
     g = diagonalize(cls)
-    # a zero of g rules out every modulus, so one is looked for first in
-    # the certified window, as decide does; m_max=1 tries no modulus there
-    try:
-        scan = decide_constant_solution(g, m_max=1)
-    except IncompleteFactorization:  # no window, so the search decides alone
-        scan = ConstantSolutionResult("UNKNOWN")
-    cert, note = None, None
-    if scan.status == "FOUND":
-        note = "g(%s) = 0, so no modulus certifies the sum nonvanishing; none was tried" % (
-            _num(scan.witness))
-    else:
-        try:
-            cert = modular_certificate_search(g, m_max)
-        except _StepBudgetSpent as e:
-            note = "%s; absence proves nothing" % e
+    cert, note = _least_certificate(g, m_max)
+    if cert is not None and not verify_modular(g, cert):
+        raise RuntimeError("internal error: modular certificate failed re-verification")
     report = {
         "command": "certify",
         "class": class_to_json(cls),
@@ -423,16 +403,35 @@ def _cmd_certify(args) -> int:
         "time_ms": int((time.monotonic() - t0) * 1000),
     }
     if cert is None:
-        report["note"] = note or (
-            "no modulus up to the cap certifies the sum nonvanishing; absence proves nothing")
+        report["note"] = note
         _emit(report)
         return EXIT_UNKNOWN
-    if not verify_modular(g, cert):
-        raise RuntimeError("internal error: modular certificate failed re-verification")
     report["certificate"] = _record_json(cert)
     report["verified"] = True
     _emit(report)
     return EXIT_DECIDED
+
+
+def _least_certificate(g, m_max: int):
+    """(least modular certificate of g up to m_max, or None; the note for None).
+
+    decide's call comes first: a zero rules out every modulus, and its
+    certificate never dies, so the full search stops at that modulus.
+    """
+    from .polyexp import ConstantSolutionResult, decide_constant_solution, modular_certificate_search
+
+    try:
+        res = decide_constant_solution(g, m_max=m_max)
+    except IncompleteFactorization:  # no window, so the search decides alone
+        res = ConstantSolutionResult("UNKNOWN")
+    if res.status == "FOUND":
+        return None, "g(%s) = 0, so no modulus certifies the sum nonvanishing; none was tried" % (
+            _num(res.witness))
+    try:
+        cert = modular_certificate_search(g, res.modular.modulus if res.modular else m_max)
+    except BudgetExceeded as e:
+        return None, "%s; absence proves nothing" % e
+    return cert, "no modulus up to the cap certifies the sum nonvanishing; absence proves nothing"
 
 
 def _cmd_rank(args) -> int:

@@ -65,6 +65,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from .algebra import (
     DEFAULT_FACTOR_BUDGET,
+    BudgetExceeded,
     IncompleteFactorization,
     Record,
     UniPoly,
@@ -395,10 +396,6 @@ class WindowTooWide(ValueError):
     """The certified window would exceed MAX_WINDOW or MAX_THRESHOLD_BITS."""
 
 
-class _StepBudgetSpent(Exception):
-    """modular_certificate_search walked _SEARCH_STEPS steps without an answer."""
-
-
 def _abs_eval(coeffs: Sequence[int], t: int) -> int:
     """sum |c_e| * t^e over the nonzero coefficients only."""
     return sum(abs(c) * t ** e for e, c in enumerate(coeffs) if c)
@@ -670,7 +667,7 @@ def _modular_period(
     that far without reaching 1 is not invertible.  Given `steps`, the
     counter of modular_certificate_search, the order walks of m draw their
     steps from it at once, and one past _SEARCH_STEPS raises
-    _StepBudgetSpent.
+    BudgetExceeded.
     """
     period, walked = 1, 0
     bound = m if cap is None else cap
@@ -686,8 +683,8 @@ def _modular_period(
             period = None
             break
     if steps is not None and next(islice(steps, walked - 1, None)) > _SEARCH_STEPS:
-        raise _StepBudgetSpent("the modular search spent its step budget of %d walk "
-                               "steps filtering modulus %d by its period" % (_SEARCH_STEPS, m))
+        raise BudgetExceeded("the modular search spent its step budget of %d walk "
+                             "steps filtering modulus %d by its period" % (_SEARCH_STEPS, m))
     return period
 
 
@@ -753,10 +750,9 @@ def modular_certificate_search(
     would spare.  A sum with a zero then pays for a failed search, but a
     short one: every kept modulus has period <= W, so it shows a zero
     within W steps, and each block (the moduli up to 200 make one) walks
-    at most W steps.  `certify` runs the full search.
-    Either way the walk steps of all blocks together, and the order walks
-    of that period filter, are charged against _SEARCH_STEPS, and
-    _StepBudgetSpent is raised when they run out.
+    at most W steps.  The walk steps of all blocks together, and the
+    order walks of that period filter, are charged against _SEARCH_STEPS,
+    and BudgetExceeded is raised when they run out.
     """
     if g.is_zero():
         return None
@@ -806,7 +802,7 @@ def _least_surviving(
     of them has a zero.  The values come from one walk modulo the lcm Q
     of the live moduli (`plan` is g's _horner plan), restarted at the
     next s modulo the new Q whenever Q is rebuilt.  Each step draws a
-    count from `steps`; one past _SEARCH_STEPS raises _StepBudgetSpent.
+    count from `steps`; one past _SEARCH_STEPS raises BudgetExceeded.
     """
     live = list(moduli)
     Q = lcm(*live)
@@ -816,8 +812,8 @@ def _least_surviving(
     while True:
         for v in _walk(plan, Q, s):
             if next(steps) > _SEARCH_STEPS:
-                raise _StepBudgetSpent("the modular search spent its step budget of %d walk "
-                                       "steps with modulus %d still open" % (_SEARCH_STEPS, live[0]))
+                raise BudgetExceeded("the modular search spent its step budget of %d walk "
+                                     "steps with modulus %d still open" % (_SEARCH_STEPS, live[0]))
             G = gcd(v, Q)
             s += 1
             if G >= live[0]:
@@ -859,15 +855,14 @@ class ConstantSolutionResult(Record):
     window and `families` names parity classes consisting entirely of
     zeros ("all", "even", "odd").  status NONE: g has no integer zero.
     For a sum of two or more terms, either `modular` holds a verified
-    certificate whose period is at most the window width W (`decide`
-    tries no longer one; `certify` does), and the window was not
-    scanned, or `modular` is None and the dominance window was scanned
-    exhaustively and is empty.  A one-term sum a^s * A(s) is never
-    scanned: A has no integer root, and `modular`, when there is one,
-    is a second proof.  `note` says which.  status UNKNOWN: only a
-    user-supplied window was scanned, or the certified window exceeds
-    MAX_WINDOW and none was; nothing outside a scanned window is
-    claimed.
+    certificate whose period is at most the window width W, and the
+    window was not scanned, or `modular` is None and the dominance
+    window was scanned exhaustively and is empty.  A one-term sum
+    a^s * A(s) is never scanned: A has no integer root, and `modular`,
+    when there is one, is a second proof.  `note` says which.  status
+    UNKNOWN: only a user-supplied window was scanned, or the certified
+    window exceeds MAX_WINDOW and none was; nothing outside a scanned
+    window is claimed.
     """
 
     status: str
@@ -920,11 +915,10 @@ def decide_constant_solution(
     is not scanned: its zeros are the integer roots of A, each confirmed
     by exact evaluation, and a NONE then gets the certificate as a
     second proof.  The result is the same in either order, apart from
-    the note.  With `user_bound` only
-    [-user_bound, user_bound] is scanned, the same way, and an empty
-    scan yields UNKNOWN.  A window beyond MAX_WINDOW points (or
-    MAX_THRESHOLD_BITS) is not scanned: UNKNOWN, with a note naming the
-    cap.  `certify` searches every period.
+    the note.  With `user_bound` only [-user_bound, user_bound] is
+    scanned, the same way, and an empty scan yields UNKNOWN.  A window
+    beyond MAX_WINDOW points (or MAX_THRESHOLD_BITS) is not scanned:
+    UNKNOWN, with a note naming the cap.
     """
     if g.is_zero():
         return ConstantSolutionResult(
@@ -985,7 +979,7 @@ def _certificate_within(
     (the window scan then decides)."""
     try:
         modular = modular_certificate_search(g, m_max, max_period=window[1] - window[0] + 1)
-    except _StepBudgetSpent:
+    except BudgetExceeded:
         return None
     if modular is not None and not verify_modular(g, modular):
         raise RuntimeError("internal error: modular certificate failed re-verification")

@@ -12,9 +12,14 @@ Both bounds are exact integers here.
 For a three-variable equation a x + b y + c z = 0 with x, y, z ranging
 over G, partition regularity with respect to finite colorings of G
 holds exactly when a + b + c = 0: then every constant triple
-x = y = z = g is a solution and trivially monochromatic, while for
-a + b + c != 0 the finiteness theorem leaves too few essentially
-different solutions to survive every coloring.
+x = y = z = g is a solution and trivially monochromatic.  Otherwise
+take a prime p that divides no numerator or denominator of a generator
+or coefficient, nor the numerator of a + b + c; all but finitely many
+primes qualify.
+Every element of G is then a unit modulo p, so coloring g by g mod p
+uses p - 1 colors.  In a monochromatic solution x, y, z would all be
+congruent to one r != 0, and a x + b y + c z to (a + b + c) r != 0
+(mod p): no solution is monochromatic.
 
 Coefficients and generators are restricted to exact rationals;
 enumeration is truncated by an exponent box rather than numeric height,
@@ -169,8 +174,9 @@ class SUnitVerdict(Record):
     """Partition-regularity verdict for a x + b y + c z = 0 over a group.
 
     PR_CONSTANT iff the coefficient sum vanishes; then every constant
-    triple is a solution.  `bound` = 2^(16 (rank + 1)) contextualizes
-    the NOT_PR case: solutions exist in only finitely many shapes.
+    triple is a solution.  NOT_PR otherwise: the residue coloring of
+    the module docstring leaves no solution monochromatic.  `bound` =
+    2^(16 (rank + 1)) is reported for context only.
     """
 
     status: str  # "PR_CONSTANT" | "NOT_PR"

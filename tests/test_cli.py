@@ -423,6 +423,17 @@ def test_decide_tries_only_certificates_shorter_than_the_window(capsys):
     assert (rep["certificate"]["modulus"], rep["certificate"]["period"]) == ("53", "26")
 
 
+def test_certify_searches_below_the_modulus_decide_finds(capsys):
+    # decide's least certificate of period <= 9 (the window [-1, 7]) is
+    # 73; the full search stops there and finds 23, of period 11
+    eq = "20*9^x + 21*8^x - 19 = 0"
+    code, rep = run_cli(capsys, "decide", "--expr", eq)
+    assert (code, rep["status"], rep["certificates"]["modular"]["modulus"]) == (0, "NOT_PR", "73")
+    code, rep = run_cli(capsys, "certify", "--expr", eq)
+    assert (code, rep["found"], rep["verified"]) == (0, True, True)
+    assert (rep["certificate"]["modulus"], rep["certificate"]["period"]) == ("23", "11")
+
+
 def test_certify_absent_is_unknown_exit(capsys):
     # (s^2+1)*2^s has no integer zero but also no modular proof: s^2+1
     # hits 0 mod M for M with -1 a quadratic residue, and small M without
@@ -433,8 +444,9 @@ def test_certify_absent_is_unknown_exit(capsys):
 
 
 def test_certify_on_a_sum_with_a_zero_runs_no_search(capsys):
-    # g(1) = 0, so no modulus can certify the sum: the window scan finds
-    # the zero and the search over 10^9 moduli is not run
+    # g(1) = 0, so no modulus can certify the sum: decide's search of
+    # period at most the window width runs and fails, the window scan
+    # finds the zero, and the full search over 10^9 moduli is not run
     t0 = time.monotonic()
     code, rep = run_cli(capsys, "certify", "--expr", "2^x - 2 = 0", "--mmax", "1000000000")
     assert time.monotonic() - t0 < 1.0

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prtoolkit.algebra import IncompleteFactorization, MultiPoly, UniPoly
+from prtoolkit.algebra import BudgetExceeded, IncompleteFactorization, MultiPoly, UniPoly
 from prtoolkit.equations import _num, classify, parse_equation_text
 from prtoolkit import cli, polyexp
 from prtoolkit.polyexp import (
@@ -514,7 +514,7 @@ def test_search_charges_its_steps_across_blocks(monkeypatch):
     g = expsum((2, [-48841, 0, 6851, 0, -251, 0, 1]))
     assert modular_certificate_search(g, 3000) is None
     monkeypatch.setattr(polyexp, "_SEARCH_STEPS", 2000)
-    with pytest.raises(polyexp._StepBudgetSpent, match="step budget of 2000 walk steps"):
+    with pytest.raises(BudgetExceeded, match="step budget of 2000 walk steps"):
         modular_certificate_search(g, 3000)
     # decide_constant_solution keeps its verdict: the window scan decides it
     g = ExpSum([(4, UniPoly([Fraction(1)])), (1, UniPoly([Fraction(2)]))])
@@ -533,7 +533,7 @@ def test_period_filter_draws_from_the_step_budget():
     # period filter would walk the orders of every modulus up to 10^7
     g = expsum((7, [16]), (10, [25]), (1, [-29]))
     start = time.perf_counter()
-    with pytest.raises(polyexp._StepBudgetSpent, match="walk steps filtering modulus"):
+    with pytest.raises(BudgetExceeded, match="walk steps filtering modulus"):
         modular_certificate_search(g, 10 ** 7, max_period=4)
     res = decide_constant_solution(g, m_max=10 ** 7)
     assert time.perf_counter() - start < 2
@@ -1004,9 +1004,23 @@ def scan_first(g, m_max=200):
         return ("FOUND", witness, tuple(zeros), families, window, cert, None)
     try:
         modular = modular_certificate_search(g, m_max, max_period=window[1] - window[0] + 1)
-    except polyexp._StepBudgetSpent:
+    except BudgetExceeded:
         modular = None
     return ("NONE", None, (), (), window, cert, modular)
+
+
+def certify_first_scan(g, m_max=200):
+    """certify's (certificate, note) in its former order: the dominance
+    window scanned first, then the full search up to m_max."""
+    status, witness = scan_first(g)[:2]
+    if status == "FOUND":
+        return None, ("g(%s) = 0, so no modulus certifies the sum nonvanishing; none was tried"
+                      % witness)
+    try:
+        cert = modular_certificate_search(g, m_max)
+    except BudgetExceeded as e:
+        return None, "%s; absence proves nothing" % e
+    return cert, "no modulus up to the cap certifies the sum nonvanishing; absence proves nothing"
 
 
 def search_first_sums(rng):
@@ -1028,8 +1042,11 @@ def search_first_sums(rng):
 
 
 def test_search_first_matches_scan_first():
+    # decide's fields, and certify's certificate and note, as in the
+    # scan-first order
     rng = random.Random(2602)
-    seen = dict.fromkeys(("certified", "scanned", "found_negative", "found_nonnegative", "families"), 0)
+    seen = dict.fromkeys(("certified", "scanned", "found_negative", "found_nonnegative", "families",
+                          "certify_below_decide"), 0)
     total = 0
     for g in search_first_sums(rng):
         if g.is_zero():
@@ -1041,6 +1058,9 @@ def test_search_first_matches_scan_first():
         fields = (res.status, res.witness, res.solutions_in_window, res.families,
                   res.window, res.dominance, res.modular)
         assert fields == scan_first(g), g
+        cert, note = cli._least_certificate(g, 200)
+        assert (cert, note) == certify_first_scan(g), g
+        seen["certify_below_decide"] += bool(res.modular and cert.modulus < res.modular.modulus)
         if res.status == "NONE" and res.modular is not None:
             assert _zeros_between(g, *res.window) == []
             seen["certified"] += res.note.startswith("modular certificate proves")

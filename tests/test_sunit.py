@@ -171,6 +171,20 @@ def test_sunit_criterion():
     assert v2.coefficient_sum == 0
 
 
+def test_residue_coloring_leaves_no_schur_triple_monochromatic():
+    # x + y = z over <2, 3> has coefficient sum 1; p = 5 divides no
+    # generator, coefficient or sum, so coloring g by g mod 5 (4 colors)
+    # leaves no solution in the exponent box [-3, 3]^2 monochromatic
+    els = enumerate_group_elements(make_group([2, 3]), 3)
+    members = set(els)
+    color = {g: g.numerator * pow(g.denominator, -1, 5) % 5 for g in els}
+    assert set(color.values()) == {1, 2, 3, 4}
+    solutions = [(x, y, x + y) for x in els for y in els if x + y in members]
+    assert len(solutions) >= 10
+    for x, y, z in solutions:
+        assert len({color[x], color[y], color[z]}) > 1, (x, y, z)
+
+
 def test_sunit_criterion_with_group_context():
     v = decide_sunit_3var(1, 1, -2, group=[2, 3])
     assert v.status == "PR_CONSTANT"
