@@ -425,8 +425,7 @@ def _least_certificate(g, m_max: int):
     except IncompleteFactorization:  # no window, so the search decides alone
         res = ConstantSolutionResult("UNKNOWN")
     if res.status == "FOUND":
-        return None, "g(%s) = 0, so no modulus certifies the sum nonvanishing; none was tried" % (
-            _num(res.witness))
+        return None, "g(%s) = 0, so no modulus certifies the sum nonvanishing" % _num(res.witness)
     try:
         cert = modular_certificate_search(g, res.modular.modulus if res.modular else m_max)
     except BudgetExceeded as e:

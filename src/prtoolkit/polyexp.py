@@ -750,15 +750,23 @@ def modular_certificate_search(
     would spare.  A sum with a zero then pays for a failed search, but a
     short one: every kept modulus has period <= W, so it shows a zero
     within W steps, and each block (the moduli up to 200 make one) walks
-    at most W steps.  The walk steps of all blocks together, and the
-    order walks of that period filter, are charged against _SEARCH_STEPS,
-    and BudgetExceeded is raised when they run out.
+    at most W steps.  Such a modulus divides b^k - 1 for some k <= W,
+    for every base b, so the moduli above min |b|^W + 1 over the bases
+    with |b| >= 2 are not tried.  The walk steps of all blocks together,
+    and the order walks of that period filter, are charged against
+    _SEARCH_STEPS, and BudgetExceeded is raised when they run out.
     """
     if g.is_zero():
         return None
     product = prod(base for base, _ in g.int_terms)
-    if max_period is not None and any(len(c) > 1 for _, c in g.int_terms):
-        m_max = min(m_max, max_period)  # the period is a multiple of m
+    if max_period is not None:
+        if any(len(c) > 1 for _, c in g.int_terms):
+            m_max = min(m_max, max_period)  # the period is a multiple of m
+        # min |b|^W + 1 (see above), formed only for W below m_max's bit
+        # length: above it 2^W > m_max, and W may reach 2^20
+        least = min((abs(b) for b, _ in g.int_terms if abs(b) >= 2), default=None)
+        if least is not None and max_period < m_max.bit_length():
+            m_max = min(m_max, least ** max_period + 1)
     steps = count(1)
     moduli = (
         m for m in range(2, m_max + 1)

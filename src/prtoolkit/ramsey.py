@@ -9,6 +9,12 @@ solution.  Both outcomes are machine-checkable: the search rechecks
 its avoiding coloring with `verify_coloring` against every solution it
 enumerated before reporting it.
 
+The exact re-check of the enumerated candidates, the support bitmasks
+of the search and `verify_coloring` run column by column: the solutions
+are transposed once with zip(*solutions), and whole columns go through
+`map`, `compress`, `min` and `max`, so the loops run in C rather than
+once per solution in Python.
+
 Enumeration of polynomial systems is exact integer arithmetic on
 polynomials scaled once to integer coefficients.  A linear system of
 k >= 2 variables runs its first k-2 over the grid and solves the last
@@ -48,8 +54,8 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import product, repeat
-from operator import mul
+from itertools import compress, product, repeat
+from operator import add, and_, eq, itemgetter, lshift, mul, not_, or_
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import BudgetExceeded, MultiPoly, Record, _clear_denominators
@@ -194,7 +200,8 @@ def enumerate_solutions(
     variables in closed form (see `_linear_candidates`), other systems
     by tabulating the second-to-last and solving for the last (see
     `_back_substituted`).  Every candidate tuple is re-checked by
-    evaluating each scaled polynomial exactly.  Exponential equations
+    evaluating each scaled polynomial exactly, over whole columns of
+    candidates at once (see `_rechecked`).  Exponential equations
     are scanned directly.  Output is in lexicographic order.  The cell
     budget counts N^(k-1) prefixes on both polynomial paths.  A system
     with no variables raises ValueError.
@@ -221,12 +228,38 @@ def enumerate_solutions(
         raise BudgetExceeded("enumeration needs %d prefix cells" % (N ** (k - 1)))
 
     scaled = [_scaled_terms(poly) for poly in polys]
-    checks = [[(c, _sparse(exps)) for c, exps in terms] for terms in scaled]
     if isinstance(cls, LinearSystem) and k >= 2:
         candidates = _linear_candidates(scaled, k, N)
     else:
         candidates = _back_substituted(scaled, k, N)
-    return tuple(s for s in candidates if all(_value(terms, s) == 0 for terms in checks))
+    return _rechecked(tuple(candidates), scaled)
+
+
+def _rechecked(candidates: Tuple[Tuple[int, ...], ...], scaled) -> Tuple[Tuple[int, ...], ...]:
+    """The candidates at which every polynomial of `scaled` is 0, in their order.
+
+    Each polynomial, a list of (c, exps) terms, is valued over whole
+    columns of the candidates: a term is one chain of `map` (`pow`,
+    then `mul` by the other factors), the terms are summed by `map(add)`
+    and the zero rows picked by `compress`, so no Python loop runs per
+    candidate.
+    """
+    if not candidates:
+        return ()
+    cols = list(zip(*candidates))
+    zero = repeat(True)
+    for terms in scaled:
+        total = repeat(0, len(candidates))
+        for c, exps in terms:
+            col = repeat(c)
+            for j, e in enumerate(exps):
+                if e:
+                    col = map(mul, col, cols[j] if e == 1 else map(pow, cols[j], repeat(e)))
+            # a list, not a chain of one map per term: a chain deep enough
+            # (tens of thousands of terms) overflows the C stack
+            total = list(map(add, total, col))
+        zero = list(map(and_, zero, map(not_, total)))
+    return tuple(compress(candidates, zero))
 
 
 def _back_substituted(scaled, k: int, N: int) -> Iterator[Tuple[int, ...]]:
@@ -396,30 +429,48 @@ def filter_injectivity(
     """Keep solutions taking at least r distinct values.
 
     r = 2 drops exactly the constant solutions; r equal to the arity
-    keeps only fully injective tuples.
+    keeps only fully injective tuples.  The distinct values are counted
+    by `set` mapped over the solutions, not by a support bitmask, which
+    would take max(solution) bits for each solution.
     """
     if r < 1:
         raise ValueError("injectivity threshold must be at least 1")
     if solutions and r > len(solutions[0]):
         raise ValueError("injectivity threshold exceeds tuple arity")
-    return tuple(s for s in solutions if len(set(s)) >= r)
+    return tuple(compress(solutions, map(r.__le__, map(len, map(set, solutions)))))
 
 
 def verify_coloring(
     coloring: Sequence[int], solutions: Sequence[Tuple[int, ...]]
 ) -> Tuple[bool, Tuple[Tuple[int, ...], ...]]:
-    """(no solution monochromatic, all offending solutions).
+    """(no solution monochromatic, all offending solutions, as tuples in input order).
 
     `coloring[i]` is the color of the integer i + 1; a solution value
-    outside the colored range is an error.
+    outside the colored range is a ValueError naming the first such
+    solution, and so are solutions of mixed arity.  The check runs over
+    columns: each column's min and max are checked against the range
+    before any color is looked up (a value below 1 would otherwise wrap
+    to the end of `coloring`), then each column is mapped through the
+    coloring, and a solution is monochromatic where all adjacent columns
+    agree.  A solution of arity 1 always is, an empty one never.
     """
-    offenders = []
-    for sol in solutions:
-        if any(v < 1 or v > len(coloring) for v in sol):
-            raise ValueError("solution %r escapes the colored range" % (sol,))
-        if len({coloring[v - 1] for v in sol}) == 1:
-            offenders.append(tuple(sol))
-    return not offenders, tuple(offenders)
+    solutions = tuple(solutions)
+    arities = set(map(len, solutions))
+    if len(arities) > 1:  # zip would drop the values past the shortest
+        raise ValueError("solutions of mixed arity: %s" % sorted(arities))
+    cols = list(zip(*solutions))
+    n = len(coloring)
+    if any(min(col) < 1 or max(col) > n for col in cols):
+        sol = next(s for s in solutions if min(s) < 1 or max(s) > n)
+        raise ValueError("solution %r escapes the colored range" % (sol,))
+    table = (None, *coloring)
+    # itemgetter of two or more indices gives a tuple: the leading 0 makes two
+    colored = [itemgetter(0, *col)(table)[1:] for col in cols]
+    # all adjacent colors agree: the colors but the last equal those but the first
+    mono = (map(eq, zip(*colored[:-1]), zip(*colored[1:])) if len(cols) > 1
+            else repeat(bool(cols)))
+    offenders = tuple(map(tuple, compress(solutions, mono)))
+    return not offenders, offenders
 
 
 class SearchResult(Record):
@@ -476,8 +527,13 @@ def search_avoiding_coloring(
     if min_injectivity > 1:
         solutions = filter_injectivity(solutions, min_injectivity)
 
-    singleton = next((s for s in solutions if len(set(s)) == 1), None)
-    if singleton is not None:
+    # each solution's support, its set of values, as a bitmask OR-ed over
+    # the columns; a support of one element makes a constant solution
+    supports = [0] * len(solutions)
+    for col in zip(*solutions):
+        supports = list(map(or_, supports, map(lshift, repeat(1), col)))
+    sizes = list(map(int.bit_count, supports))
+    if 1 in sizes:
         return SearchResult(
             status="FORCED",
             coloring=None,
@@ -486,7 +542,7 @@ def search_avoiding_coloring(
             nodes=0,
             solution_count=len(solutions),
             note="constant solution %r is monochromatic under every coloring"
-            % (singleton,),
+            % (solutions[sizes.index(1)],),
         )
 
     # triggers[e]: each distinct support whose second-largest element is
@@ -494,7 +550,7 @@ def search_avoiding_coloring(
     # masks[c]: the elements colored c; forbidden[t]: the colors that
     # would complete a monochromatic support at t
     triggers: List[List[Tuple[int, int]]] = [[] for _ in range(N + 1)]
-    for support in {sum(1 << v for v in set(sol)) for sol in solutions}:
+    for support in set(supports):
         t = support.bit_length() - 1
         e = (support ^ 1 << t).bit_length() - 1
         triggers[e].append((support ^ 1 << t ^ 1 << e, t))

@@ -528,13 +528,16 @@ def test_search_charges_its_steps_across_blocks(monkeypatch):
 
 
 def test_period_filter_draws_from_the_step_budget():
-    # no modulus of period <= 4 certifies 16*7^s + 25*10^s - 29, and with
-    # constant coefficients m_max is not capped by the window, so decide's
-    # period filter would walk the orders of every modulus up to 10^7
+    # no modulus of period <= 4 certifies 16*7^s + 25*10^s - 29; a period
+    # <= W needs m | 7^k - 1 for some k <= W, so the filter stops at
+    # 7^4 + 1 = 2402; with W = 9, 7^9 + 1 exceeds 10^7, and with constant
+    # coefficients m_max is not capped by the window either, so the period
+    # filter would walk the orders of every modulus up to 10^7
     g = expsum((7, [16]), (10, [25]), (1, [-29]))
     start = time.perf_counter()
+    assert modular_certificate_search(g, 10 ** 7, max_period=4) is None
     with pytest.raises(BudgetExceeded, match="walk steps filtering modulus"):
-        modular_certificate_search(g, 10 ** 7, max_period=4)
+        modular_certificate_search(g, 10 ** 7, max_period=9)
     res = decide_constant_solution(g, m_max=10 ** 7)
     assert time.perf_counter() - start < 2
     assert (res.status, res.window, res.modular) == ("NONE", (-1, 2), None)
@@ -991,6 +994,37 @@ def test_decide_certificate_changes_with_the_window():
     assert decide_constant_solution(g, m_max=72).modular is None
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 7])
+def test_period_filter_cap_keeps_every_certificate(width):
+    # a period <= W caps the moduli at min |b|^W + 1 over the bases with
+    # |b| >= 2, below 200 here for the bases up to 2 (W <= 7) or 13 (W <= 2);
+    # the capped search still returns the per-modulus search's certificate
+    rng = random.Random(6400 + width)
+    capped = found = 0
+    for g in random_modular_sums(rng, 80):
+        cert = modular_certificate_search(g, 200, max_period=width)
+        assert cert == per_modulus_search(g, 200, max_period=width), g
+        bases = [abs(b) for b, _ in g.int_terms if abs(b) >= 2]
+        capped += bool(bases) and min(bases) ** width + 1 < 200
+        found += cert is not None
+    assert capped > 0 and found > 0
+
+
+def test_period_filter_stops_at_the_power_cap():
+    # 2^s - 2 vanishes at s = 1, so every modulus shows a zero; a modulus
+    # of period <= 9 divides 2^k - 1 for some k <= 9, so none above 2^9 + 1
+    # is filtered, where the filter used to walk on to the step budget
+    # (at modulus 52,439)
+    g = expsum((2, [1]), (1, [-2]))
+    start = time.perf_counter()
+    assert modular_certificate_search(g, 10 ** 9, max_period=9) is None
+    assert time.perf_counter() - start < 0.5
+    # a width past m_max's bit length forms no power: the filter runs to
+    # the step budget, as without the cap
+    with pytest.raises(BudgetExceeded, match="walk steps filtering modulus"):
+        modular_certificate_search(g, 10 ** 9, max_period=1 << 20)
+
+
 def scan_first(g, m_max=200):
     """decide_constant_solution's fields in its former order: the window
     scan first, then the search for a certificate of period <= W."""
@@ -1014,8 +1048,7 @@ def certify_first_scan(g, m_max=200):
     window scanned first, then the full search up to m_max."""
     status, witness = scan_first(g)[:2]
     if status == "FOUND":
-        return None, ("g(%s) = 0, so no modulus certifies the sum nonvanishing; none was tried"
-                      % witness)
+        return None, "g(%s) = 0, so no modulus certifies the sum nonvanishing" % witness
     try:
         cert = modular_certificate_search(g, m_max)
     except BudgetExceeded as e:

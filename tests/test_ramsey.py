@@ -421,6 +421,120 @@ def test_system_without_variables_is_an_error():
         enumerate_solutions(empty, 5)
 
 
+# --- column-wise kernels -------------------------------------------------------
+# Each kernel runs over whole columns of solutions; the per-solution loops
+# they replaced are kept here as references.
+
+
+def rechecked_by_value(candidates, scaled):
+    """The per-candidate re-check: every scaled polynomial valued by `_value`."""
+    checks = [[(c, ramsey._sparse(exps)) for c, exps in terms] for terms in scaled]
+    return tuple(s for s in candidates if all(ramsey._value(terms, s) == 0 for terms in checks))
+
+
+@st.composite
+def recheck_inputs(draw):
+    """(scaled polynomials, candidates): a system from `linear_systems` or
+    `poly_systems` (k = 1..4), sometimes with a `0 = 0` row, and candidates
+    that mix its solutions with random tuples, zero and negative entries
+    included, in a random order."""
+    cls, N = draw(st.one_of(linear_systems(), poly_systems().map(lambda t: t[:2])))
+    vars_, polys = ramsey._system_polys(cls)
+    if draw(st.booleans()):
+        polys.append(MultiPoly(vars_, {}))
+    k = len(vars_)
+    noise = draw(st.lists(st.tuples(*[st.integers(-2, N + 2)] * k), max_size=30))
+    candidates = draw(st.permutations(list(enumerate_solutions(cls, N)) + noise))
+    return [ramsey._scaled_terms(p) for p in polys], tuple(candidates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(recheck_inputs())
+@example(([ramsey._scaled_terms(MultiPoly(("x",), {(1,): 1, (0,): -2}))], ((2,), (1,), (2,))))
+@example(([[]], ((1, 2), (3, 4))))
+@example(([[(1, (1, 1))]], ()))
+def test_recheck_matches_value(inputs):
+    scaled, candidates = inputs
+    assert ramsey._rechecked(candidates, scaled) == rechecked_by_value(candidates, scaled)
+
+
+def test_recheck_drops_a_false_candidate(monkeypatch):
+    # a tampered closed form that also proposes (1, 1, 1), which is no
+    # solution of x + y = z: the exact re-check drops it
+    real = ramsey._linear_candidates
+    proposed = []
+
+    def tampered(scaled, k, N):
+        proposed.append((1, 1, 1))
+        yield (1, 1, 1)
+        yield from real(scaled, k, N)
+
+    monkeypatch.setattr(ramsey, "_linear_candidates", tampered)
+    assert enumerate_solutions(SCHUR, 6) == linear_scan(SCHUR, 6)
+    assert proposed == [(1, 1, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.lists(st.tuples(*[st.integers(-3, 3)] * k), max_size=20), st.integers(1, k))))
+def test_filter_injectivity_counts_distinct_values(solutions_and_r):
+    solutions, r = solutions_and_r
+    assert filter_injectivity(solutions, r) == tuple(s for s in solutions if len(set(s)) >= r)
+
+
+def verify_by_solution(coloring, solutions):
+    """The per-solution check verify_coloring replaced."""
+    offenders = []
+    for sol in solutions:
+        if any(v < 1 or v > len(coloring) for v in sol):
+            raise ValueError("solution %r escapes the colored range" % (sol,))
+        if len({coloring[v - 1] for v in sol}) == 1:
+            offenders.append(tuple(sol))
+    return not offenders, tuple(offenders)
+
+
+@st.composite
+def colorings_and_solutions(draw):
+    """(coloring, solutions): up to 8 colored integers in up to 3 colors,
+    and solutions of one arity 0..4, as tuples or lists, whose values may
+    fall just outside [1, N]."""
+    coloring = draw(st.lists(st.integers(0, 2), max_size=8))
+    k = draw(st.integers(0, 4))
+    values = st.integers(-1, len(coloring) + 1) if draw(st.booleans()) else st.integers(
+        1, max(len(coloring), 1))
+    sol = st.lists(values, min_size=k, max_size=k)
+    solutions = draw(st.lists(st.one_of(sol, sol.map(tuple)), max_size=12))
+    return tuple(coloring) if draw(st.booleans()) else coloring, solutions
+
+
+@settings(max_examples=300, deadline=None)
+@given(colorings_and_solutions())
+@example(((0, 1), [(1, 2, 3)]))
+@example(((0, 0, 1), [(1, 2), (0, 1), (4, 1)]))
+@example(((0, 1, 0), [(1,), (2,)]))
+def test_verify_coloring_matches_per_solution_check(inputs):
+    coloring, solutions = inputs
+    try:
+        want = verify_by_solution(coloring, solutions)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            verify_coloring(coloring, solutions)
+        assert str(got.value) == str(e)
+    else:
+        assert verify_coloring(coloring, solutions) == want
+
+
+def test_verify_coloring_on_empty_and_mixed_input():
+    assert verify_coloring((), ()) == (True, ())
+    assert verify_coloring((0, 1), []) == (True, ())
+    assert verify_coloring((0, 1), [(), ()]) == (True, ())  # no value, no color
+    # zip would stop at the shortest solution and skip the value 3
+    with pytest.raises(ValueError, match=r"mixed arity: \[2, 3\]"):
+        verify_coloring((0, 0), [(1, 2), (1, 2, 3)])
+    with pytest.raises(ValueError, match="mixed arity"):
+        verify_coloring((0, 1), [(1, 2), ()])
+
+
 # --- injectivity filter -----------------------------------------------------------
 
 
