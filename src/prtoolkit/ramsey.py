@@ -6,12 +6,14 @@ space of r-colorings for one avoiding monochromatic solutions.  An
 avoiding coloring refutes forced monochromatism at this N; exhaustion
 proves that every r-coloring of [1, N] contains a monochromatic
 solution.  Both outcomes are machine-checkable: the search rechecks
-its avoiding coloring with `verify_coloring` against every solution it
-enumerated before reporting it.
+its avoiding coloring with the column check of `verify_coloring`
+against every solution it enumerated before reporting it.
 
 The exact re-check of the enumerated candidates, the support bitmasks
-of the search and `verify_coloring` run column by column: the solutions
-are transposed once with zip(*solutions), and whole columns go through
+of the search and `verify_coloring` run column by column.  The
+candidates are transposed once with zip(*candidates) for the re-check,
+and the solutions once per search, for both the support masks and the
+re-verification of the coloring found.  Whole columns go through
 `map`, `compress`, `min` and `max`, so the loops run in C rather than
 once per solution in Python.
 
@@ -458,7 +460,12 @@ def verify_coloring(
     arities = set(map(len, solutions))
     if len(arities) > 1:  # zip would drop the values past the shortest
         raise ValueError("solutions of mixed arity: %s" % sorted(arities))
-    cols = list(zip(*solutions))
+    return _verify_columns(coloring, solutions, list(zip(*solutions)))
+
+
+def _verify_columns(coloring: Sequence[int], solutions: Tuple[Tuple[int, ...], ...],
+                    cols: List[Tuple[int, ...]]) -> Tuple[bool, Tuple[Tuple[int, ...], ...]]:
+    """`verify_coloring` on solutions of one arity, given as rows and as columns."""
     n = len(coloring)
     if any(min(col) < 1 or max(col) > n for col in cols):
         sol = next(s for s in solutions if min(s) < 1 or max(s) > n)
@@ -471,6 +478,24 @@ def verify_coloring(
             else repeat(bool(cols)))
     offenders = tuple(map(tuple, compress(solutions, mono)))
     return not offenders, offenders
+
+
+def _triggers(supports: Sequence[int], N: int) -> List[List[Tuple[int, int]]]:
+    """triggers[e]: each distinct support whose second-largest element is
+    e, as (the rest below e as a bitmask, its largest element t).
+
+    Every support holds two or more elements.  The support without t is
+    formed once and serves both to find e and to clear it.  The shifts
+    and xors on masks of N bits cost more than the loop around them, so
+    whole-list `map` chains of the same steps are no faster.
+    """
+    triggers: List[List[Tuple[int, int]]] = [[] for _ in range(N + 1)]
+    for support in set(supports):
+        t = support.bit_length() - 1
+        below = support ^ 1 << t
+        e = below.bit_length() - 1
+        triggers[e].append((below ^ 1 << e, t))
+    return triggers
 
 
 class SearchResult(Record):
@@ -529,8 +554,9 @@ def search_avoiding_coloring(
 
     # each solution's support, its set of values, as a bitmask OR-ed over
     # the columns; a support of one element makes a constant solution
+    cols = list(zip(*solutions))
     supports = [0] * len(solutions)
-    for col in zip(*solutions):
+    for col in cols:
         supports = list(map(or_, supports, map(lshift, repeat(1), col)))
     sizes = list(map(int.bit_count, supports))
     if 1 in sizes:
@@ -545,15 +571,9 @@ def search_avoiding_coloring(
             % (solutions[sizes.index(1)],),
         )
 
-    # triggers[e]: each distinct support whose second-largest element is
-    # e, as (the rest below e as a bitmask, its largest element t);
     # masks[c]: the elements colored c; forbidden[t]: the colors that
     # would complete a monochromatic support at t
-    triggers: List[List[Tuple[int, int]]] = [[] for _ in range(N + 1)]
-    for support in set(supports):
-        t = support.bit_length() - 1
-        e = (support ^ 1 << t).bit_length() - 1
-        triggers[e].append((support ^ 1 << t ^ 1 << e, t))
+    triggers = _triggers(supports, N)
     masks = [0] * min(colors, N)
     every = (1 << len(masks)) - 1
     forbidden = [0] * (N + 1)
@@ -605,7 +625,7 @@ def search_avoiding_coloring(
 
     if e > N:
         coloring = tuple(color[1:])
-        ok, offenders = verify_coloring(coloring, solutions)
+        ok, offenders = _verify_columns(coloring, solutions, cols)
         if not ok:
             raise RuntimeError(
                 "internal error: avoiding coloring failed re-verification: %r"

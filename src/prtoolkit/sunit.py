@@ -29,7 +29,8 @@ which keeps it exact and finite.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from math import gcd, prod
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import DEFAULT_FACTOR_BUDGET, Record, factor_integer, matrix_rank
@@ -126,21 +127,32 @@ def enumerate_group_elements(
     """All products g_1^{e_1} .. g_k^{e_k} with |e_i| <= exp_bound, sorted.
 
     A finite, deduplicated window into the group; completeness holds
-    only relative to the exponent box.
+    only relative to the exponent box.  An element is held as its sign
+    bit and its exponent vector over `primes`, which determine it by
+    unique factorization.  The box is built one generator at a time,
+    and both each generator's powers and each partial box are sets, so
+    -1 contributes two steps, not 2 exp_bound + 1, and dependent
+    generators such as 2 and 4 collapse early.  The elements are sorted
+    by an exact integer key, the value times the common denominator
+    prod p^max(-e_p), and one Fraction is built per distinct element.
     """
     if exp_bound < 0:
         raise ValueError("exponent bound must be nonnegative")
     spec = _as_group(group, budget)
-    k = len(spec.generators)
-    if (2 * exp_bound + 1) ** k > max_cells:
+    if (2 * exp_bound + 1) ** len(spec.generators) > max_cells:
         raise ValueError("enumeration box too large")
-    out = set()
-    for exps in product(range(-exp_bound, exp_bound + 1), repeat=k):
-        val = Fraction(1)
-        for g, e in zip(spec.generators, exps):
-            val *= g ** e
-        out.add(val)
-    return sorted(out)
+    box = {(0, (0,) * len(spec.primes))}
+    for sign, row in zip(spec.signs, spec.exponents):
+        steps = {(e & sign, tuple(e * x for x in row))
+                 for e in range(-exp_bound, exp_bound + 1)}
+        box = {(s ^ t, tuple(map(add, v, w))) for s, v in box for t, w in steps}
+    # shift[p] = max(-e_p) over the box, which holds 1 and so is >= 0:
+    # value * prod p^shift is an integer
+    shift = [-min(col) for col in zip(*(v for _, v in box))]
+    keys = sorted([(1 - 2 * s) * prod(map(pow, spec.primes, map(add, v, shift)))
+                   for s, v in box])
+    common = prod(map(pow, spec.primes, shift))
+    return [Fraction(key, common) for key in keys]
 
 
 def count_unit_equation_solutions(
@@ -152,21 +164,35 @@ def count_unit_equation_solutions(
 ) -> Tuple[int, Tuple[Tuple[Fraction, Fraction], ...]]:
     """Pairs (x, y) in the exponent box with a x + b y = 1, exactly.
 
-    Each x in the box determines y = (1 - a x) / b exactly, which is
-    looked up among the box elements, so the scan is linear in the box.
-    Pairs come out in ascending order, and the count is asserted against
-    the bound 2^(16 (r + 1)) (the two-term bound for the product group
-    of rank 2r, which covers pairs from a rank-r group).
+    Each x = n / d in the box determines y = (1 - a x) / b exactly,
+    formed on integers as a reduced (numerator, denominator) pair and
+    looked up among the box elements' pairs, so the scan is linear in
+    the box.  Pairs come out in ascending order of x.  A count above the
+    bound 2^(16 (r + 1)) (the two-term bound for the product group of
+    rank 2r, which covers pairs from a rank-r group) is an internal
+    error.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("coefficients must be nonzero")
     spec = _as_group(group, budget)
-    elements = enumerate_group_elements(spec, exp_bound)
-    members = set(elements)
-    sols = [(x, y) for x in elements if (y := (1 - a * x) / b) in members]
+    members = {(x.numerator, x.denominator): x
+               for x in enumerate_group_elements(spec, exp_bound)}
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    if bn < 0:  # so that y's denominator ad bn d is positive
+        bn, bd = -bn, -bd
+    sols = []
+    for (n, d), x in members.items():
+        # y = (1 - an n / (ad d)) * bd / bn
+        num, den = bd * (ad * d - an * n), ad * bn * d
+        g = gcd(num, den)
+        y = members.get((num // g, den // g))
+        if y is not None:
+            sols.append((x, y))
     bound = sunit_solution_bound(spec.rank)
-    assert len(sols) <= bound, "solution count exceeds the finiteness bound"
+    if len(sols) > bound:
+        raise RuntimeError("internal error: %d solutions exceed the finiteness bound %d"
+                           % (len(sols), bound))
     return len(sols), tuple(sols)
 
 

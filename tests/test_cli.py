@@ -319,7 +319,8 @@ def test_search_enumerates_once(capsys, monkeypatch):
 def test_search_never_reports_a_coloring_that_fails_its_check(capsys, monkeypatch):
     from prtoolkit import ramsey
 
-    monkeypatch.setattr(ramsey, "verify_coloring", lambda coloring, sols: (False, ((1, 1, 2),)))
+    monkeypatch.setattr(ramsey, "_verify_columns",
+                        lambda coloring, sols, cols: (False, ((1, 1, 2),)))
     with pytest.raises(RuntimeError, match="failed re-verification"):
         main(["search", "--expr", "x + y = z", "--range", "4", "--colors", "2"])
     assert capsys.readouterr().out == ""

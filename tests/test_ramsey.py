@@ -623,6 +623,25 @@ def test_quadruple_boundary():
     assert search_avoiding_coloring(ls, 10, 2).status == "FORCED"
 
 
+def triggers_by_loop(supports, N):
+    """The trigger table as the search built it before `_triggers`."""
+    triggers = [[] for _ in range(N + 1)]
+    for support in set(supports):
+        t = support.bit_length() - 1
+        e = (support ^ 1 << t).bit_length() - 1
+        triggers[e].append((support ^ 1 << t ^ 1 << e, t))
+    return triggers
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 80).flatmap(lambda N: st.tuples(st.just(N), st.lists(
+    st.sets(st.integers(1, N), min_size=2, max_size=4), max_size=40))))
+def test_trigger_table_matches_loop(N_and_supports):
+    N, sets = N_and_supports
+    supports = [sum(1 << v for v in values) for values in sets]
+    assert ramsey._triggers(supports, N) == triggers_by_loop(supports, N)
+
+
 def test_dfs_node_counts_pinned():
     # van der Waerden W(3;3) = 27 and W(4;2) = 35: the exhaustive search
     # tries exactly these many colors
@@ -807,7 +826,9 @@ def test_injectivity_below_one_is_an_error():
 
 
 def test_failed_check_is_never_reported_avoiding(monkeypatch):
-    monkeypatch.setattr(ramsey, "verify_coloring", lambda coloring, sols: (False, ((1, 1, 2),)))
+    # the search re-verifies through verify_coloring's column check
+    monkeypatch.setattr(ramsey, "_verify_columns",
+                        lambda coloring, sols, cols: (False, ((1, 1, 2),)))
     with pytest.raises(RuntimeError, match="failed re-verification"):
         search_avoiding_coloring(SCHUR, 4, 2)
     # FORCED needs no coloring check

@@ -2,9 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from prtoolkit import sunit
 from prtoolkit.algebra import IncompleteFactorization
 from prtoolkit.sunit import (
     GroupSpec,
@@ -92,6 +96,50 @@ def test_enumerate_includes_signs():
     assert set(els) == {Fraction(s) * Fraction(2) ** e for s in (1, -1) for e in (-1, 0, 1)}
 
 
+# generators with signs, 1, proper fractions and dependent pairs such as
+# (2, 4) and (2, 1/2)
+POOL = [-1, 1, 2, 4, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2), 5, 6]
+
+
+def box_product(generators, exp_bound):
+    """The enumeration the staged one replaced: one product per box cell."""
+    out = set()
+    for exps in product(range(-exp_bound, exp_bound + 1), repeat=len(generators)):
+        val = Fraction(1)
+        for g, e in zip(generators, exps):
+            val *= Fraction(g) ** e
+        out.add(val)
+    return sorted(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(POOL), min_size=1, max_size=3), st.integers(0, 4))
+@example([2, 4], 3)
+@example([2, Fraction(1, 2)], 4)
+@example([-1, 1], 2)
+@example([Fraction(-2, 3), Fraction(3, 2), 6], 4)
+def test_staged_enumeration_matches_box_product(gens, exp_bound):
+    els = enumerate_group_elements(gens, exp_bound)
+    assert els == box_product(gens, exp_bound)
+    assert all(type(x) is Fraction for x in els)
+
+
+def test_huge_box_is_refused_before_any_work():
+    # (2 * 10^6 + 1)^2 cells: the box check raises before one is built
+    with pytest.raises(ValueError, match="box too large"):
+        enumerate_group_elements([-1, 2], 10**6)
+    with pytest.raises(ValueError, match="box too large"):
+        count_unit_equation_solutions(1, 1, [-1, 2], 10**6)
+
+
+def test_enumeration_checks_in_order():
+    # negative bound first, then the group, then the box
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_group_elements([0], -1)
+    with pytest.raises(ValueError, match="nonzero"):
+        enumerate_group_elements([0], 10**6)
+
+
 def test_enumerate_dedups_dependent_generators():
     # 4 and 8 generate the same elements as 2 restricted to even*3... just
     # check no duplicates and closure under the exponent box
@@ -128,14 +176,14 @@ def test_unit_equation_solutions_verify():
 
 def pair_scan(a, b, group, exp_bound):
     """The scan the lookup replaced: every pair of box elements."""
-    elements = enumerate_group_elements(group, exp_bound)
+    elements = box_product(group, exp_bound)
     sols = sorted((x, y) for x in elements for y in elements if a * x + b * y == 1)
     return len(sols), tuple(sols)
 
 
 def test_unit_equation_lookup_matches_pair_scan():
     rng = random.Random(503)
-    pool = [-1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3), 5, 6]
+    pool = POOL + [-2, 3]
     coeffs = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3)]
     found = 0
     for _ in range(40):
@@ -146,6 +194,12 @@ def test_unit_equation_lookup_matches_pair_scan():
         assert got == pair_scan(a, b, gens, bound), (a, b, gens, bound)
         found += got[0]
     assert found > 0
+
+
+def test_count_above_the_finiteness_bound_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(sunit, "sunit_solution_bound", lambda r: 0)
+    with pytest.raises(RuntimeError, match="internal error: 3 solutions exceed"):
+        count_unit_equation_solutions(1, 1, [-1, 2], 6)
 
 
 def test_no_nontrivial_three_term_progressions_in_powers_of_two():
