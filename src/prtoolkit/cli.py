@@ -7,6 +7,8 @@ written (``prtoolkit ... | head``).  Every numeric value that can grow
 beyond 53 bits is serialized as a decimal string; nothing is ever
 emitted as a float.
 Certificates embedded in a report are re-verified before emission.
+When the first argument names a subcommand, only its parser reads the
+rest; other argument lists go through the full parser.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 # Only the modules every subcommand needs are imported here; each
 # handler imports the decision module it calls, so `decide` on a linear
@@ -66,7 +68,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
+def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
+    """The full parser, and each subcommand's own parser by name."""
     # shared by later calls: no argument has a mutable default
     p = _Parser(prog="prtoolkit", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -114,7 +117,17 @@ def _build_parser() -> _Parser:
     add_input(b)
     b.add_argument("--degree", type=int, default=1, help="number-field degree d")
 
-    return p
+    return p, {"decide": d, "search": s, "enumerate": e, "certify": c, "rank": r, "bound": b}
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The full parser's Namespace for `argv`.  When argv[0] names a
+    subcommand, its parser reads the rest, as the full parser would hand
+    it over; any other argv goes through the full parser."""
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
 
 
 def _load_class(args):
@@ -581,7 +594,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _dispatch(argv: Optional[Sequence[str]]) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except _UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

@@ -23,6 +23,9 @@ nat exceeds MAX_POWER_BITS.  Parse errors carry line, column and the set of
 token kinds that would have been accepted.  At most MAX_NESTING levels
 of '(' and unary '-' may nest; deeper input is a ParseError.
 
+Tokens are (kind, text, offset) tuples, read by the parser as toks[i];
+line and column are computed from the offset only for a ParseError.
+
 `classify` normalizes every equation to "left side minus right side",
 one map from (exponents, bases) to coefficient with like terms combined
 at every '+', '-' and '*', and reports the most specific class:
@@ -41,8 +44,7 @@ from __future__ import annotations
 import decimal
 import json
 from fractions import Fraction
-from operator import add
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import MultiPoly, Rat, RatMatrix, Record
 
@@ -52,7 +54,7 @@ MAX_POLY_DEGREE = 10_000
 # that str() prints it under the interpreter's default limit of 4,300
 MAX_POWER_BITS = 10_000
 # nested '(' and unary '-' levels; each '(' costs the recursive parser
-# three frames, far below Python's default recursion limit of 1000
+# two frames, far below Python's default recursion limit of 1000
 MAX_NESTING = 100
 # term products the '*'s of one equation may form in all while classify
 # multiplies out; like terms combine at every product, so (x + y)^40
@@ -88,52 +90,51 @@ class SchemaError(Exception):
 # tokens
 
 
-class _Token(NamedTuple):
-    kind: str  # NUM, IDENT, or a literal operator character; END at EOF
-    text: str
-    line: int
-    col: int
-
+# (kind, text, offset): kind is NUM, IDENT, or a literal operator
+# character, and END at the end of the input
+_Token = Tuple[str, str, int]
 
 _OPS = frozenset("+-*^/()=;")
 
 
-def _tokenize(src: str) -> List[_Token]:
-    """Tokens of `src`, or a ParseError at the first character that starts none.
+def _position(src: str, offset: int) -> Tuple[int, int]:
+    """(line, column) of `src[offset]`: '\n' starts a line and each
+    character is one column, counted from 1."""
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
-    Each character is one column and '\n' starts a line, so a column is
-    the offset from the line's first character plus 1.
-    """
+
+def _error(src: str, offset: int, message: str, expected=()) -> ParseError:
+    return ParseError(message, *_position(src, offset), expected)
+
+
+def _tokenize(src: str) -> List[_Token]:
+    """Tokens of `src`, or a ParseError at the first character that starts none."""
     toks: List[_Token] = []
     append = toks.append
     n = len(src)
-    line, bol = 1, 0  # bol: index of the line's first character
     i = 0
     while i < n:
         ch = src[i]
         if ch in _OPS:
-            append(_Token(ch, ch, line, i - bol + 1))
+            append((ch, ch, i))
             i += 1
-        elif ch == "\n":
-            i += 1
-            line, bol = line + 1, i
         elif ch.isspace():
             i += 1
         elif ch.isdigit():
             j = i + 1
             while j < n and src[j].isdigit():
                 j += 1
-            append(_Token("NUM", src[i:j], line, i - bol + 1))
+            append(("NUM", src[i:j], i))
             i = j
         elif ch.isalpha() or ch == "_":
             j = i + 1
             while j < n and (src[j].isalnum() or src[j] == "_"):
                 j += 1
-            append(_Token("IDENT", src[i:j], line, i - bol + 1))
+            append(("IDENT", src[i:j], i))
             i = j
         else:
-            raise ParseError("unexpected character %r" % ch, line, i - bol + 1)
-    append(_Token("END", "", line, n - bol + 1))
+            raise _error(src, i, "unexpected character %r" % ch)
+    append(("END", "", n))
     return toks
 
 
@@ -192,209 +193,159 @@ class EquationAST(Record):
 
 
 class _Parser:
-    def __init__(self, toks: List[_Token]):
-        self.toks = toks
+    """Recursive descent over the tokens of `src`; the next one is toks[i]."""
+
+    def __init__(self, src: str):
+        self.src = src
+        self.toks = _tokenize(src)
         self.i = 0
         self.depth = 0
         self.seen_vars: List[str] = []
 
-    def peek(self) -> _Token:
-        return self.toks[self.i]
+    def error(self, message: str, tok: _Token, expected=()) -> ParseError:
+        return _error(self.src, tok[2], message, expected)
 
-    def advance(self) -> _Token:
+    def expect(self, kind: str, what: str) -> _Token:
         t = self.toks[self.i]
+        if t[0] != kind:
+            raise self.error("expected %s, got %r" % (what, t[1] or "end of input"), t, {what})
         self.i += 1
         return t
 
-    def expect(self, kind: str, what: str) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(
-                "expected %s, got %r" % (what, t.text or "end of input"),
-                t.line,
-                t.col,
-                expected={what},
-            )
-        return self.advance()
-
-    def note_var(self, name: str) -> None:
+    def note_var(self, tok: _Token) -> str:
+        """The name of an IDENT token, recorded on its first appearance."""
+        name = tok[1]
         if name not in self.seen_vars:
             if len(self.seen_vars) >= MAX_VARIABLES:
-                t = self.peek()
-                raise ParseError(
-                    "too many variables (cap %d)" % MAX_VARIABLES, t.line, t.col
-                )
+                raise self.error("too many variables (cap %d)" % MAX_VARIABLES, tok)
             self.seen_vars.append(name)
+        return name
 
-    # system := equation (";" equation)*
+    def literal(self, tok: _Token, cap: Optional[int] = None) -> int:
+        """The integer a NUM token spells; a ParseError where int() refuses
+        it (past sys.set_int_max_str_digits, or a non-decimal digit), or
+        where it exceeds `cap` as an exponent."""
+        try:
+            value = int(tok[1])
+        except ValueError as e:
+            raise self.error("bad integer literal: %s" % e, tok) from None
+        if cap is not None and value > cap:
+            raise self.error("exponent %d exceeds degree cap %d" % (value, cap), tok)
+        return value
+
+    # system := equation (";" equation)*, equation := expr "=" expr
     def parse_system(self) -> EquationAST:
-        eqs = [self.parse_equation()]
-        while self.peek().kind == ";":
-            self.advance()
-            eqs.append(self.parse_equation())
-        t = self.peek()
-        if t.kind != "END":
-            raise ParseError(
-                "trailing input %r" % t.text, t.line, t.col, expected={"';'", "end"}
-            )
+        toks = self.toks
+        eqs = []
+        while True:
+            lhs = self.parse_expr()
+            self.expect("=", "'='")
+            eqs.append(Equation(lhs, self.parse_expr()))
+            t = toks[self.i]
+            if t[0] != ";":
+                break
+            self.i += 1
+        if t[0] != "END":
+            raise self.error("trailing input %r" % t[1], t, {"';'", "end"})
         return EquationAST(tuple(eqs), tuple(self.seen_vars))
 
-    def parse_equation(self) -> Equation:
-        lhs = self.parse_expr()
-        self.expect("=", "'='")
-        rhs = self.parse_expr()
-        return Equation(lhs, rhs)
-
+    # expr := term (("+" | "-") term)*, term := factor ("*" factor)*
     def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.parse_term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
+        toks = self.toks
+        node = op = None
         while True:
-            t = self.peek()
-            if t.kind == "*":
-                self.advance()
-                node = Mul(node, self.parse_factor())
-            elif t.kind in ("NUM", "IDENT", "("):
-                # "2x" or "x y": adjacency without an operator
-                raise ParseError(
-                    "adjacent factors require an explicit '*'",
-                    t.line,
-                    t.col,
-                    expected={"'*'", "'+'", "'-'", "'='"},
-                )
+            term = self.parse_factor()
+            kind = toks[self.i][0]
+            while kind == "*":
+                self.i += 1
+                term = Mul(term, self.parse_factor())
+                kind = toks[self.i][0]
+            if kind == "NUM" or kind == "IDENT" or kind == "(":  # "2x" or "x y"
+                raise self.error("adjacent factors require an explicit '*'", toks[self.i],
+                                 {"'*'", "'+'", "'-'", "'='"})
+            node = term if op is None else op(node, term)
+            if kind == "+":
+                op = Add
+            elif kind == "-":
+                op = Sub
             else:
                 return node
+            self.i += 1
 
     def parse_factor(self) -> Expr:
-        t = self.peek()
-        if t.kind in ("-", "("):
-            if self.depth == MAX_NESTING:
-                raise ParseError(
-                    "more than %d nested '(' or unary '-'" % MAX_NESTING, t.line, t.col
-                )
-            self.depth += 1
-            node = self._parse_nested()
-            self.depth -= 1
-            return node
-        if t.kind == "NUM":
-            self.advance()
-            num = _literal(t)
-            den = 1
-            if self.peek().kind == "/":
-                self.advance()
+        toks = self.toks
+        t = toks[self.i]
+        kind = t[0]
+        self.i += 1
+        if kind == "IDENT":
+            name = self.note_var(t)
+            if toks[self.i][0] != "^":
+                return Var(name)
+            self.i += 1
+            if toks[self.i][0] == "-":
+                raise self.error("polynomial exponents must be nonnegative integer literals",
+                                 toks[self.i])
+            etok = self.expect("NUM", "nonnegative integer exponent")
+            return VarPow(name, self.literal(etok, MAX_POLY_DEGREE))
+        if kind == "NUM":
+            base, den = self.literal(t), None  # no denominator: Fraction's fast path
+            if toks[self.i][0] == "/":
+                self.i += 1
                 dtok = self.expect("NUM", "integer denominator")
-                den = _literal(dtok)
+                den = self.literal(dtok)
                 if den == 0:
-                    raise ParseError("zero denominator", dtok.line, dtok.col)
-            if self.peek().kind == "^":
-                caret = self.advance()
-                if den != 1:
-                    raise ParseError(
-                        "exponential base must be an integer", caret.line, caret.col
-                    )
-                return self._finish_power(num, caret)
-            return Num(Fraction(num, den))
-        if t.kind == "IDENT":
-            self.advance()
-            self.note_var(t.text)
-            if self.peek().kind == "^":
-                self.advance()
-                etok = self.peek()
-                if etok.kind == "-":
-                    raise ParseError(
-                        "polynomial exponents must be nonnegative integer literals",
-                        etok.line,
-                        etok.col,
-                    )
-                etok = self.expect("NUM", "nonnegative integer exponent")
-                return VarPow(t.text, _exponent(etok))
-            return Var(t.text)
-        raise ParseError(
-            "expected a factor, got %r" % (t.text or "end of input"),
-            t.line,
-            t.col,
-            expected={"number", "variable", "'('", "'-'"},
-        )
-
-    def _parse_nested(self) -> Expr:
-        """A unary '-' or a parenthesized factor; the caller counts depth."""
-        if self.advance().kind == "-":
-            return Neg(self.parse_factor())
-        inner = self.parse_expr()
-        self.expect(")", "')'")
-        if self.peek().kind == "^":
+                    raise self.error("zero denominator", dtok)
+            caret = toks[self.i]
+            if caret[0] != "^":
+                return Num(Fraction(base, den))
+            if den not in (None, 1):
+                raise self.error("exponential base must be an integer", caret)
+        elif kind == "-" or kind == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error("more than %d nested '(' or unary '-'" % MAX_NESTING, t)
+            self.depth += 1
+            if kind == "-":
+                node = Neg(self.parse_factor())
+            else:
+                node = self.parse_expr()
+                self.expect(")", "')'")
+            self.depth -= 1
+            caret = toks[self.i]
+            if kind == "-" or caret[0] != "^":
+                return node
             # (-2)^x or (-2)^3: the parenthesized part must reduce to an
-            # integer literal.
-            caret = self.advance()
-            base = _const_int(inner)
-            if base is None:
-                raise ParseError(
-                    "only integer literals may be raised to a variable or a number",
-                    caret.line,
-                    caret.col,
-                )
-            return self._finish_power(base, caret)
-        return inner
-
-    def _finish_power(self, base: int, caret: _Token) -> Expr:
-        """`base ^ var` is an exponential; `base ^ nat` folds to a constant."""
-        etok = self.peek()
-        if etok.kind == "NUM":
-            exp = _exponent(self.advance())
+            # integer literal under some unary '-'
+            base, sign = node, 1
+            while type(base) is Neg:
+                base, sign = base.arg, -sign
+            if type(base) is not Num or base.value.denominator != 1:
+                raise self.error(
+                    "only integer literals may be raised to a variable or a number", caret)
+            base = sign * base.value.numerator
+        else:
+            raise self.error("expected a factor, got %r" % (t[1] or "end of input"), t,
+                             {"number", "variable", "'('", "'-'"})
+        # base ^ nat folds to a constant; base ^ var is an exponential
+        self.i += 1
+        t = toks[self.i]
+        if t[0] == "NUM":
+            self.i += 1
+            exp = self.literal(t, MAX_POLY_DEGREE)
             # base.bit_length() * exp bounds the power's bit length from above
             bits = base.bit_length() * exp
             if bits > MAX_POWER_BITS:
-                raise ParseError(
-                    "constant power may need %d bits, above the cap %d" % (bits, MAX_POWER_BITS),
-                    etok.line,
-                    etok.col,
-                )
+                raise self.error(
+                    "constant power may need %d bits, above the cap %d" % (bits, MAX_POWER_BITS), t)
             return Num(Fraction(base ** exp))
         if base == 0:
-            raise ParseError("exponential base must be nonzero", caret.line, caret.col)
+            raise self.error("exponential base must be nonzero", caret)
         vtok = self.expect("IDENT", "variable name or integer exponent after '^'")
-        self.note_var(vtok.text)
-        return ExpPow(base, vtok.text)
-
-
-def _literal(tok: _Token) -> int:
-    """The integer a NUM token spells; a ParseError at the token where int()
-    refuses it (past sys.set_int_max_str_digits, or a non-decimal digit)."""
-    try:
-        return int(tok.text)
-    except ValueError as e:
-        raise ParseError("bad integer literal: %s" % e, tok.line, tok.col) from None
-
-
-def _exponent(tok: _Token) -> int:
-    """The exponent a NUM token spells; a ParseError above MAX_POLY_DEGREE."""
-    exp = _literal(tok)
-    if exp > MAX_POLY_DEGREE:
-        raise ParseError(
-            "exponent %d exceeds degree cap %d" % (exp, MAX_POLY_DEGREE), tok.line, tok.col
-        )
-    return exp
-
-
-def _const_int(e: Expr) -> Optional[int]:
-    """Integer value of a literal-only expression, else None."""
-    if isinstance(e, Num):
-        return int(e.value) if e.value.denominator == 1 else None
-    if isinstance(e, Neg):
-        v = _const_int(e.arg)
-        return -v if v is not None else None
-    return None
+        return ExpPow(base, self.note_var(vtok))
 
 
 def parse_equation_text(src: str) -> EquationAST:
     """Parse a system of equations; raises ParseError with position info."""
-    return _Parser(_tokenize(src)).parse_system()
+    return _Parser(src).parse_system()
 
 
 # ---------------------------------------------------------------------
@@ -554,38 +505,51 @@ def _term_map(e: Expr, variables: Tuple[str, ...]) -> Dict[_Key, Rat]:
     exponential the int 1, so only rational literals bring in Fractions
     (int * Fraction promotes); `classify` turns them into Fractions.
     Canceled terms stay in the map with coefficient 0, so every key keeps
-    its first-appearance position in the fully expanded sum.  The walk is
-    post-order on an explicit stack: long '+' and '*' chains need no
-    recursion.  Once the '*'s together need more than MAX_EXPANSION term
+    its first-appearance position in the fully expanded sum.  A first
+    pass lists the nodes, each before its children, and sums the leaf
+    degrees; the second builds the maps, children first, so no '+' or '*'
+    chain recurses.  There an exponent vector is one int, `width` bits a
+    variable, and bases are None for a term without exponentials: the
+    total leaf degree bounds every exponent, so a product of monomials is
+    one int addition (Kronecker substitution).  Keys are unpacked at the
+    end.  Once the '*'s together need more than MAX_EXPANSION term
     products, ClassifyError is raised before the product that crosses it.
     """
-    index = {v: i for i, v in enumerate(variables)}
-    none = (0,) * len(variables)
-    spent = 0
-    todo: List[Tuple[Expr, bool]] = [(e, False)]
-    done: List[Dict[_Key, Rat]] = []
+    nodes: List[Expr] = []
+    todo = [e]
+    degree = 0
     while todo:
-        node, ready = todo.pop()
-        if isinstance(node, Num):
+        node = todo.pop()
+        nodes.append(node)
+        kind = type(node)
+        if kind is Var:
+            degree += 1
+        elif kind is VarPow:
+            degree += node.exp
+        elif kind is Neg:
+            todo.append(node.arg)
+        elif kind is not Num and kind is not ExpPow:
+            todo += (node.left, node.right)
+    width = degree.bit_length()
+    index = {v: i for i, v in enumerate(variables)}
+    spent = 0
+    done: List[dict] = []
+    for node in reversed(nodes):
+        kind = type(node)
+        if kind is Num:
             v = node.value
-            done.append({(none, none): v.numerator if v.denominator == 1 else v})
-        elif isinstance(node, (Var, VarPow)):
-            exps = list(none)
-            exps[index[node.name]] = node.exp if isinstance(node, VarPow) else 1
-            done.append({(tuple(exps), none): 1})
-        elif isinstance(node, ExpPow):
-            bases = list(none)
+            done.append({(0, None): v.numerator if v.denominator == 1 else v})
+        elif kind is Var:
+            done.append({(1 << index[node.name] * width, None): 1})
+        elif kind is VarPow:
+            done.append({(node.exp << index[node.name] * width, None): 1})
+        elif kind is ExpPow:
+            bases = [0] * len(variables)
             bases[index[node.var]] = node.base
-            done.append({(none, tuple(bases)): 1})
-        elif not ready:
-            todo.append((node, True))
-            if isinstance(node, Neg):
-                todo.append((node.arg, False))
-            else:
-                todo += [(node.right, False), (node.left, False)]
-        elif isinstance(node, Neg):
+            done.append({(0, tuple(bases)): 1})
+        elif kind is Neg:
             done[-1] = {k: -c for k, c in done[-1].items()}
-        elif isinstance(node, Mul):
+        elif kind is Mul:
             right, left = done.pop(), done.pop()
             spent += len(left) * len(right)
             if spent > MAX_EXPANSION:
@@ -593,23 +557,24 @@ def _term_map(e: Expr, variables: Tuple[str, ...]) -> Dict[_Key, Rat]:
                     "expanding the products needs at least %d term products (cap %d)"
                     % (spent, MAX_EXPANSION)
                 )
-            prod: Dict[_Key, Rat] = {}
-            others = [(e2, b2, b2 == none, c2) for (e2, b2), c2 in right.items()]
+            prod: dict = {}
+            others = list(right.items())
             for (e1, b1), c1 in left.items():
-                plain = b1 == none
-                for e2, b2, plain2, c2 in others:
-                    key = (
-                        tuple(map(add, e1, e2)),
-                        b1 if plain2 else b2 if plain else tuple(map(_join_bases, b1, b2)),
-                    )
+                for (e2, b2), c2 in others:
+                    key = (e1 + e2,
+                           b1 if b2 is None else b2 if b1 is None else tuple(map(_join_bases, b1, b2)))
                     prod[key] = prod.get(key, 0) + c1 * c2
             done.append(prod)
         else:
             right, left = done.pop(), done[-1]
-            sign = 1 if isinstance(node, Add) else -1
+            sign = 1 if kind is Add else -1
             for k, c in right.items():
                 left[k] = left.get(k, 0) + sign * c
-    return done[0]
+    mask = (1 << width) - 1
+    shifts = [i * width for i in range(len(variables))]
+    none = (0,) * len(variables)
+    return {(tuple([packed >> s & mask for s in shifts]), bases or none): c
+            for (packed, bases), c in done[0].items()}
 
 
 def linear_polys(system: LinearSystem) -> List[MultiPoly]:

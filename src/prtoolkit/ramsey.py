@@ -11,11 +11,12 @@ against every solution it enumerated before reporting it.
 
 The exact re-check of the enumerated candidates, the support bitmasks
 of the search and `verify_coloring` run column by column.  The
-candidates are transposed once with zip(*candidates) for the re-check,
-and the solutions once per search, for both the support masks and the
-re-verification of the coloring found.  Whole columns go through
-`map`, `compress`, `min` and `max`, so the loops run in C rather than
-once per solution in Python.
+candidates are transposed once, with zip(*candidates), for the
+re-check; the search cuts the solutions' columns from those by
+`compress`, with each selector that keeps rows, for its support masks
+and the re-verification of the coloring found.  Whole columns go
+through `map`, `compress`, `min` and `max`, so the loops run in C
+rather than once per solution in Python.
 
 Enumeration of polynomial systems is exact integer arithmetic on
 polynomials scaled once to integer coefficients.  A linear system of
@@ -208,6 +209,15 @@ def enumerate_solutions(
     budget counts N^(k-1) prefixes on both polynomial paths.  A system
     with no variables raises ValueError.
     """
+    return _enumerated(cls, N, cell_budget)[0]
+
+
+# solutions as rows, and the same solutions as columns: list(zip(*rows))
+_RowsCols = Tuple[Tuple[Tuple[int, ...], ...], List[Tuple[int, ...]]]
+
+
+def _enumerated(cls, N: int, cell_budget: Optional[int]) -> _RowsCols:
+    """`enumerate_solutions`, with the solutions also as columns."""
     if N < 1:
         raise ValueError("N must be at least 1")
     _, cells_max = _budgets(None, cell_budget)
@@ -216,11 +226,12 @@ def enumerate_solutions(
         k = len(cls.variables)
         if N ** k > cells_max:
             raise BudgetExceeded("direct scan needs %d cells" % (N ** k))
-        return tuple(
+        rows = tuple(
             vals
             for vals in product(range(1, N + 1), repeat=k)
             if polyexp_eval(cls, vals) == 0
         )
+        return rows, list(zip(*rows))
 
     vars_, polys = _system_polys(cls)
     k = len(vars_)
@@ -237,17 +248,18 @@ def enumerate_solutions(
     return _rechecked(tuple(candidates), scaled)
 
 
-def _rechecked(candidates: Tuple[Tuple[int, ...], ...], scaled) -> Tuple[Tuple[int, ...], ...]:
-    """The candidates at which every polynomial of `scaled` is 0, in their order.
+def _rechecked(candidates: Tuple[Tuple[int, ...], ...], scaled) -> _RowsCols:
+    """The candidates at which every polynomial of `scaled` is 0, in their
+    order, as rows and as columns.
 
     Each polynomial, a list of (c, exps) terms, is valued over whole
     columns of the candidates: a term is one chain of `map` (`pow`,
     then `mul` by the other factors), the terms are summed by `map(add)`
-    and the zero rows picked by `compress`, so no Python loop runs per
+    and the zero rows picked by `_kept`, so no Python loop runs per
     candidate.
     """
     if not candidates:
-        return ()
+        return (), []
     cols = list(zip(*candidates))
     zero = repeat(True)
     for terms in scaled:
@@ -261,7 +273,15 @@ def _rechecked(candidates: Tuple[Tuple[int, ...], ...], scaled) -> Tuple[Tuple[i
             # (tens of thousands of terms) overflows the C stack
             total = list(map(add, total, col))
         zero = list(map(and_, zero, map(not_, total)))
-    return tuple(compress(candidates, zero))
+    return _kept(candidates, cols, zero)
+
+
+def _kept(rows: Tuple[Tuple[int, ...], ...], cols: List[Tuple[int, ...]],
+          selector: Sequence[bool]) -> _RowsCols:
+    """The rows where `selector` is true, and their columns, cut from
+    `cols` by the same selector: list(zip(*kept rows)), with no transposition."""
+    rows = tuple(compress(rows, selector))
+    return rows, [tuple(compress(col, selector)) for col in cols] if rows else []
 
 
 def _back_substituted(scaled, k: int, N: int) -> Iterator[Tuple[int, ...]]:
@@ -543,23 +563,25 @@ def search_avoiding_coloring(
         raise ValueError("injectivity threshold exceeds tuple arity")
     nodes_max, _ = _budgets(node_budget, cell_budget)
     try:
-        solutions = enumerate_solutions(cls, N, cell_budget=cell_budget)
+        solutions, cols = _enumerated(cls, N, cell_budget)
     except BudgetExceeded as e:
         return SearchResult(
             status="UNKNOWN", coloring=None, N=N, colors=colors, nodes=0,
             solution_count=0, note=str(e),
         )
-    if min_injectivity > 1:
-        solutions = filter_injectivity(solutions, min_injectivity)
 
     # each solution's support, its set of values, as a bitmask OR-ed over
-    # the columns; a support of one element makes a constant solution
-    cols = list(zip(*solutions))
+    # the columns: its size is the number of distinct values, and a
+    # support of one element makes a constant solution
     supports = [0] * len(solutions)
     for col in cols:
         supports = list(map(or_, supports, map(lshift, repeat(1), col)))
     sizes = list(map(int.bit_count, supports))
-    if 1 in sizes:
+    if min_injectivity > 1:  # keep what filter_injectivity keeps, columns cut alike
+        keep = list(map(min_injectivity.__le__, sizes))
+        solutions, cols = _kept(solutions, cols, keep)
+        supports = list(compress(supports, keep))
+    elif 1 in sizes:
         return SearchResult(
             status="FORCED",
             coloring=None,

@@ -306,10 +306,12 @@ def test_search_reports_verified_coloring(capsys):
 def test_search_enumerates_once(capsys, monkeypatch):
     from prtoolkit import ramsey
 
+    # _enumerated: the enumeration behind enumerate_solutions, which the
+    # search calls for the solutions' rows and columns together
     calls = []
-    enumerate_solutions = ramsey.enumerate_solutions
-    spy = lambda *a, **k: calls.append(a) or enumerate_solutions(*a, **k)
-    monkeypatch.setattr(ramsey, "enumerate_solutions", spy)
+    enumerated = ramsey._enumerated
+    spy = lambda *a, **k: calls.append(a) or enumerated(*a, **k)
+    monkeypatch.setattr(ramsey, "_enumerated", spy)
     code, rep = run_cli(capsys, "search", "--expr", "x + y = z",
                         "--range", "13", "--colors", "3")
     assert (code, rep["status"], rep["verified"]) == (0, "AVOIDING", True)
@@ -885,6 +887,63 @@ def test_parser_is_built_once_per_process():
             assert main(["decide", "--expr", "x + y = z"]) == 0
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 9)
+
+
+# --- subcommand dispatch against the full parser ------------------------------
+
+
+def _full_parse(argv):
+    """The reference: every argv through the full parser."""
+    return cli._build_parser()[0].parse_args(argv)
+
+
+_DISPATCH_ARGVS = [
+    ["decide", "--expr", "x + y = z"],
+    ["search", "--expr", "x + y = z", "--range", "5", "--colors", "2"],
+    ["enumerate", "--expr", "x + y = z", "--range", "4", "--min-injectivity", "2"],
+    ["certify", "--expr", "2^x + 3^x + 5 = 0"],
+    ["rank", "--group=-1,2,3/5"],
+    ["bound", "--expr", "2^x + 3^x = 5^x", "--degree", "2"],
+    ["search", "--expr", "x + y = z", "--colors", "2"],  # no --range
+    ["decide", "--expr", "x + y = z", "--domain", "Q"],
+    ["decide", "--expr", "x + y = z", "--bogus"],
+    ["decide", "--ex", "x + y = z"],  # an abbreviation of --expr
+    ["decide", "-h"],
+    [],
+    ["nonsense", "--expr", "x = y"],
+    ["--help"],
+]
+
+
+def _parse_outcome(parse, argv):
+    """(the Namespace's items in order, or how parsing ended; stdout; stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = "args", list(vars(parse(argv)).items())
+        except cli._UsageError as e:
+            result = "usage error", str(e)
+        except SystemExit as e:
+            result = "exit", e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _main_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = "exit", e.code
+    return _masked(rc, out.getvalue(), err.getvalue())
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_dispatch_matches_the_full_parser(argv, monkeypatch):
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(_full_parse, argv)
+    got = _main_outcome(argv)
+    monkeypatch.setattr(cli, "_parse_args", _full_parse)
+    assert got == _main_outcome(argv)
 
 
 # --- the report writer --------------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import List, NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +15,15 @@ from prtoolkit.algebra import MultiPoly, RatMatrix
 from prtoolkit.equations import (
     MAX_EXPANSION,
     MAX_NESTING,
+    MAX_POLY_DEGREE,
+    MAX_POWER_BITS,
     MAX_VARIABLES,
     Add,
     ClassifyError,
     Equation,
     EquationAST,
     ExpPow,
+    Expr,
     GeneralPolySystem,
     LinearSystem,
     Mul,
@@ -33,6 +36,7 @@ from prtoolkit.equations import (
     TwoVarPolySystem,
     Var,
     VarPow,
+    _position,
     _tokenize,
     class_from_json,
     class_to_json,
@@ -191,10 +195,15 @@ def test_classify_prefers_most_specific():
 
 
 def test_variable_cap():
-    vars_ = ["v%d" % i for i in range(MAX_VARIABLES + 1)]
-    text = " + ".join(vars_) + " = 0"
-    with pytest.raises(ParseError):
-        parse_equation_text(text)
+    vars_ = ["v%d" % i for i in range(MAX_VARIABLES)]
+    parse_equation_text(" + ".join(vars_) + " = " + " - ".join(vars_))
+    # the error points at the variable one past the cap, plain or in b^v
+    for last, col in (("v26", 147), ("2^v26", 149)):
+        text = " + ".join(vars_ + [last]) + " = 0"
+        with pytest.raises(ParseError) as e:
+            parse_equation_text(text)
+        assert (e.value.line, e.value.col) == (1, col) == (1, text.index("v26") + 1)
+        assert "too many variables" in str(e.value)
 
 
 def test_nesting_cap():
@@ -320,8 +329,9 @@ def test_expansion_cap_message_on_binomial_products(factor, terms):
 # --- the tokenizer against its first version -------------------------------
 #
 # A verbatim copy of the tokenizer that built frozen dataclass tokens and
-# carried the column by hand; the NamedTuple tokenizer must give the same
-# tokens, or the same error at the same place.
+# carried the column by hand; the offset tokenizer must give the same
+# tokens, with line and column from `_position`, or the same error at the
+# same place.
 
 
 @dataclass(frozen=True)
@@ -383,6 +393,11 @@ def _lexed(tokenize, text):
         return "ParseError", str(e), e.line, e.col
 
 
+def _offset_tokens(text):
+    """`_tokenize(text)` with each offset turned into (line, column)."""
+    return [_RefToken(kind, tok, *_position(text, offset)) for kind, tok, offset in _tokenize(text)]
+
+
 # ASCII operators and names, a superscript digit (isdigit but not
 # decimal), an Arabic-Indic digit, an information separator and a no-break
 # space (both isspace), letters of other scripts, and characters that
@@ -394,12 +409,13 @@ _LEX_ALPHABET = list("+-*^/()=;xy_09") + ["\u00b2", "\u0663", "\x1c", "\u00a0", 
 @settings(max_examples=500, deadline=None)
 @given(st.text(alphabet=st.sampled_from(_LEX_ALPHABET), max_size=40))
 def test_tokenizer_matches_its_first_version(text):
-    assert _lexed(_tokenize, text) == _lexed(_ref_tokenize, text)
+    assert _lexed(_offset_tokens, text) == _lexed(_ref_tokenize, text)
 
 
 def test_tokenizer_reports_lines_and_columns():
-    toks = _tokenize("x\u00b2 =\n\t3\u0663*y\x1c")
-    assert [tuple(t) for t in toks] == [
+    text = "x\u00b2 =\n\t3\u0663*y\x1c"
+    assert [kind for kind, _, _ in _tokenize(text)] == ["IDENT", "=", "NUM", "*", "IDENT", "END"]
+    assert [(t.kind, t.text, t.line, t.col) for t in _offset_tokens(text)] == [
         ("IDENT", "x\u00b2", 1, 1), ("=", "=", 1, 4), ("NUM", "3\u0663", 2, 2),
         ("*", "*", 2, 4), ("IDENT", "y", 2, 5), ("END", "", 2, 7),
     ]
@@ -566,6 +582,319 @@ def test_classify_matches_full_expansion(sides):
     text = format_system(EquationAST(tuple(Equation(l, r) for l, r in sides), ()))
     ast = parse_equation_text(text)
     assert _outcome(classify, ast) == _outcome(_ref_classify, ast), text
+
+
+# --- the parser against its previous version ------------------------------
+#
+# A verbatim copy, but for the names, of the tokenizer that built NamedTuple
+# tokens with line and column, and of the parser that read them through
+# peek() and advance().  The offset tokens and the index-walking parser
+# must build the same AST, or raise the same ParseError: message, line,
+# column and expected set.  The texts use at most a dozen names, so the
+# variable cap, whose error now points at the variable itself, is pinned
+# by test_variable_cap instead.
+
+
+class _PrevToken(NamedTuple):
+    kind: str  # NUM, IDENT, or a literal operator character; END at EOF
+    text: str
+    line: int
+    col: int
+
+
+_PREV_OPS = frozenset("+-*^/()=;")
+
+
+def _prev_tokenize(src: str) -> List[_PrevToken]:
+    """Tokens of `src`, or a ParseError at the first character that starts none.
+
+    Each character is one column and '\n' starts a line, so a column is
+    the offset from the line's first character plus 1.
+    """
+    toks: List[_PrevToken] = []
+    append = toks.append
+    n = len(src)
+    line, bol = 1, 0  # bol: index of the line's first character
+    i = 0
+    while i < n:
+        ch = src[i]
+        if ch in _PREV_OPS:
+            append(_PrevToken(ch, ch, line, i - bol + 1))
+            i += 1
+        elif ch == "\n":
+            i += 1
+            line, bol = line + 1, i
+        elif ch.isspace():
+            i += 1
+        elif ch.isdigit():
+            j = i + 1
+            while j < n and src[j].isdigit():
+                j += 1
+            append(_PrevToken("NUM", src[i:j], line, i - bol + 1))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            append(_PrevToken("IDENT", src[i:j], line, i - bol + 1))
+            i = j
+        else:
+            raise ParseError("unexpected character %r" % ch, line, i - bol + 1)
+    append(_PrevToken("END", "", line, n - bol + 1))
+    return toks
+
+
+
+class _PrevParser:
+    def __init__(self, toks: List[_PrevToken]):
+        self.toks = toks
+        self.i = 0
+        self.depth = 0
+        self.seen_vars: List[str] = []
+
+    def peek(self) -> _PrevToken:
+        return self.toks[self.i]
+
+    def advance(self) -> _PrevToken:
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def expect(self, kind: str, what: str) -> _PrevToken:
+        t = self.peek()
+        if t.kind != kind:
+            raise ParseError(
+                "expected %s, got %r" % (what, t.text or "end of input"),
+                t.line,
+                t.col,
+                expected={what},
+            )
+        return self.advance()
+
+    def note_var(self, name: str) -> None:
+        if name not in self.seen_vars:
+            if len(self.seen_vars) >= MAX_VARIABLES:
+                t = self.peek()
+                raise ParseError(
+                    "too many variables (cap %d)" % MAX_VARIABLES, t.line, t.col
+                )
+            self.seen_vars.append(name)
+
+    # system := equation (";" equation)*
+    def parse_system(self) -> EquationAST:
+        eqs = [self.parse_equation()]
+        while self.peek().kind == ";":
+            self.advance()
+            eqs.append(self.parse_equation())
+        t = self.peek()
+        if t.kind != "END":
+            raise ParseError(
+                "trailing input %r" % t.text, t.line, t.col, expected={"';'", "end"}
+            )
+        return EquationAST(tuple(eqs), tuple(self.seen_vars))
+
+    def parse_equation(self) -> Equation:
+        lhs = self.parse_expr()
+        self.expect("=", "'='")
+        rhs = self.parse_expr()
+        return Equation(lhs, rhs)
+
+    def parse_expr(self) -> Expr:
+        node = self.parse_term()
+        while self.peek().kind in ("+", "-"):
+            op = self.advance().kind
+            rhs = self.parse_term()
+            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+        return node
+
+    def parse_term(self) -> Expr:
+        node = self.parse_factor()
+        while True:
+            t = self.peek()
+            if t.kind == "*":
+                self.advance()
+                node = Mul(node, self.parse_factor())
+            elif t.kind in ("NUM", "IDENT", "("):
+                # "2x" or "x y": adjacency without an operator
+                raise ParseError(
+                    "adjacent factors require an explicit '*'",
+                    t.line,
+                    t.col,
+                    expected={"'*'", "'+'", "'-'", "'='"},
+                )
+            else:
+                return node
+
+    def parse_factor(self) -> Expr:
+        t = self.peek()
+        if t.kind in ("-", "("):
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    "more than %d nested '(' or unary '-'" % MAX_NESTING, t.line, t.col
+                )
+            self.depth += 1
+            node = self._parse_nested()
+            self.depth -= 1
+            return node
+        if t.kind == "NUM":
+            self.advance()
+            num = _prev_literal(t)
+            den = 1
+            if self.peek().kind == "/":
+                self.advance()
+                dtok = self.expect("NUM", "integer denominator")
+                den = _prev_literal(dtok)
+                if den == 0:
+                    raise ParseError("zero denominator", dtok.line, dtok.col)
+            if self.peek().kind == "^":
+                caret = self.advance()
+                if den != 1:
+                    raise ParseError(
+                        "exponential base must be an integer", caret.line, caret.col
+                    )
+                return self._finish_power(num, caret)
+            return Num(Fraction(num, den))
+        if t.kind == "IDENT":
+            self.advance()
+            self.note_var(t.text)
+            if self.peek().kind == "^":
+                self.advance()
+                etok = self.peek()
+                if etok.kind == "-":
+                    raise ParseError(
+                        "polynomial exponents must be nonnegative integer literals",
+                        etok.line,
+                        etok.col,
+                    )
+                etok = self.expect("NUM", "nonnegative integer exponent")
+                return VarPow(t.text, _prev_exponent(etok))
+            return Var(t.text)
+        raise ParseError(
+            "expected a factor, got %r" % (t.text or "end of input"),
+            t.line,
+            t.col,
+            expected={"number", "variable", "'('", "'-'"},
+        )
+
+    def _parse_nested(self) -> Expr:
+        """A unary '-' or a parenthesized factor; the caller counts depth."""
+        if self.advance().kind == "-":
+            return Neg(self.parse_factor())
+        inner = self.parse_expr()
+        self.expect(")", "')'")
+        if self.peek().kind == "^":
+            # (-2)^x or (-2)^3: the parenthesized part must reduce to an
+            # integer literal.
+            caret = self.advance()
+            base = _prev_const_int(inner)
+            if base is None:
+                raise ParseError(
+                    "only integer literals may be raised to a variable or a number",
+                    caret.line,
+                    caret.col,
+                )
+            return self._finish_power(base, caret)
+        return inner
+
+    def _finish_power(self, base: int, caret: _PrevToken) -> Expr:
+        """`base ^ var` is an exponential; `base ^ nat` folds to a constant."""
+        etok = self.peek()
+        if etok.kind == "NUM":
+            exp = _prev_exponent(self.advance())
+            # base.bit_length() * exp bounds the power's bit length from above
+            bits = base.bit_length() * exp
+            if bits > MAX_POWER_BITS:
+                raise ParseError(
+                    "constant power may need %d bits, above the cap %d" % (bits, MAX_POWER_BITS),
+                    etok.line,
+                    etok.col,
+                )
+            return Num(Fraction(base ** exp))
+        if base == 0:
+            raise ParseError("exponential base must be nonzero", caret.line, caret.col)
+        vtok = self.expect("IDENT", "variable name or integer exponent after '^'")
+        self.note_var(vtok.text)
+        return ExpPow(base, vtok.text)
+
+
+def _prev_literal(tok: _PrevToken) -> int:
+    """The integer a NUM token spells; a ParseError at the token where int()
+    refuses it (past sys.set_int_max_str_digits, or a non-decimal digit)."""
+    try:
+        return int(tok.text)
+    except ValueError as e:
+        raise ParseError("bad integer literal: %s" % e, tok.line, tok.col) from None
+
+
+def _prev_exponent(tok: _PrevToken) -> int:
+    """The exponent a NUM token spells; a ParseError above MAX_POLY_DEGREE."""
+    exp = _prev_literal(tok)
+    if exp > MAX_POLY_DEGREE:
+        raise ParseError(
+            "exponent %d exceeds degree cap %d" % (exp, MAX_POLY_DEGREE), tok.line, tok.col
+        )
+    return exp
+
+
+def _prev_const_int(e: Expr) -> Optional[int]:
+    """Integer value of a literal-only expression, else None."""
+    if isinstance(e, Num):
+        return int(e.value) if e.value.denominator == 1 else None
+    if isinstance(e, Neg):
+        v = _prev_const_int(e.arg)
+        return -v if v is not None else None
+    return None
+
+
+def _parsed(parse, text):
+    try:
+        return "ok", repr(parse(text))
+    except ParseError as e:
+        return "ParseError", str(e), e.line, e.col, e.expected
+
+
+def _prev_parse(text):
+    return _PrevParser(_prev_tokenize(text)).parse_system()
+
+
+# pieces of texts, well formed or not: names, integers with Arabic-Indic
+# and superscript digits, rationals (a zero denominator too), negative
+# and malformed bases, over-cap exponents, every operator, newlines and
+# characters that start no token
+_PIECES = st.sampled_from([
+    "x", "y", "z", "x1", "_t", "0", "2", "17", "3/4", "1/0", "2/1", "\u0663", "1\u0663",
+    "\u00b2", "10001", "(-2)^x", "(-2)^3", "(1/2)^x", "(x)^2", "0^y", "2^x", "3^6400",
+    "x^2", "x^-1", "y^z", "+", "-", "*", "/", "^", "(", ")", "=", ";", " ", "\n", "\t",
+    "#", "\u2212",
+])
+
+
+def _nested(args):
+    depth, kind, inner = args
+    opener = {"paren": "(", "minus": "-", "both": "-("}[kind]
+    closer = "" if kind == "minus" else ")"
+    return opener * depth + inner + closer * depth
+
+
+_TEXTS = st.one_of(
+    st.lists(_PIECES, max_size=30).map("".join),
+    # well-formed systems, then one piece spliced in at a random place
+    st.tuples(st.lists(st.tuples(_EXPRS, _EXPRS), min_size=1, max_size=2),
+              st.integers(0, 200), st.one_of(st.just(""), _PIECES)).map(
+        lambda a: (lambda t: t[:a[1]] + a[2] + t[a[1]:])(
+            format_system(EquationAST(tuple(Equation(l, r) for l, r in a[0]), ())))),
+    # nesting on both sides of MAX_NESTING, left or right of the '='
+    st.tuples(st.integers(MAX_NESTING // 2 - 2, MAX_NESTING + 2),
+              st.sampled_from(["paren", "minus", "both"]),
+              st.sampled_from(["x", "x + 1", "(-2)^x", "2", "x =", ""])).map(_nested).flatmap(
+        lambda deep: st.sampled_from([deep + " = y", "y = " + deep, deep])),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_TEXTS)
+def test_parser_matches_its_previous_version(text):
+    assert _parsed(parse_equation_text, text) == _parsed(_prev_parse, text), text
 
 
 # --- JSON schema ---------------------------------------------------------

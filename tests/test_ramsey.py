@@ -455,7 +455,10 @@ def recheck_inputs(draw):
 @example(([[(1, (1, 1))]], ()))
 def test_recheck_matches_value(inputs):
     scaled, candidates = inputs
-    assert ramsey._rechecked(candidates, scaled) == rechecked_by_value(candidates, scaled)
+    rows, cols = ramsey._rechecked(candidates, scaled)
+    assert rows == rechecked_by_value(candidates, scaled)
+    # the kept columns are cut from the candidates' columns, not transposed again
+    assert cols == list(zip(*rows))
 
 
 def test_recheck_drops_a_false_candidate(monkeypatch):
