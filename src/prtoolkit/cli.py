@@ -1,12 +1,14 @@
 """Command-line front end: decide, search, enumerate, certify, rank, bound.
 
-Reports are JSON on standard output.  Exit codes: 0 when a question was
-decided (either way), 2 when the outcome is UNKNOWN, 1 for usage or
+Reports are JSON on standard output, each ending with its `time_ms`.
+Exit codes: 0 when a question was decided (either way), 2 when the
+report's `status` is UNKNOWN or its `found` is false, 1 for usage or
 parse errors and when standard output is closed before the report is
 written (``prtoolkit ... | head``).  Every numeric value that can grow
 beyond 53 bits is serialized as a decimal string; nothing is ever
-emitted as a float.
-Certificates embedded in a report are re-verified before emission.
+emitted as a float.  Each handler only builds its report; `_dispatch`
+alone times, writes and scores it.  A certificate in a report was
+re-verified by the function that made it before that function returned.
 When the first argument names a subcommand, only its parser reads the
 rest; other argument lists go through the full parser.
 """
@@ -208,8 +210,7 @@ def _require_positive(args, name: str) -> None:
         raise _UsageError("--%s must be at least 1" % name)
 
 
-def _cmd_decide(args) -> int:
-    t0 = time.monotonic()
+def _cmd_decide(args) -> dict:
     _require_positive(args, "mmax")
     _require_positive(args, "cap")
     cls = _load_class(args)
@@ -246,20 +247,15 @@ def _cmd_decide(args) -> int:
         report["notes"].append(verdict.note)
         report["summary"] = "%s over the given group (coefficient sum %s)" % (
             verdict.status, report["coefficient_sum"])
-        report["time_ms"] = int((time.monotonic() - t0) * 1000)
-        _emit(report)
-        return EXIT_DECIDED
 
-    if isinstance(cls, LinearSystem):
-        from .rado import DEFAULT_COLUMN_CAP, decide_linear, verify_columns_condition
+    elif isinstance(cls, LinearSystem):
+        from .rado import DEFAULT_COLUMN_CAP, decide_linear
 
         verdict = decide_linear(cls, domain=args.domain, cap=args.cap or DEFAULT_COLUMN_CAP)
         report["status"] = verdict.status
         report["homogeneous"] = verdict.homogeneous
         report["witness"] = _json_value(verdict.witness)
         if verdict.partition is not None:
-            if not verify_columns_condition(cls.matrix, verdict.partition):
-                raise RuntimeError("internal error: partition failed re-verification")
             report["certificates"]["partition"] = [list(b) for b in verdict.partition]
         if verdict.integer_constant is not None:
             report["integer_constant"] = _num(verdict.integer_constant)
@@ -323,16 +319,12 @@ def _cmd_decide(args) -> int:
 
     else:
         raise _UsageError("unsupported equation class")
-
-    report["time_ms"] = int((time.monotonic() - t0) * 1000)
-    _emit(report)
-    return EXIT_DECIDED if report["status"] != "UNKNOWN" else EXIT_UNKNOWN
+    return report
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> dict:
     from .ramsey import search_avoiding_coloring
 
-    t0 = time.monotonic()
     cls = _load_class(args)
     if args.min_injectivity < 1:
         raise _UsageError("injectivity threshold must be at least 1")
@@ -354,50 +346,33 @@ def _cmd_search(args) -> int:
         report["note"] = result.note
     if result.status == "AVOIDING":
         report["verified"] = True  # search_avoiding_coloring checked it
-    report["time_ms"] = int((time.monotonic() - t0) * 1000)
-    _emit(report)
-    return EXIT_DECIDED if result.status != "UNKNOWN" else EXIT_UNKNOWN
+    return report
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> dict:
     from .ramsey import enumerate_solutions, filter_injectivity
 
-    t0 = time.monotonic()
     cls = _load_class(args)
     if args.min_injectivity < 1:
         raise _UsageError("injectivity threshold must be at least 1")
     if args.min_injectivity > len(cls.variables):
         raise _UsageError("injectivity threshold exceeds tuple arity")
+    report = {"command": "enumerate", "class": class_to_json(cls), "N": args.range}
     try:
         solutions = enumerate_solutions(cls, args.range)
     except BudgetExceeded as e:
-        _emit({
-            "command": "enumerate",
-            "class": class_to_json(cls),
-            "N": args.range,
-            "status": "UNKNOWN",
-            "note": str(e),
-        })
-        return EXIT_UNKNOWN
+        report.update(status="UNKNOWN", note=str(e))
+        return report
     if args.min_injectivity > 1:
         solutions = filter_injectivity(solutions, args.min_injectivity)
-    _emit({
-        "command": "enumerate",
-        "class": class_to_json(cls),
-        "N": args.range,
-        "min_injectivity": args.min_injectivity,
-        "variables": list(cls.variables),
-        "count": len(solutions),
-        "solutions": [list(s) for s in solutions],
-        "time_ms": int((time.monotonic() - t0) * 1000),
-    })
-    return EXIT_DECIDED
+    report.update(min_injectivity=args.min_injectivity, variables=list(cls.variables),
+                  count=len(solutions), solutions=[list(s) for s in solutions])
+    return report
 
 
-def _cmd_certify(args) -> int:
-    from .polyexp import DEFAULT_MODULUS_CAP, diagonalize, verify_modular
+def _cmd_certify(args) -> dict:
+    from .polyexp import DEFAULT_MODULUS_CAP, diagonalize
 
-    t0 = time.monotonic()
     _require_positive(args, "mmax")
     m_max = args.mmax or DEFAULT_MODULUS_CAP
     cls = _load_class(args)
@@ -405,24 +380,19 @@ def _cmd_certify(args) -> int:
         raise _UsageError("certify expects a polyexponential equation")
     g = diagonalize(cls)
     cert, note = _least_certificate(g, m_max)
-    if cert is not None and not verify_modular(g, cert):
-        raise RuntimeError("internal error: modular certificate failed re-verification")
     report = {
         "command": "certify",
         "class": class_to_json(cls),
         "diagonal": _expsum_json(g),
         "mmax": m_max,
         "found": cert is not None,
-        "time_ms": int((time.monotonic() - t0) * 1000),
     }
     if cert is None:
         report["note"] = note
-        _emit(report)
-        return EXIT_UNKNOWN
-    report["certificate"] = _record_json(cert)
-    report["verified"] = True
-    _emit(report)
-    return EXIT_DECIDED
+    else:
+        report["certificate"] = _record_json(cert)
+        report["verified"] = True  # modular_certificate_search checked it
+    return report
 
 
 def _least_certificate(g, m_max: int):
@@ -446,13 +416,11 @@ def _least_certificate(g, m_max: int):
     return cert, "no modulus up to the cap certifies the sum nonvanishing; absence proves nothing"
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> dict:
     from .sunit import make_group, sunit_solution_bound, two_term_unit_bound
 
-    t0 = time.monotonic()
-    gens = _parse_group(args.group)
-    spec = make_group(gens)
-    _emit({
+    spec = make_group(_parse_group(args.group))
+    return {
         "command": "rank",
         "generators": [_num(g) for g in spec.generators],
         "primes": [_num(p) for p in spec.primes],
@@ -461,15 +429,12 @@ def _cmd_rank(args) -> int:
         "rank": spec.rank,
         "solution_bound": _num(sunit_solution_bound(spec.rank)),
         "two_term_bound": _num(two_term_unit_bound(spec.rank)),
-        "time_ms": int((time.monotonic() - t0) * 1000),
-    })
-    return EXIT_DECIDED
+    }
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> dict:
     from .polyexp import bell_number, compute_constants
 
-    t0 = time.monotonic()
     cls = _load_class(args)
     if not isinstance(cls, PolyExpEquation):
         raise _UsageError("bound expects a polyexponential equation")
@@ -500,9 +465,7 @@ def _cmd_bound(args) -> int:
             "degree_exponent": _num(6 * B ** 2),
         }
         report["note"] = "full decimal expansion suppressed (%d bits)" % bits
-    report["time_ms"] = int((time.monotonic() - t0) * 1000)
-    _emit(report)
-    return EXIT_DECIDED
+    return report
 
 
 class _StdoutClosed(Exception):
@@ -593,13 +556,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _dispatch(argv: Optional[Sequence[str]]) -> int:
+    """Parse argv, run its handler, and time, write and score the report."""
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except _UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
+    t0 = time.monotonic()
     try:
-        return _HANDLERS[args.command](args)
+        report = _HANDLERS[args.command](args)
     except (_UsageError, ParseError, ClassifyError, SchemaError, FileNotFoundError,
             ValueError, json.JSONDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)
@@ -607,7 +572,11 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
     except (IncompleteFactorization, BudgetExceeded) as e:
         print("unknown: %s" % e, file=sys.stderr)
         return EXIT_UNKNOWN
-
+    report["time_ms"] = int((time.monotonic() - t0) * 1000)
+    _emit(report)
+    if report.get("status") == "UNKNOWN" or report.get("found") is False:
+        return EXIT_UNKNOWN
+    return EXIT_DECIDED
 
 if __name__ == "__main__":
     sys.exit(main())

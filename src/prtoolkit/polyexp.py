@@ -599,7 +599,8 @@ def dominance_bound(g: ExpSum) -> DominanceCertificate:
     MAX_WINDOW points or a threshold search would compare integers
     beyond MAX_THRESHOLD_BITS bits.  A one-term sum's window is spanned
     by the integer roots of its coefficient polynomial, which are its
-    zeros, so it is never scanned and has no width cap.
+    zeros, so it is never scanned and has no width cap.  The certificate
+    is re-verified by `verify_dominance` before it is returned.
     """
     if g.is_zero():
         raise ValueError("the zero sum vanishes everywhere; no finite window")
@@ -611,7 +612,10 @@ def dominance_bound(g: ExpSum) -> DominanceCertificate:
             "the certified window [%d, %d] exceeds MAX_WINDOW = %d points"
             % (-s_minus, s_plus, MAX_WINDOW)
         )
-    return DominanceCertificate(s_plus, s_minus, zero_parities, branches)
+    cert = DominanceCertificate(s_plus, s_minus, zero_parities, branches)
+    if not verify_dominance(g, cert):
+        raise RuntimeError("internal error: dominance certificate failed re-verification")
+    return cert
 
 
 def verify_dominance(g: ExpSum, cert: DominanceCertificate) -> bool:
@@ -731,7 +735,8 @@ def modular_certificate_search(
 
     Only moduli coprime to every base are usable (otherwise g(s) mod M
     is undefined for negative s).  Returns None when no modulus works;
-    absence proves nothing.
+    absence proves nothing.  A certificate found is re-verified by
+    `verify_modular` before it is returned.
 
     One scan over s = 0, 1, 2, ... serves every usable modulus at once:
     it carries g(s) modulo Q, the lcm of the moduli still alive, and a
@@ -778,8 +783,10 @@ def modular_certificate_search(
         found = _least_surviving(g, plan, block, steps)
         if found is not None:
             m, period = found
-            residues = tuple(v % m for v in islice(_walk(plan, m, 0), period))
-            return ModularCertificate(m, period, residues)
+            cert = ModularCertificate(m, period, tuple(v % m for v in islice(_walk(plan, m, 0), period)))
+            if not verify_modular(g, cert):
+                raise RuntimeError("internal error: modular certificate failed re-verification")
+            return cert
     return None
 
 
@@ -952,8 +959,6 @@ def decide_constant_solution(
         cert = dominance_bound(g)
     except WindowTooWide as e:
         return ConstantSolutionResult("UNKNOWN", note="no window scanned: %s" % e)
-    if not verify_dominance(g, cert):
-        raise RuntimeError("internal error: dominance certificate failed re-verification")
     window = (-cert.s_minus, cert.s_plus)
     families = cert.zero_parities
     search_first = len(g.terms) > 1 and not families
@@ -982,16 +987,13 @@ def decide_constant_solution(
 def _certificate_within(
     g: ExpSum, m_max: int, window: Tuple[int, int]
 ) -> Optional[ModularCertificate]:
-    """The least verified modular certificate of g with period at most the
-    window width, or None when there is none or the step budget runs out
-    (the window scan then decides)."""
+    """The least modular certificate of g with period at most the window
+    width, or None when there is none or the step budget runs out (the
+    window scan then decides)."""
     try:
-        modular = modular_certificate_search(g, m_max, max_period=window[1] - window[0] + 1)
+        return modular_certificate_search(g, m_max, max_period=window[1] - window[0] + 1)
     except BudgetExceeded:
         return None
-    if modular is not None and not verify_modular(g, modular):
-        raise RuntimeError("internal error: modular certificate failed re-verification")
-    return modular
 
 
 # ---------------------------------------------------------------------
@@ -1069,7 +1071,10 @@ def decide_polyexp_pr(
     character-group hypothesis holds; when the hypothesis fails, no
     negative claim is made and the verdict is UNKNOWN.  A hypothesis
     check or constant-solution search stopped by an incomplete
-    factorization is UNKNOWN too, with a note.
+    factorization is UNKNOWN too, with a note.  In one variable a common
+    integer root of the P_k is a zero of the diagonal g, which the
+    constant-solution decision has ruled in or out, so only an equation
+    in two or more variables gets the note that {P_k = 0} is not analyzed.
     """
     notes: List[str] = []
     try:
@@ -1078,7 +1083,7 @@ def decide_polyexp_pr(
         return PolyExpVerdict("UNKNOWN", None, None, None, ("hypothesis check aborted: %s" % e,))
     if hypothesis.unit_entry_warning:
         notes.append("characters contain unit entries (zero exponent vectors)")
-    if hypothesis.degenerate_possible:
+    if hypothesis.degenerate_possible and len(eq.variables) > 1:
         notes.append(
             "pure polynomial system {P_k = 0} not analyzed; it may carry "
             "solution families of its own"

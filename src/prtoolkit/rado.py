@@ -43,7 +43,7 @@ from .algebra import (
     least_witness,
     matrix_rank,
 )
-from .equations import LinearSystem
+from .equations import LinearSystem, _num
 
 Partition = Tuple[Tuple[int, ...], ...]
 
@@ -60,7 +60,8 @@ def columns_condition(
     Each later block is all the remaining columns when their sum lies
     in the span of the columns used so far, else the smallest remaining
     set whose sum does.  Ties go to the lexicographically least set.
-    If no block fits, the condition fails.
+    If no block fits, the condition fails.  A partition found is
+    re-verified by `verify_columns_condition` before it is returned.
 
     No step needs undoing.  Suppose I_1, .., I_r witness the condition
     and U is the union of any valid prefix of blocks.  Then the nonempty
@@ -99,7 +100,10 @@ def columns_condition(
         rest = [j for j in rest if j not in block]
         for j in block:
             prev = _pivot_out(rows, j, prev) or prev
-    return tuple(tuple(j + 1 for j in block) for block in blocks)
+    partition = tuple(tuple(j + 1 for j in block) for block in blocks)
+    if not verify_columns_condition(matrix, partition):
+        raise RuntimeError("internal error: partition failed re-verification")
+    return partition
 
 
 def _fits(rows: List[List[int]], block: Sequence[int]) -> bool:
@@ -193,7 +197,8 @@ def decide_linear(
     (with a constant-witness upgrade when every row sums to zero);
     nonhomogeneous systems are PR iff a constant solution exists in N,
     or the columns condition holds together with a constant solution in
-    Z.  Over Z the whole question reduces to constant solutions.
+    Z.  Over Z the whole question reduces to constant solutions.  A row
+    0 = b with b != 0 holds nowhere: NOT_PR in either ground set.
     """
     A = system.matrix
     homogeneous = all(v == 0 for v in system.rhs)
@@ -205,6 +210,10 @@ def decide_linear(
         return found if found == "all" else least_witness(found)
 
     const = constant(domain)  # a ValueError for a domain other than N and Z
+    for row, b_i in zip(A.rows, system.rhs):
+        if b_i and not any(row):
+            return LinearVerdict("NOT_PR", None, None, None, domain, homogeneous,
+                                 note="an equation reduces to %s = 0: no solution" % _num(-b_i))
     if domain == "Z":
         if const is not None:
             return LinearVerdict(

@@ -205,9 +205,12 @@ def enumerate_solutions(
     `_back_substituted`).  Every candidate tuple is re-checked by
     evaluating each scaled polynomial exactly, over whole columns of
     candidates at once (see `_rechecked`).  Exponential equations
-    are scanned directly.  Output is in lexicographic order.  The cell
-    budget counts N^(k-1) prefixes on both polynomial paths.  A system
-    with no variables raises ValueError.
+    are scanned directly.  Output is in lexicographic order.  A system
+    with no variables raises ValueError.  The cell budget is charged
+    before the walk: N^(k-2) outer prefixes (one for k = 1), times the
+    values of the second-to-last variable (one where a non-pivot linear
+    row pins it or k = 1, else N), times those of the last (one where an
+    equation holds it, else N); a direct scan is charged N^k.
     """
     return _enumerated(cls, N, cell_budget)[0]
 
@@ -237,14 +240,15 @@ def _enumerated(cls, N: int, cell_budget: Optional[int]) -> _RowsCols:
     k = len(vars_)
     if k == 0:
         raise ValueError("the system has no variables")
-    if N ** (k - 1) > cells_max:
-        raise BudgetExceeded("enumeration needs %d prefix cells" % (N ** (k - 1)))
-
     scaled = [_scaled_terms(poly) for poly in polys]
-    if isinstance(cls, LinearSystem) and k >= 2:
-        candidates = _linear_candidates(scaled, k, N)
-    else:
-        candidates = _back_substituted(scaled, k, N)
+    linear = isinstance(cls, LinearSystem) and k >= 2
+    pivot, rows = _eliminated(scaled, k) if linear else (None, [])
+    ys = 1 if k == 1 or any(row[k - 2] for row in rows) else N
+    zs = 1 if any(exps[-1] for terms in scaled for _, exps in terms) else N
+    cells = N ** max(k - 2, 0) * ys * zs
+    if cells > cells_max:
+        raise BudgetExceeded("enumeration needs %d cells" % cells)
+    candidates = _linear_candidates(pivot, rows, k, N) if linear else _back_substituted(scaled, k, N)
     return _rechecked(tuple(candidates), scaled)
 
 
@@ -382,18 +386,14 @@ def _solve_last(prefix, ys, rows, polys, k: int,
             yield (prefix + (ys[i], z))[-k:]  # k = 1 drops the dummy y
 
 
-def _linear_candidates(scaled, k: int, N: int) -> Iterator[Tuple[int, ...]]:
-    """Candidate tuples, in lexicographic order, of a linear system, k >= 2.
+def _eliminated(scaled, k: int) -> Tuple[Optional[List[int]], List[List[int]]]:
+    """(pivot or None, the other nonzero rows) of a linear system, k >= 2.
 
     Each row becomes an integer vector (prefix coefficients, b, a, c),
     read under a prefix of the first k-2 variables as b t + a u + c = 0
     in the last two, t and u.  The first row with a != 0 is the pivot
     (a0, b0, c0), signed so that a0 > 0; a0 times every other row minus
-    a times the pivot eliminates u, leaving e t + d = 0, which pins t by
-    one exact division, kills the prefix, or says nothing.  The pivot
-    then admits the t of one residue class mod a0 / gcd(b0, a0), where
-    u is an integer, inside one interval, where 1 <= u <= N, and gives u
-    by one exact division.  Without a pivot u runs over [1, N].
+    a times the pivot eliminates u, leaving e t + d = 0.
     """
     rows = []
     for terms in scaled:
@@ -401,17 +401,30 @@ def _linear_candidates(scaled, k: int, N: int) -> Iterator[Tuple[int, ...]]:
         for c, exps in terms:
             row[next((j for j, e in enumerate(exps) if e), k)] = c
         rows.append(row)
-    p = next((i for i, row in enumerate(rows) if row[k - 1]), None)
-    if p is not None:
-        pivot = rows.pop(p)
+    pivot = next((row for row in rows if row[k - 1]), None)
+    if pivot is not None:
+        rows.remove(pivot)  # an equal row before it would have been the pivot
         if pivot[k - 1] < 0:
             pivot = [-x for x in pivot]
+        rows = [[pivot[k - 1] * x - row[k - 1] * y for x, y in zip(row, pivot)] for row in rows]
+    return pivot, [row for row in rows if any(row)]
+
+
+def _linear_candidates(pivot, rows, k: int, N: int) -> Iterator[Tuple[int, ...]]:
+    """Candidate tuples, in lexicographic order, of a linear system, k >= 2,
+    from its `_eliminated` rows.
+
+    Each row e t + d = 0 other than the pivot pins t by one exact
+    division, kills the prefix, or says nothing.  The pivot then admits
+    the t of one residue class mod a0 / gcd(b0, a0), where u is an
+    integer, inside one interval, where 1 <= u <= N, and gives u by one
+    exact division.  Without a pivot u runs over [1, N].
+    """
+    if pivot is not None:
         a0, b0 = pivot[k - 1], pivot[k - 2]
         g = math.gcd(b0, a0)
         m = a0 // g
         inverse = pow(b0 // g, -1, m)
-        rows = [[a0 * x - row[k - 1] * y for x, y in zip(row, pivot)] for row in rows]
-    rows = [row for row in rows if any(row)]
 
     for prefix in product(range(1, N + 1), repeat=k - 2):
         lo, hi = 1, N
@@ -425,7 +438,7 @@ def _linear_candidates(scaled, k: int, N: int) -> Iterator[Tuple[int, ...]]:
             elif d:
                 break
         else:
-            if p is None:
+            if pivot is None:
                 for t in range(lo, hi + 1):
                     for u in range(1, N + 1):
                         yield prefix + (t, u)

@@ -259,6 +259,7 @@ def test_decide_linear_row_without_a_constant_solution(capsys):
     assert code == 0
     assert rep["status"] == "NOT_PR"
     assert (rep["witnesses"], rep["infinitely_pr"]) == ([], False)
+    assert rep["notes"] == ["an equation reduces to -1 = 0: no solution"]
 
 
 def test_decide_sunit_route(capsys):
@@ -325,6 +326,30 @@ def test_search_never_reports_a_coloring_that_fails_its_check(capsys, monkeypatc
                         lambda coloring, sols, cols: (False, ((1, 1, 2),)))
     with pytest.raises(RuntimeError, match="failed re-verification"):
         main(["search", "--expr", "x + y = z", "--range", "4", "--colors", "2"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("module, verifier, produce, argv", [
+    ("rado", "verify_columns_condition",
+     lambda m: m.columns_condition(classify(parse_equation_text("x + y = z")).matrix),
+     ["decide", "--expr", "x + y = z"]),
+    ("polyexp", "verify_dominance",
+     lambda m: m.dominance_bound(m.diagonalize(classify(parse_equation_text("4^x + 2 = 0")))),
+     ["decide", "--expr", "4^x + 2 = 0"]),
+    ("polyexp", "verify_modular",
+     lambda m: m.modular_certificate_search(m.diagonalize(classify(parse_equation_text("4^x + 2 = 0")))),
+     ["certify", "--expr", "4^x + 2 = 0"]),
+], ids=["partition", "dominance", "modular"])
+def test_a_certificate_that_fails_its_check_is_never_returned(capsys, monkeypatch, module,
+                                                              verifier, produce, argv):
+    # each function that makes a certificate re-verifies it, so neither
+    # it nor the CLI report built on it gets past a failed check
+    mod = __import__("prtoolkit." + module, fromlist=[module])
+    monkeypatch.setattr(mod, verifier, lambda *args: False)
+    with pytest.raises(RuntimeError, match="failed re-verification"):
+        produce(mod)
+    with pytest.raises(RuntimeError, match="failed re-verification"):
+        main(argv)
     assert capsys.readouterr().out == ""
 
 
@@ -559,6 +584,22 @@ def test_main_restores_the_digit_limit(capsys):
             parse_equation_text("x = " + "9" * 5000)
     finally:
         sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["decide", "--expr", "x + y = z"], 0),
+    (["decide", "--expr", "x*y + z = 4"], 2),
+    (["certify", "--expr", "(x - 1)*2^x = 0", "--mmax", "20"], 2),
+    (["enumerate", "--expr", "x + y = z", "--range", "1000000"], 2),
+    (["rank", "--group=-1,2"], 0),
+    (["bound", "--expr", "2^x + 3^x = 0"], 0),
+], ids=["decided", "unknown", "certificate absent", "enumerate over budget", "rank", "bound"])
+def test_every_report_is_timed_last_and_scored_by_one_rule(capsys, argv, code):
+    got, rep = run_cli(capsys, *argv)
+    assert got == code == (2 if rep.get("status") == "UNKNOWN" or rep.get("found") is False else 0)
+    keys = list(rep)
+    assert (keys[0], keys[-1], argv[0]) == ("command", "time_ms", rep["command"])
+    assert isinstance(rep["time_ms"], int)
 
 
 # --- rendering of report numbers ----------------------------------------------------

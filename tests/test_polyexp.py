@@ -803,6 +803,23 @@ def test_full_verdict_pr_constant():
     assert v.result.witness == 3
 
 
+DEGENERATE_NOTE = ("pure polynomial system {P_k = 0} not analyzed; it may carry "
+                   "solution families of its own")
+
+
+def test_pure_polynomial_note_only_beyond_one_variable():
+    # in one variable a common root of the P_k is a zero of the diagonal,
+    # which the constant-solution decision already ruled out: no note
+    # (a bench input at seed 101)
+    v = decide_polyexp_pr(parse_eq("(5 + 6*x)*11^x + (-7 - 5*x - 8*x^2 + 2*x^3)*(-9)^x = 0"))
+    assert (v.status, v.hypothesis.degenerate_possible) == ("NOT_PR", True)
+    assert DEGENERATE_NOTE not in v.notes
+    # in two variables the P_k may share zeros off the diagonal: the note stays
+    v = decide_polyexp_pr(parse_eq("(x + y)*2^x*3^y + (x - y + 1)*5^x*7^y = 0"))
+    assert (v.status, v.hypothesis.degenerate_possible) == ("NOT_PR", True)
+    assert DEGENERATE_NOTE in v.notes
+
+
 def test_hypothesis_failure_gives_unknown():
     # characters 2 and -2 agree at every even z, so the joint block has a
     # nontrivial G(P); the diagonal (s^2+3)*2^s + (-2)^s never vanishes,

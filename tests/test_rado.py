@@ -145,6 +145,20 @@ def test_domain_z_is_constant_only():
     assert v2.status == "NOT_PR"
 
 
+@pytest.mark.parametrize("text, constant", [("x = x + 1", "-1"), ("x + y = z; 0*x = 3", "-3")])
+@pytest.mark.parametrize("domain", ["N", "Z"])
+def test_a_zero_row_with_a_nonzero_right_side_is_not_pr(text, constant, domain):
+    # 0 = b with b != 0 holds at no point, constant or not: the note says
+    # so, as decide_twovar's does for a constant polynomial equation
+    system = classify(parse_equation_text(text))
+    v = decide_linear(system, domain=domain)
+    assert (v.status, v.witness, v.partition, v.integer_constant, v.domain) == (
+        "NOT_PR", None, None, None, domain)
+    assert v.note == "an equation reduces to %s = 0: no solution" % constant
+    with pytest.raises(ValueError):
+        decide_linear(system, domain="Q")
+
+
 def test_rado_single_errors():
     with pytest.raises(ValueError):
         rado_single(())

@@ -404,14 +404,18 @@ def test_quadratic_roots_match_divisor_scan(abc, low, N):
 def test_cell_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_solutions(SCHUR, 10**6, cell_budget=1000)
-    # the budget counts N^(k-1) prefix cells for linear systems too, although
-    # they loop over N^(k-2) prefixes: exactly at the budget enumerates, one
-    # cell over raises
+    # the charge is N^(k-2) outer prefixes, times N values of the
+    # second-to-last variable (one where a non-pivot row pins it), times
+    # N values of the last (one where an equation holds it): exactly at
+    # the budget enumerates, one cell over raises
     ap4 = classify(parse_equation_text("x + z = 2*y; y + w = 2*z"))
-    for cls, N, count in ((SCHUR, 10, 45), (ap4, 35, 409), (linsys((2, -1)), 7, 3)):
-        cells = N ** (len(cls.variables) - 1)
+    identity = classify(parse_equation_text("x = x"))
+    commuted = classify(parse_equation_text("x + y = y + x"))
+    for cls, N, cells, count in ((SCHUR, 10, 100, 45), (ap4, 35, 35 ** 2, 409),
+                                 (linsys((2, -1)), 7, 7, 3), (identity, 6, 6, 6),
+                                 (commuted, 5, 25, 25)):
         assert len(enumerate_solutions(cls, N, cell_budget=cells)) == count
-        with pytest.raises(BudgetExceeded, match="enumeration needs %d prefix cells" % cells):
+        with pytest.raises(BudgetExceeded, match="enumeration needs %d cells" % cells):
             enumerate_solutions(cls, N, cell_budget=cells - 1)
 
 
@@ -467,10 +471,10 @@ def test_recheck_drops_a_false_candidate(monkeypatch):
     real = ramsey._linear_candidates
     proposed = []
 
-    def tampered(scaled, k, N):
+    def tampered(*args):
         proposed.append((1, 1, 1))
         yield (1, 1, 1)
-        yield from real(scaled, k, N)
+        yield from real(*args)
 
     monkeypatch.setattr(ramsey, "_linear_candidates", tampered)
     assert enumerate_solutions(SCHUR, 6) == linear_scan(SCHUR, 6)
