@@ -366,7 +366,7 @@ def _cmd_enumerate(args) -> dict:
     if args.min_injectivity > 1:
         solutions = filter_injectivity(solutions, args.min_injectivity)
     report.update(min_injectivity=args.min_injectivity, variables=list(cls.variables),
-                  count=len(solutions), solutions=[list(s) for s in solutions])
+                  count=len(solutions), solutions=solutions)
     return report
 
 

@@ -44,9 +44,19 @@ and a branch is cut as soon as an uncolored element has lost every
 color.  A cut branch has no avoiding completion, so the first coloring
 found is the lexicographically least canonical avoiding coloring.
 State lives in arrays indexed by element, not on the call stack, so N
-is not limited by Python's recursion limit.  Color classes and the
-colors forbidden at each element are bitmasks, the latter restored
-from a per-element trail on every retry and backtrack.
+is not limited by Python's recursion limit.
+
+Each color has two bitmasks over [1, N]: its class, and its ban word,
+the elements at which it would complete a monochromatic support.
+Coloring e with c ORs into c's ban word the hits of e, the largest
+elements of the supports checked at e whose rest lies in c's class,
+and a wipe-out is an AND of the fresh bans with every ban word.  The
+hits depend only on c's class inside e's domain, the union of those
+rests, so an element with three or more such supports looks them up
+in a memo of bounded size.  Backtracking past e takes its hits again
+and clears the bans that were fresh, so the undo record of e is only
+the part of its hits that was banned already: usually 0, and never a
+whole ban word, which would make the memory quadratic in N.
 
 Budgets guard both enumeration (grid cells) and search (assignment
 nodes); the PRTOOLKIT_BUDGET environment variable overrides the node
@@ -75,6 +85,8 @@ DEFAULT_NODE_BUDGET = 100_000_000
 DEFAULT_CELL_BUDGET = 10_000_000
 # about the most memory one table of `_back_substituted` may take
 TABLE_BYTES = 1 << 23
+# about the most memory the coloring search's memo of hits may take
+MEMO_BYTES = 1 << 23
 
 Coloring = Tuple[int, ...]
 # an integer coefficient times prod(point[j]**e) over its (j, e) pairs
@@ -513,9 +525,11 @@ def _verify_columns(coloring: Sequence[int], solutions: Tuple[Tuple[int, ...], .
     return not offenders, offenders
 
 
-def _triggers(supports: Sequence[int], N: int) -> List[List[Tuple[int, int]]]:
-    """triggers[e]: each distinct support whose second-largest element is
-    e, as (the rest below e as a bitmask, its largest element t).
+def _triggers(supports: Sequence[int],
+              N: int) -> Tuple[List[List[Tuple[int, int]]], List[int]]:
+    """(triggers, domains): triggers[e] holds each distinct support whose
+    second-largest element is e, as (the rest below e as a bitmask, its
+    largest element t), and domains[e] is the union of those rests.
 
     Every support holds two or more elements.  The support without t is
     formed once and serves both to find e and to clear it.  The shifts
@@ -523,12 +537,25 @@ def _triggers(supports: Sequence[int], N: int) -> List[List[Tuple[int, int]]]:
     whole-list `map` chains of the same steps are no faster.
     """
     triggers: List[List[Tuple[int, int]]] = [[] for _ in range(N + 1)]
+    domains = [0] * (N + 1)
     for support in set(supports):
         t = support.bit_length() - 1
         below = support ^ 1 << t
         e = below.bit_length() - 1
-        triggers[e].append((below ^ 1 << e, t))
-    return triggers
+        rest = below ^ 1 << e
+        triggers[e].append((rest, t))
+        domains[e] |= rest
+    return triggers, domains
+
+
+def _hits(trig: Sequence[Tuple[int, int]], mask: int) -> int:
+    """The largest elements t of the (rest, t) triggers whose rest lies
+    in `mask`, as a bitmask."""
+    hit = 0
+    for rest, t in trig:
+        if mask & rest == rest:
+            hit |= 1 << t
+    return hit
 
 
 class SearchResult(Record):
@@ -606,57 +633,79 @@ def search_avoiding_coloring(
             % (solutions[sizes.index(1)],),
         )
 
-    # masks[c]: the elements colored c; forbidden[t]: the colors that
-    # would complete a monochromatic support at t
-    triggers = _triggers(supports, N)
+    # masks[c]: the elements colored c; banned[c]: the elements at which
+    # c would complete a monochromatic support
+    triggers, domains = _triggers(supports, N)
     masks = [0] * min(colors, N)
-    every = (1 << len(masks)) - 1
-    forbidden = [0] * (N + 1)
+    banned = [0] * len(masks)
+    # the hits of elements with three or more triggers, keyed by
+    # (mask & domains[e]) * (N + 1) + e, while there is room
+    memo = {}
+    room = MEMO_BYTES // (N // 8 + 128)
     # color[e] is the color of e; used[e] the number of colors among
-    # 1..e-1; tried[e] the number of colors already tried for e; trail[e]
-    # the (t, old forbidden[t]) pairs that coloring e logged
+    # 1..e-1; tried[e] the number of colors already tried for e; kept[e]
+    # the hits of e that were banned for color[e] before e took it
     color = [0] * (N + 1)
     used = [0] * (N + 2)
     tried = [0] * (N + 2)
-    trail: List[List[Tuple[int, int]]] = [[] for _ in range(N + 1)]
+    kept = [0] * (N + 1)
     nodes = 0
 
     e = 1
     while 0 < e <= N:
-        log = trail[e]
-        while log:
-            t, old = log.pop()
-            forbidden[t] = old
-        c, top = tried[e], min(used[e] + 1, colors)
-        while c < top and forbidden[e] >> c & 1:
-            c += 1  # c would complete a support at e: no node
-        if c == top:
-            e -= 1  # every color failed: backtrack
-            masks[color[e]] &= ~(1 << e)
+        c, top = tried[e], used[e] + 1
+        if top > colors:
+            top = colors
+        while c < top:
+            if banned[c] >> e & 1:
+                c += 1  # c would complete a support at e: no node
+                continue
+            nodes += 1
+            if nodes > nodes_max:
+                return SearchResult(
+                    status="UNKNOWN", coloring=None, N=N, colors=colors, nodes=nodes,
+                    solution_count=len(solutions),
+                    note="coloring search exceeded %d nodes" % nodes_max,
+                )
+            mask, trig = masks[c], triggers[e]
+            key = (mask & domains[e]) * (N + 1) + e if len(trig) > 2 else None
+            hit = memo.get(key)
+            if hit is None:
+                hit = _hits(trig, mask)
+                if key is not None and len(memo) < room:
+                    memo[key] = hit
+            if hit:
+                old = banned[c]
+                kept[e] = both = hit & old
+                if both != hit:
+                    fresh = hit ^ both
+                    banned[c] = old | fresh
+                    for ban in banned:  # fresh & every color's bans
+                        fresh &= ban
+                        if not fresh:
+                            break
+                    else:
+                        banned[c] = old  # an element lost its last color: cut
+                        c += 1
+                        continue
+            break
+        else:
+            e -= 1  # every color failed: backtrack, lifting the bans e added
+            c = color[e]
+            mask = masks[c] = masks[c] & ~(1 << e)
+            trig = triggers[e]
+            hit = memo.get((mask & domains[e]) * (N + 1) + e if len(trig) > 2 else None)
+            if hit is None:
+                hit = _hits(trig, mask)
+            if hit:
+                banned[c] ^= hit ^ kept[e]
             continue
         tried[e] = c + 1
-        nodes += 1
-        if nodes > nodes_max:
-            return SearchResult(
-                status="UNKNOWN", coloring=None, N=N, colors=colors, nodes=nodes,
-                solution_count=len(solutions),
-                note="coloring search exceeded %d nodes" % nodes_max,
-            )
-        mask, bit = masks[c], 1 << c
-        for rest, t in triggers[e]:
-            if mask & rest == rest:
-                old = forbidden[t]
-                if not old & bit:
-                    log.append((t, old))
-                    forbidden[t] = old = old | bit
-                    if old == every:
-                        break  # t has lost every color
-        else:
-            color[e] = c
-            masks[c] = mask | 1 << e
-            used[e + 1] = max(used[e], c + 1)
-            tried[e + 1] = 0
-            e += 1
+        color[e] = c
+        masks[c] = mask | 1 << e
+        e += 1
+        used[e] = used[e - 1] if c < used[e - 1] else c + 1
+        tried[e] = 0
 
     if e > N:
         coloring = tuple(color[1:])

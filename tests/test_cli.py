@@ -407,6 +407,19 @@ def test_enumerate(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("enumerate", "--expr", "x + y = z", "--range", "30"),
+    ("enumerate", "--expr", "x + z = 2*y; y + w = 2*z", "--range", "20", "--min-injectivity", "2"),
+    ("enumerate", "--expr", "y = 2*x", "--range", "1"),
+])
+def test_enumerate_writes_solution_tuples_as_lists(capsys, argv):
+    # the solutions go to the writer as tuples; the text is what
+    # json.dumps writes for the same report with lists
+    assert main(list(argv)) in (0, 2)
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
     ("search", "--expr", "1 = 2", "--range", "5", "--colors", "2"),
     ("enumerate", "--expr", "1 = 2", "--range", "5"),
     ("search", "--expr", "0 = 0", "--range", "5", "--colors", "2"),

@@ -646,7 +646,12 @@ def triggers_by_loop(supports, N):
 def test_trigger_table_matches_loop(N_and_supports):
     N, sets = N_and_supports
     supports = [sum(1 << v for v in values) for values in sets]
-    assert ramsey._triggers(supports, N) == triggers_by_loop(supports, N)
+    triggers, domains = ramsey._triggers(supports, N)
+    assert triggers == triggers_by_loop(supports, N)
+    # an element's domain: every value below it in a support where it is second-largest
+    assert domains == [sum({1 << v for values in sets if sorted(values)[-2] == e
+                            for v in values if v < e})
+                       for e in range(N + 1)]
 
 
 def test_dfs_node_counts_pinned():
@@ -666,6 +671,124 @@ def test_four_color_schur_at_44():
     assert (r.status, r.nodes, r.solution_count) == ("AVOIDING", 1074932, 946)
     ok, _ = verify_coloring(r.coloring, enumerate_solutions(SCHUR, 44))
     assert ok
+
+
+def search_by_trail(cls, N, colors, min_injectivity=1, node_budget=None):
+    """(status, coloring, nodes, solution_count) of `search_avoiding_coloring`
+    by the search loop it ran before its ban words: the colors forbidden
+    at each element as one int, restored from a per-element trail of
+    (element, old forbidden colors) pairs."""
+    solutions = filter_injectivity(enumerate_solutions(cls, N), min_injectivity)
+    supports = [sum(1 << v for v in set(s)) for s in solutions]
+    if 1 in map(int.bit_count, supports):
+        return "FORCED", None, 0, len(solutions)
+    nodes_max = ramsey._budgets(node_budget, None)[0]
+    triggers = triggers_by_loop(supports, N)
+    masks = [0] * min(colors, N)
+    every = (1 << len(masks)) - 1
+    forbidden = [0] * (N + 1)
+    color = [0] * (N + 1)
+    used = [0] * (N + 2)
+    tried = [0] * (N + 2)
+    trail = [[] for _ in range(N + 1)]
+    nodes = 0
+    e = 1
+    while 0 < e <= N:
+        log = trail[e]
+        while log:
+            t, old = log.pop()
+            forbidden[t] = old
+        c, top = tried[e], min(used[e] + 1, colors)
+        while c < top and forbidden[e] >> c & 1:
+            c += 1
+        if c == top:
+            e -= 1
+            masks[color[e]] &= ~(1 << e)
+            continue
+        tried[e] = c + 1
+        nodes += 1
+        if nodes > nodes_max:
+            return "UNKNOWN", None, nodes, len(solutions)
+        mask, bit = masks[c], 1 << c
+        for rest, t in triggers[e]:
+            if mask & rest == rest:
+                old = forbidden[t]
+                if not old & bit:
+                    log.append((t, old))
+                    forbidden[t] = old = old | bit
+                    if old == every:
+                        break
+        else:
+            color[e] = c
+            masks[c] = mask | 1 << e
+            used[e + 1] = max(used[e], c + 1)
+            tried[e + 1] = 0
+            e += 1
+    if e > N:
+        return "AVOIDING", tuple(color[1:]), nodes, len(solutions)
+    return "FORCED", None, nodes, len(solutions)
+
+
+@st.composite
+def dfs_searches(draw):
+    """(equation, N, colors, min_injectivity): one linear equation in 2..4
+    variables with coefficients in [-4, 4], N <= 30 and 2..4 colors; the
+    right-hand side is zero or planted at a point of the grid."""
+    k = draw(st.integers(2, 4))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+    N = draw(st.integers(1, 30))
+    planted = st.lists(st.integers(1, N), min_size=k, max_size=k)
+    point = draw(st.one_of(st.none(), planted))
+    rhs = 0 if point is None else sum(c * v for c, v in zip(coeffs, point))
+    return linsys(coeffs, rhs), N, draw(st.integers(2, 4)), draw(st.sampled_from((1, 2)))
+
+
+def search_outcome(cls, N, colors, min_injectivity, node_budget):
+    r = search_avoiding_coloring(cls, N, colors, min_injectivity=min_injectivity,
+                                 node_budget=node_budget)
+    return r.status, r.coloring, r.nodes, r.solution_count
+
+
+# a cap on the nodes of one example; a search past it ends UNKNOWN on both sides
+TRAIL_NODES = 20_000
+
+
+@settings(max_examples=150, deadline=None)
+@given(dfs_searches())
+@example((linsys((1, 1, -1)), 30, 4, 1))
+@example((linsys((1, 1, -1)), 14, 3, 1))
+def test_ban_words_match_the_trail_search(search):
+    assert search_outcome(*search, TRAIL_NODES) == search_by_trail(*search, TRAIL_NODES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dfs_searches())
+@example((linsys((1, 1, -2)), 20, 3, 2))
+def test_ban_words_match_the_trail_search_without_memo(search):
+    # nothing memoized: every hit is taken from the triggers
+    with mock.patch.object(ramsey, "MEMO_BYTES", 0):
+        assert search_outcome(*search, TRAIL_NODES) == search_by_trail(*search, TRAIL_NODES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dfs_searches(), st.data())
+def test_ban_words_match_the_trail_search_under_a_node_budget(search, data):
+    nodes = search_by_trail(*search, TRAIL_NODES)[2]
+    budget = data.draw(st.integers(0, max(nodes - 1, 0)))
+    got = search_outcome(*search, budget)
+    assert got == search_by_trail(*search, budget)
+    if nodes:  # a search of one node or more ends UNKNOWN below its node count
+        assert got[0] == "UNKNOWN"
+
+
+def test_ban_words_match_the_trail_search_on_w33():
+    # W(3;3) = 27: the whole search, the memo limited to three hits, and a budget
+    ap3 = linsys((1, 1, -2))
+    want = ("FORCED", None, 30284, 338)
+    assert search_by_trail(ap3, 27, 3, 2) == want
+    with mock.patch.object(ramsey, "MEMO_BYTES", 3 * (27 // 8 + 128)):
+        assert search_outcome(ap3, 27, 3, 2, None) == want
+    assert search_outcome(ap3, 27, 3, 2, 15_000) == search_by_trail(ap3, 27, 3, 2, 15_000)
 
 
 def least_avoiding_by_brute_force(solutions, N, colors):
