@@ -47,16 +47,15 @@ from one walk, which yields g(s) mod M for s = start, start + 1, ... in
 integers: the window filter walks modulo the primes 2^61 - 1 and
 2^31 - 1 at once (negative s through the integer sum
 g(-k) * (prod |a_i|)^k) and evaluates g exactly only where both
-residues are 0, which every true zero satisfies; the joint modular scan
-walks modulo the lcm of the live moduli; the certificate table and its
-re-verification walk modulo the certificate's modulus.  The dominance
+residues are 0, which every true zero satisfies; the certificate search
+walks modulo each modulus it tries in turn, and the certificate table
+and its re-verification modulo the certificate's modulus.  The dominance
 thresholds are found by doubling and bisection, since each defining
 inequality is monotone past its starting point.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, count, islice, zip_longest
 from math import comb, gcd, lcm, prod
@@ -92,17 +91,15 @@ MAX_THRESHOLD_BITS = 1 << 22
 # 2^31 - 1, that is modulo both at once.
 _SCAN_MODULUS = ((1 << 61) - 1) * ((1 << 31) - 1)
 
-# Bit bound on the lcm of one block of moduli in the joint residue scan
-# of modular_certificate_search (the lcm of 2..200 has 288 bits), so the
-# cost of one step stays bounded for large m_max.
-_JOINT_BITS = 2048
-
-# Walk steps of modular_certificate_search, summed over its blocks.  A
-# modulus m may walk m steps to its first zero, so a sum with a zero modulo
-# every m costs about m_max^2 steps, each about 13 us at _JOINT_BITS bits
-# for one term of degree 6 (Intel Xeon, Python 3.11).  Every period modulo
-# m <= 200 is below 40,000, so the default m_max never reaches the budget.
-_SEARCH_STEPS = 1 << 18
+# Walk steps of modular_certificate_search: the order walks that find each
+# period and the residue walks.  A modulus m walks up to m steps per base
+# for its period and, when g has a zero modulo m, on to that zero.  A
+# residue step costs about 0.8 us for one term of degree 6 and an order
+# step a tenth of that (Intel Xeon, Python 3.11).  Up to m = 3000,
+# (s^2 - 13)(s^2 - 17)(s^2 - 221) 2^s, which has a zero modulo every m,
+# takes 985,979 steps and 0.3 s; the 736 sums of the polyexp benchmark at
+# seeds 101 and 202 take at most 28,491 steps up to the default m_max.
+_SEARCH_STEPS = 1 << 20
 
 # One term of an exponential sum on integer coefficients: (base, the
 # coefficients of its polynomial, lowest degree first).
@@ -687,9 +684,14 @@ def _modular_period(
             period = None
             break
     if steps is not None and next(islice(steps, walked - 1, None)) > _SEARCH_STEPS:
-        raise BudgetExceeded("the modular search spent its step budget of %d walk "
-                             "steps filtering modulus %d by its period" % (_SEARCH_STEPS, m))
+        raise _out_of_steps(("with modulus %d still open" if cap is None
+                             else "filtering modulus %d by its period") % m)
     return period
+
+
+def _out_of_steps(where: str) -> BudgetExceeded:
+    return BudgetExceeded("the modular search spent its step budget of %d walk steps %s"
+                          % (_SEARCH_STEPS, where))
 
 
 def _horner(terms: Sequence[IntTerm]) -> List[tuple]:
@@ -738,28 +740,21 @@ def modular_certificate_search(
     absence proves nothing.  A certificate found is re-verified by
     `verify_modular` before it is returned.
 
-    One scan over s = 0, 1, 2, ... serves every usable modulus at once:
-    it carries g(s) modulo Q, the lcm of the moduli still alive, and a
-    modulus dies at the first s where it divides gcd(g(s) mod Q, Q).
-    Since g mod m is periodic, a modulus that gets through its whole
-    period without a zero never dies, so the scan returns the least
-    live modulus as soon as s reaches its period: every smaller modulus
-    has already shown a zero.  That is the modulus a search over m in
-    ascending order would return, with the same residue table.  The
-    moduli are scanned in ascending blocks whose lcm stays within
-    _JOINT_BITS bits; the first block with a survivor holds the answer.
+    The usable moduli are tried in ascending order, each on its own: g
+    is walked modulo m from s = 0 until its first zero residue or the
+    end of its period, and the first modulus that gets through its
+    period is the answer.
 
     decide_constant_solution runs this search before its window scan
     and passes the window width W as `max_period`: only periods <= W
     are tried, since a longer one costs more to check than the scan it
     would spare.  A sum with a zero then pays for a failed search, but a
     short one: every kept modulus has period <= W, so it shows a zero
-    within W steps, and each block (the moduli up to 200 make one) walks
-    at most W steps.  Such a modulus divides b^k - 1 for some k <= W,
+    within W steps.  Such a modulus divides b^k - 1 for some k <= W,
     for every base b, so the moduli above min |b|^W + 1 over the bases
-    with |b| >= 2 are not tried.  The walk steps of all blocks together,
-    and the order walks of that period filter, are charged against
-    _SEARCH_STEPS, and BudgetExceeded is raised when they run out.
+    with |b| >= 2 are not tried.  The order walks that find each
+    period, and the residue walks, are charged against _SEARCH_STEPS,
+    and BudgetExceeded is raised when they run out.
     """
     if g.is_zero():
         return None
@@ -773,79 +768,27 @@ def modular_certificate_search(
         if least is not None and max_period < m_max.bit_length():
             m_max = min(m_max, least ** max_period + 1)
     steps = count(1)
-    moduli = (
-        m for m in range(2, m_max + 1)
-        if gcd(product, m) == 1
-        and (max_period is None or _modular_period(g, m, max_period, steps) is not None)
-    )
     plan = _horner(g.int_terms)
-    for block in _blocks(moduli):
-        found = _least_surviving(g, plan, block, steps)
-        if found is not None:
-            m, period = found
-            cert = ModularCertificate(m, period, tuple(v % m for v in islice(_walk(plan, m, 0), period)))
+    for m in range(2, m_max + 1):
+        if gcd(product, m) != 1:
+            continue
+        period = _modular_period(g, m, max_period, steps)
+        if period is None:
+            continue
+        residues = []
+        for v in islice(_walk(plan, m, 0), period):
+            if next(steps) > _SEARCH_STEPS:
+                raise _out_of_steps("with modulus %d still open" % m)
+            v %= m
+            if not v:
+                break
+            residues.append(v)
+        else:
+            cert = ModularCertificate(m, period, tuple(residues))
             if not verify_modular(g, cert):
                 raise RuntimeError("internal error: modular certificate failed re-verification")
             return cert
     return None
-
-
-def _blocks(moduli: Iterable[int]) -> Iterator[List[int]]:
-    """Consecutive runs of `moduli`, each with an lcm of at most _JOINT_BITS bits.
-
-    A block is yielded as soon as it is full, so the search that stops at
-    the first block with a survivor never reads the moduli after it.
-    """
-    block: List[int] = []
-    Q = 1
-    for m in moduli:
-        Q = lcm(Q, m)
-        if Q.bit_length() > _JOINT_BITS:
-            yield block
-            block, Q = [], m
-        block.append(m)
-    if block:
-        yield block
-
-
-def _least_surviving(
-    g: ExpSum, plan: List[tuple], moduli: List[int], steps: Iterator[int]
-) -> Optional[Tuple[int, int]]:
-    """(least m in `moduli` with no zero of g mod m over its period, that period).
-
-    `moduli` ascend and are coprime to every base; None when every one
-    of them has a zero.  The values come from one walk modulo the lcm Q
-    of the live moduli (`plan` is g's _horner plan), restarted at the
-    next s modulo the new Q whenever Q is rebuilt.  Each step draws a
-    count from `steps`; one past _SEARCH_STEPS raises BudgetExceeded.
-    """
-    live = list(moduli)
-    Q = lcm(*live)
-    least, period = live[0], _modular_period(g, live[0])
-    rebuild_at = len(live) // 2
-    s = 0
-    while True:
-        for v in _walk(plan, Q, s):
-            if next(steps) > _SEARCH_STEPS:
-                raise BudgetExceeded("the modular search spent its step budget of %d walk "
-                                     "steps with modulus %d still open" % (_SEARCH_STEPS, live[0]))
-            G = gcd(v, Q)
-            s += 1
-            if G >= live[0]:
-                cut = bisect_right(live, G)
-                kept = [m for m in live[:cut] if G % m]
-                if len(kept) < cut:
-                    live = kept + live[cut:]
-                    if not live:
-                        return None
-                    if live[0] != least:
-                        least, period = live[0], _modular_period(g, live[0])
-                    if len(live) <= rebuild_at and s < period:
-                        break
-            if s >= period:
-                return least, period
-        Q = lcm(*live)
-        rebuild_at = len(live) // 2
 
 
 def verify_modular(g: ExpSum, cert: ModularCertificate) -> bool:
@@ -931,7 +874,8 @@ def decide_constant_solution(
     by exact evaluation, and a NONE then gets the certificate as a
     second proof.  The result is the same in either order, apart from
     the note.  With `user_bound` only [-user_bound, user_bound] is
-    scanned, the same way, and an empty scan yields UNKNOWN.  A window
+    scanned, the same way, and an empty scan yields UNKNOWN; a bound
+    whose window exceeds MAX_WINDOW points raises ValueError.  A window
     beyond MAX_WINDOW points (or MAX_THRESHOLD_BITS) is not scanned:
     UNKNOWN, with a note naming the cap.
     """
@@ -943,6 +887,9 @@ def decide_constant_solution(
     if user_bound is not None:
         if user_bound < 0:
             raise ValueError("user bound must be nonnegative")
+        if 2 * user_bound + 1 > MAX_WINDOW:
+            raise ValueError("user bound %d spans more than MAX_WINDOW = %d points"
+                             % (user_bound, MAX_WINDOW))
         window = (-user_bound, user_bound)
         zeros = _zeros_between(g, *window)
         if zeros:
@@ -1066,24 +1013,26 @@ def decide_polyexp_pr(
 ) -> PolyExpVerdict:
     """Decide partition regularity over the integers via the diagonal.
 
-    A FOUND constant solution certifies regularity unconditionally.
-    An empty certified window decides non-regularity provided the
-    character-group hypothesis holds; when the hypothesis fails, no
-    negative claim is made and the verdict is UNKNOWN.  A hypothesis
-    check or constant-solution search stopped by an incomplete
-    factorization is UNKNOWN too, with a note.  In one variable a common
-    integer root of the P_k is a zero of the diagonal g, which the
-    constant-solution decision has ruled in or out, so only an equation
-    in two or more variables gets the note that {P_k = 0} is not analyzed.
+    A FOUND constant solution certifies regularity unconditionally, even
+    when an incomplete factorization stops the hypothesis check.  An
+    empty certified window decides non-regularity provided the
+    character-group hypothesis holds; when it fails or is not checked,
+    no negative claim is made and the verdict is UNKNOWN.  A stopped
+    check or constant-solution search gets a note, and a stopped search
+    is UNKNOWN.  In one variable a common integer root of the P_k is a
+    zero of the diagonal g, which the constant-solution decision has
+    ruled in or out, so only an equation in two or more variables gets
+    the note that {P_k = 0} is not analyzed.
     """
     notes: List[str] = []
+    hypothesis: Optional[HypothesisReport] = None
     try:
         hypothesis = check_hypothesis(eq)
     except IncompleteFactorization as e:
-        return PolyExpVerdict("UNKNOWN", None, None, None, ("hypothesis check aborted: %s" % e,))
-    if hypothesis.unit_entry_warning:
+        notes.append("hypothesis check aborted: %s" % e)
+    if hypothesis is not None and hypothesis.unit_entry_warning:
         notes.append("characters contain unit entries (zero exponent vectors)")
-    if hypothesis.degenerate_possible and len(eq.variables) > 1:
+    if hypothesis is not None and hypothesis.degenerate_possible and len(eq.variables) > 1:
         notes.append(
             "pure polynomial system {P_k = 0} not analyzed; it may carry "
             "solution families of its own"
@@ -1097,7 +1046,7 @@ def decide_polyexp_pr(
         return PolyExpVerdict("UNKNOWN", None, hypothesis, g, tuple(notes))
     if result.status == "FOUND":
         status = "PR_CONSTANT"
-    elif result.status == "NONE":
+    elif result.status == "NONE" and hypothesis is not None:
         if hypothesis.trivial_for_all:
             status = "NOT_PR"
         else:

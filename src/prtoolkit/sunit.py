@@ -33,7 +33,7 @@ from math import gcd, prod
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import DEFAULT_FACTOR_BUDGET, Record, factor_integer, matrix_rank
+from .algebra import DEFAULT_FACTOR_BUDGET, IncompleteFactorization, Record, factor_integer, matrix_rank
 
 Rational = Union[int, Fraction]
 
@@ -202,7 +202,8 @@ class SUnitVerdict(Record):
     PR_CONSTANT iff the coefficient sum vanishes; then every constant
     triple is a solution.  NOT_PR otherwise: the residue coloring of
     the module docstring leaves no solution monochromatic.  `bound` =
-    2^(16 (rank + 1)) is reported for context only.
+    2^(16 (rank + 1)) is reported for context only; `rank` and `bound`
+    are None without a group, or when it could not be factored.
     """
 
     status: str  # "PR_CONSTANT" | "NOT_PR"
@@ -223,30 +224,28 @@ def decide_sunit_3var(
 
     The criterion a + b + c = 0 is scale-invariant and independent of
     the particular group; the group, when given, only furnishes the
-    rank and the finiteness bound reported for context.
+    rank and the finiteness bound reported for context.  When a
+    generator cannot be factored within the budget, both are None and
+    the note says so; the verdict stands.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if 0 in (a, b, c):
         raise ValueError("all three coefficients must be nonzero")
     s = a + b + c
+    if s == 0:
+        status = "PR_CONSTANT"
+        note = "x = y = z = g solves the equation for every group element g"
+    else:
+        status = "NOT_PR"
+        note = ("coefficient sum is nonzero: no constant solutions, and only "
+                "finitely many solution shapes exist")
     rank = None
     bound = None
     if group is not None:
-        rank = _as_group(group, budget).rank
-        bound = sunit_solution_bound(rank)
-    if s == 0:
-        return SUnitVerdict(
-            status="PR_CONSTANT",
-            coefficient_sum=s,
-            rank=rank,
-            bound=bound,
-            note="x = y = z = g solves the equation for every group element g",
-        )
-    return SUnitVerdict(
-        status="NOT_PR",
-        coefficient_sum=s,
-        rank=rank,
-        bound=bound,
-        note="coefficient sum is nonzero: no constant solutions, and only "
-        "finitely many solution shapes exist",
-    )
+        try:
+            rank = _as_group(group, budget).rank
+        except IncompleteFactorization as e:
+            note += "; rank and bound not computed: %s" % e
+        else:
+            bound = sunit_solution_bound(rank)
+    return SUnitVerdict(status=status, coefficient_sum=s, rank=rank, bound=bound, note=note)

@@ -231,6 +231,38 @@ def test_decide_polyexp_incomplete_factorization_is_reported(capsys):
     assert rep["notes"][-1] == "constant-solution search aborted: " + INCOMPLETE_NOTE % ""
 
 
+def test_decide_polyexp_hypothesis_abort_keeps_a_constant_solution(capsys):
+    # the hypothesis check cannot factor 1000000016000000063, but g(1) = 0,
+    # and a constant solution proves PR whatever the hypothesis says
+    code, rep = run_cli(capsys, "decide", "--expr",
+                        "(x - 1)*1000000016000000063^x + (y - 1)*2^y = 0")
+    assert code == 0
+    assert (rep["status"], rep["constant_solution"]["witness"]) == ("PR_CONSTANT", "1")
+    assert "hypothesis" not in rep
+    assert rep["notes"][-1] == "hypothesis check aborted: " + INCOMPLETE_NOTE % ""
+
+
+def test_decide_group_beyond_the_factoring_budget_still_decides(capsys):
+    # the verdict reads only the coefficient sum; the rank needs the factorization
+    code, rep = run_cli(capsys, "decide", "--expr", "x + y = 2*z", "--group=2,1000000016000000063")
+    assert code == 0
+    assert (rep["status"], rep["rank"], rep["solution_bound"]) == ("PR_CONSTANT", None, None)
+    assert rep["notes"] == [
+        "x = y = z = g solves the equation for every group element g; "
+        "rank and bound not computed: " + INCOMPLETE_NOTE % ""]
+    assert main(["rank", "--group=2,1000000016000000063"]) == 2
+    assert capsys.readouterr().err == "unknown: " + INCOMPLETE_NOTE % "" + "\n"
+
+
+def test_decide_bound_beyond_the_window_cap_is_a_usage_error(capsys):
+    # plain decide answers at once; a scan of 2 * 10^8 + 1 points is refused
+    assert main(["decide", "--expr", "2^x + 3^x = 0", "--bound", "100000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: user bound 100000000 spans more than "
+                            "MAX_WINDOW = 1048576 points\n")
+
+
 def test_decide_json_two_variable_constant_equation_is_not_pr(tmp_path, capsys):
     # classify files 5 = 0 as a general system; a class JSON may still hold it
     j = tmp_path / "constant.json"

@@ -9,7 +9,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import gcd, lcm
 
 import pytest
@@ -476,7 +476,7 @@ def test_residues_match_exact_values():
         assert walk_residues(g, m, start, count) == want
 
 
-# an lcm of 1,989 bits, about the largest Q of one block of the joint scan
+# a modulus of 1,989 bits, far beyond any word size
 LCM_2000 = lcm(*range(2, 1390))
 
 
@@ -507,15 +507,21 @@ def test_walk_matches_exact_values(terms, M, start, count):
     assert walk_residues(g, M, start, count) == want
 
 
-def test_search_charges_its_steps_across_blocks(monkeypatch):
-    # every modulus shows a zero of (s^2 - 13)(s^2 - 17)(s^2 - 221) 2^s; up to
-    # m_max = 3,000 the blocks walk 616, 1,004 and 1,345 steps, each within a
-    # budget of 2,000 steps but not together
+def test_search_charges_its_steps_per_modulus(monkeypatch):
+    # every modulus shows a zero of (s^2 - 13)(s^2 - 17)(s^2 - 221) 2^s; for
+    # each odd m <= 20 the search walks the order of 2 modulo m, then the
+    # residues up to the first zero: 90 steps in all
     g = expsum((2, [-48841, 0, 6851, 0, -251, 0, 1]))
-    assert modular_certificate_search(g, 3000) is None
-    monkeypatch.setattr(polyexp, "_SEARCH_STEPS", 2000)
-    with pytest.raises(BudgetExceeded, match="step budget of 2000 walk steps"):
-        modular_certificate_search(g, 3000)
+    walked = 0
+    for m in range(3, 21, 2):
+        walked += next(k for k in count(1) if pow(2, k, m) == 1)
+        walked += next(s for s in count() if int(g.eval(s)) % m == 0) + 1
+    assert walked == 90
+    monkeypatch.setattr(polyexp, "_SEARCH_STEPS", walked - 1)
+    with pytest.raises(BudgetExceeded, match="step budget of 89 walk steps with modulus 19 still open"):
+        modular_certificate_search(g, 20)
+    monkeypatch.setattr(polyexp, "_SEARCH_STEPS", walked)
+    assert modular_certificate_search(g, 20) is None
     # decide_constant_solution keeps its verdict: the window scan decides it
     g = ExpSum([(4, UniPoly([Fraction(1)])), (1, UniPoly([Fraction(2)]))])
     res = decide_constant_solution(g)
@@ -527,17 +533,22 @@ def test_search_charges_its_steps_across_blocks(monkeypatch):
     assert res.note == "window scanned exhaustively; no integer zero exists"
 
 
-def test_period_filter_draws_from_the_step_budget():
+def test_period_filter_draws_from_the_step_budget(monkeypatch):
     # no modulus of period <= 4 certifies 16*7^s + 25*10^s - 29; a period
     # <= W needs m | 7^k - 1 for some k <= W, so the filter stops at
-    # 7^4 + 1 = 2402; with W = 9, 7^9 + 1 exceeds 10^7, and with constant
-    # coefficients m_max is not capped by the window either, so the period
-    # filter would walk the orders of every modulus up to 10^7
+    # 7^4 + 1 = 2402; with W = 8, 7^8 + 1 is above 5 * 10^6, and with
+    # constant coefficients m_max is not capped by the window either, so
+    # the period filter would walk the orders of every modulus up to there
     g = expsum((7, [16]), (10, [25]), (1, [-29]))
     start = time.perf_counter()
     assert modular_certificate_search(g, 10 ** 7, max_period=4) is None
+    # with W = 9, modulus 999 (period 9) is found long before the budget
+    assert modular_certificate_search(g, 10 ** 7, max_period=9).modulus == 999
     with pytest.raises(BudgetExceeded, match="walk steps filtering modulus"):
-        modular_certificate_search(g, 10 ** 7, max_period=9)
+        modular_certificate_search(g, 10 ** 7, max_period=8)
+    monkeypatch.setattr(polyexp, "_SEARCH_STEPS", 1 << 18)
+    with pytest.raises(BudgetExceeded, match="walk steps filtering modulus"):
+        modular_certificate_search(g, 10 ** 7, max_period=8)
     res = decide_constant_solution(g, m_max=10 ** 7)
     assert time.perf_counter() - start < 2
     assert (res.status, res.window, res.modular) == ("NONE", (-1, 2), None)
@@ -786,6 +797,18 @@ def test_user_bound_gives_unknown_not_none():
     assert res.dominance is None
 
 
+def test_user_bound_beyond_the_window_cap_is_refused():
+    # [-b, b] has 2b + 1 points: the largest bound within MAX_WINDOW = 2^20
+    # is 2^19 - 1, and no scan of 10^8 points is started
+    g = expsum((2, [1]), (3, [1]))
+    res = decide_constant_solution(g, user_bound=(1 << 19) - 1)
+    assert (res.status, res.window) == ("UNKNOWN", (1 - (1 << 19), (1 << 19) - 1))
+    for bound in (1 << 19, 10 ** 8):
+        with pytest.raises(ValueError, match="user bound %d spans more than "
+                           "MAX_WINDOW = 1048576 points" % bound):
+            decide_constant_solution(g, user_bound=bound)
+
+
 def test_full_verdict_not_pr():
     eq = parse_eq(
         "(x*y - z + 2)*2^x*3^y + (x - y + 2*z + 2)*5^x*7^y"
@@ -853,11 +876,12 @@ def test_incomplete_factorization_gives_unknown():
     assert v.status in ("UNKNOWN", "NOT_PR")
 
 
-# --- the joint residue scan ---------------------------------------------------
+# --- the modular certificate search ------------------------------------------
 
 
 def per_modulus_search(g, m_max, max_period=None):
-    """The search modular_certificate_search replaced: one modulus at a
+    """A reference for modular_certificate_search, with residues computed
+    by a plain Horner evaluation instead of the walk: one modulus at a
     time, each scanned until its first zero residue or its full period,
     skipping the moduli whose period exceeds `max_period`."""
     if g.is_zero():
@@ -917,14 +941,6 @@ def test_joint_scan_matches_per_modulus_search(m_max):
         assert found > 0
 
 
-def test_joint_scan_blocks_match_per_modulus_search(monkeypatch):
-    # a small lcm bound splits 2..200 into many blocks
-    monkeypatch.setattr(polyexp, "_JOINT_BITS", 16)
-    rng = random.Random(6105)
-    for g in random_modular_sums(rng, 40):
-        assert modular_certificate_search(g, 200) == per_modulus_search(g, 200), g
-
-
 def lcm_of_orders(g, m):
     """Period of g mod m: the lcm of the base orders, with m for a non-constant coefficient."""
     period = m if any(poly.degree >= 1 for _, poly in g.terms) else 1
@@ -956,13 +972,22 @@ def test_modular_period_matches_lcm_of_orders(cap):
 
 
 def test_modulus_blocks_are_built_lazily():
-    # 2^s + 3^s + 5 is certified by modulus 11, in the first block of
-    # moduli; the search stops there, where building every block up to
-    # 10^9 first would take gigabytes
+    # 2^s + 3^s + 5 is certified by modulus 11; the search stops there and
+    # never reads the moduli up to 10^9
     g = expsum((2, [1]), (3, [1]), (1, [5]))
     cert = modular_certificate_search(g, 10**9)
     assert cert == modular_certificate_search(g, 200) == per_modulus_search(g, 200)
     assert cert.modulus == 11
+
+
+@pytest.mark.parametrize("m_max", [10 ** 4, 10 ** 5, 10 ** 7])
+def test_capped_answer_does_not_depend_on_the_cap(m_max):
+    # 16*7^s + 25*10^s - 29 has its least certificate of period <= 9 at
+    # modulus 999; the moduli above it, up to 7^9 + 1, are never filtered
+    g = expsum((7, [16]), (10, [25]), (1, [-29]))
+    cert = modular_certificate_search(g, m_max, max_period=9)
+    assert (cert.modulus, cert.period) == (999, 9)
+    assert cert == per_modulus_search(g, 1000, max_period=9)
 
 
 def test_joint_scan_known_certificates():

@@ -246,6 +246,17 @@ def test_sunit_criterion_with_group_context():
     assert v.bound == sunit_solution_bound(2)
 
 
+def test_sunit_verdict_without_a_factorization():
+    # the verdict reads the coefficient sum alone; rank and bound need the
+    # generator factored, beyond the budget here
+    p = 2_147_483_647
+    for (a, b, c), status in (((1, 1, -2), "PR_CONSTANT"), ((1, 1, -1), "NOT_PR")):
+        v = decide_sunit_3var(a, b, c, group=[2, p * p], budget=10**4)
+        assert (v.status, v.rank, v.bound) == (status, None, None)
+        assert v.note.endswith("; rank and bound not computed: factorization of %d "
+                               "incomplete: cofactor %d exceeds budget^2 = %d" % (p * p, p * p, 10**8))
+
+
 def test_sunit_rejects_zero_coefficients():
     with pytest.raises(ValueError):
         decide_sunit_3var(1, 0, -1)
