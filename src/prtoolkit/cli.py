@@ -456,6 +456,9 @@ def _cmd_bound(args) -> dict:
     B = constants.B
     bits = 35 * B ** 3 + 6 * B ** 2 * max(args.degree.bit_length() - 1, 0)
     if bits <= _MAX_BOUND_BITS:
+        # the estimate leaves out Bell(m) and rounds log2 d down; count exactly
+        bits = 35 * B ** 3 + (bell * args.degree ** (6 * B ** 2)).bit_length()
+    if bits <= _MAX_BOUND_BITS:
         report["bound"] = _bound_num(bell, B, args.degree)
     else:
         report["bound_factored"] = {

@@ -42,6 +42,7 @@ value is ever truncated to 64 bits.
 from __future__ import annotations
 
 import decimal
+import functools
 import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -713,15 +714,22 @@ def _num(x) -> str:
     return digits if x > 0 else "-" + digits
 
 
+# at most 25 entries: callers pass e = 35 B^3 <= cli._MAX_BOUND_BITS, so B <= 25 (about 0.5 MB)
+@functools.lru_cache(maxsize=None)
+def _power_of_two(e: int) -> decimal.Decimal:
+    return _EXACT.power(2, e)
+
+
 def _bound_num(bell: int, B: int, d: int = 1) -> str:
     """Exact decimal string of Bell(m) * 2^(35 B^3) * d^(6 B^2), the
     solution-count bound, computed from its factors in `decimal`.
 
     The same text as _num(polyexp.solution_count_bound(...)), without
     building the int: libmpdec raises 2 and d to their powers directly,
-    and _EXACT makes any rounding raise.
+    and _EXACT makes any rounding raise.  2^(35 B^3) is computed once per
+    B in a process, by _power_of_two, and each call multiplies into a new Decimal.
     """
-    x = _EXACT.multiply(decimal.Decimal(bell), _EXACT.power(2, 35 * B ** 3))
+    x = _EXACT.multiply(decimal.Decimal(bell), _power_of_two(35 * B ** 3))
     if d > 1:
         x = _EXACT.multiply(x, _EXACT.power(d, 6 * B ** 2))
     return str(x)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prtoolkit import cli
+from prtoolkit import cli, equations
 from prtoolkit.cli import EXIT_BROKEN_PIPE, main
 from prtoolkit.equations import (
     _EXACT,
@@ -762,6 +762,8 @@ def test_bound_num_matches_exact_ints():
                     assert text == _times(one, bell_number(m)), (B, m, d)
                     if B <= 12:
                         assert text == str(solution_count_bound(_bound_equation(B, m), d))
+    # one cached 2^(35 B^3) per B, whatever m and d
+    assert equations._power_of_two.cache_info().currsize <= 25
 
 
 def test_solution_bound_cap_boundary(capsys):
@@ -782,6 +784,39 @@ def test_solution_bound_cap_boundary(capsys):
     assert rep["bound_factored"] == {
         "bell_m": "1", "power_of_two_exponent": "615160", "degree": "1", "degree_exponent": "4056",
     }
+
+
+def test_bound_degree_cap_counts_exact_bits(capsys):
+    # B = 25: 32767^3750 has 56,250 bits, one more per factor than the
+    # floor(log2 d) = 14 estimate allows for, so both degrees need
+    # 546,875 + 56,250 = 603,125 bits, above _MAX_BOUND_BITS
+    for degree in ("32767", "32768"):
+        code, rep = run_cli(capsys, "bound", "--expr", "x^24*2^x = 0", "--degree", degree)
+        assert code == 0 and "bound" not in rep
+        assert rep["bound_factored"] == {
+            "bell_m": "1", "power_of_two_exponent": "546875", "degree": degree,
+            "degree_exponent": "3750",
+        }
+        assert rep["note"] == "full decimal expansion suppressed (603125 bits)"
+
+
+def test_bound_num_leaves_the_cached_power_unchanged():
+    one = _bound_num(1, 22)
+    assert _bound_num(2, 22) == _times(one, 2)
+    assert _bound_num(1, 22) == one
+
+
+def test_repeated_decide_reuses_the_power(capsys):
+    # the second decide on a B = 22 sum writes the same report and reads
+    # 2^(35 B^3) from the cache: one hit, no miss
+    argv = ["decide", "--expr", "3*x^20*2^x - 4*3^x = 0"]
+    outs, infos = [], []
+    for _ in range(2):
+        assert main(argv) == 0
+        outs.append(re.sub(r'"time_ms": \d+', '"time_ms": 0', capsys.readouterr().out))
+        infos.append(equations._power_of_two.cache_info())
+    assert outs[0] == outs[1]
+    assert (infos[1].hits - infos[0].hits, infos[1].misses - infos[0].misses) == (1, 0)
 
 
 # --- input channels and errors ----------------------------------------------------

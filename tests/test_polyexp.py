@@ -925,7 +925,7 @@ def random_modular_sums(rng, count):
 
 
 @pytest.mark.parametrize("m_max", [2, 3, 10, 200])
-def test_joint_scan_matches_per_modulus_search(m_max):
+def test_search_matches_horner_reference(m_max):
     rng = random.Random(6100 + m_max)
     found = none = 0
     for g in random_modular_sums(rng, 80):
@@ -971,7 +971,7 @@ def test_modular_period_matches_lcm_of_orders(cap):
     assert (beyond > 0) == (cap is not None)
 
 
-def test_modulus_blocks_are_built_lazily():
+def test_search_stops_at_the_first_certificate():
     # 2^s + 3^s + 5 is certified by modulus 11; the search stops there and
     # never reads the moduli up to 10^9
     g = expsum((2, [1]), (3, [1]), (1, [5]))
@@ -990,7 +990,7 @@ def test_capped_answer_does_not_depend_on_the_cap(m_max):
     assert cert == per_modulus_search(g, 1000, max_period=9)
 
 
-def test_joint_scan_known_certificates():
+def test_search_finds_known_certificates():
     # 2^s + 3^s + ... + 23^s: every modulus below 29 shares a prime with a
     # base or has a zero; 29 survives its period
     g = ExpSum([(p, UniPoly([Fraction(1)])) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)])
