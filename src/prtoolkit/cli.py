@@ -241,6 +241,8 @@ def _cmd_decide(args) -> dict:
         verdict = decide_sunit_3var(a, b, c, group=gens)
         report["group"] = [_num(g) for g in gens]
         report["status"] = verdict.status
+        # x = y = z = g solves a zero-sum equation for every g in the group
+        report["witness"] = "all" if verdict.status == "PR_CONSTANT" else None
         report["coefficient_sum"] = _num(verdict.coefficient_sum)
         report["rank"] = verdict.rank
         report["solution_bound"] = _json_value(verdict.bound)

@@ -32,7 +32,13 @@ subgroup of a nontrivial lattice is nontrivial.  A partition's rows are
 the union of the rows of the pairs inside its blocks, and the partition
 whose one non-singleton block is {i, j} has exactly that pair's rows.
 So the hypothesis holds for every partition exactly when it holds for
-every such pair partition, which takes C(m, 2) rank checks, not Bell(m).
+every such pair partition, which takes C(m, 2) pair checks, not Bell(m).
+With one exponent variable (n = 1) a pair's group is trivial exactly
+when |a_i| != |a_j|: for z != 0, |a_i|^z = |a_j|^z forces |a_i| = |a_j|,
+and when |a_i| = |a_j| every even z lies in G.  That check needs no
+factoring, so only an equation with n >= 2 factors its entries and
+ranks their valuation rows, and only such an equation can stop the
+check with IncompleteFactorization.
 
 Deciding whether g has an integer zero is done with exact arithmetic
 only, and on integers: ExpSum scales g once to integer coefficients
@@ -255,9 +261,14 @@ def character_group_trivial(
     immaterial: the sign conditions carve out a finite-index subgroup,
     and a finite-index subgroup of a nontrivial lattice is nontrivial.
 
-    Raises IncompleteFactorization when an entry cannot be factored
-    within the budget.  `_cache` maps |entry| to its factorization; one
-    dict shared across calls factors each entry once.
+    With one exponent variable (n = 1) the matrix has one column, so its
+    rank is 1 exactly when v_p(a_i) != v_p(a_j) for some prime p and
+    some in-block pair, that is, by unique factorization, when
+    |a_i| != |a_j|; entries +-1 have no rows, and |1| = |-1| agrees.
+    That case is decided by comparing absolute values, without
+    factoring.  For n >= 2, raises IncompleteFactorization when an entry
+    cannot be factored within the budget.  `_cache` maps |entry| to its
+    factorization; one dict shared across calls factors each entry once.
     """
     chars = [tuple(c) for c in characters]
     if not chars:
@@ -267,6 +278,9 @@ def character_group_trivial(
         raise ValueError("characters must share a positive common length")
     if any(b == 0 for c in chars for b in c):
         raise ValueError("character entries must be nonzero")
+    if n == 1:
+        return any(abs(chars[i][0]) != abs(chars[j][0])
+                   for block in partition for i, j in combinations(block, 2))
 
     cache = {} if _cache is None else _cache
 
@@ -959,6 +973,8 @@ class HypothesisReport(Record):
     pair partitions.  `checked_partitions` is the number of partitions
     this covers, Bell(m) - 1, and `failing_partition` the first failing
     pair, written as its partition (blocks ordered by least element).
+    With one exponent variable a pair {i, j} fails exactly when
+    |a_i| = |a_j|, a comparison that needs no factoring.
     `degenerate_possible` flags whether the pure polynomial system
     {P_k = 0 for all k} might contribute solution families outside the
     exponential analysis; it is reported, not decided.
@@ -984,22 +1000,23 @@ def check_hypothesis(
     eq: PolyExpEquation,
     budget: int = DEFAULT_FACTOR_BUDGET,
 ) -> HypothesisReport:
-    """Audit the character-group hypothesis with one rank check per pair.
+    """Audit the character-group hypothesis with one check per pair.
 
-    Pairs {i, j} are taken in lexicographic order, each as the partition
-    whose only non-singleton block is {i, j}, up to the first pair whose
-    group is nontrivial; HypothesisReport says why that is exact.
-    Raises IncompleteFactorization when an entry cannot be factored
-    within the budget.
+    Pairs {i, j} are taken in lexicographic order, each as the single
+    block ((i, j),), up to the first pair whose group is nontrivial; only
+    that pair is written out as its full partition.  HypothesisReport
+    says why that is exact.  With one exponent variable each check
+    compares |a_i| with |a_j| and factors nothing; with two or more it
+    ranks valuation rows, and raises IncompleteFactorization when an
+    entry cannot be factored within the budget.
     """
     chars = [t.characters for t in eq.terms]
     m = len(chars)
     failing = None
     cache: Dict[int, Dict[int, int]] = {}
     for i, j in combinations(range(m), 2):
-        partition = tuple(sorted([(i, j)] + [(k,) for k in range(m) if k not in (i, j)]))
-        if not character_group_trivial(chars, partition, budget, _cache=cache):
-            failing = partition
+        if not character_group_trivial(chars, ((i, j),), budget, _cache=cache):
+            failing = tuple(sorted([(i, j)] + [(k,) for k in range(m) if k not in (i, j)]))
             break
     coprime, unit = mutually_coprime(chars)
     safe = any(t.poly.degree() == 0 for t in eq.terms)
@@ -1014,7 +1031,9 @@ def decide_polyexp_pr(
     """Decide partition regularity over the integers via the diagonal.
 
     A FOUND constant solution certifies regularity unconditionally, even
-    when an incomplete factorization stops the hypothesis check.  An
+    when an incomplete factorization stops the hypothesis check, which
+    only an equation with two or more exponent variables can do: in one
+    variable the check compares |a_i| with |a_j| and factors nothing.  An
     empty certified window decides non-regularity provided the
     character-group hypothesis holds; when it fails or is not checked,
     no negative claim is made and the verdict is UNKNOWN.  A stopped

@@ -238,8 +238,32 @@ def test_decide_polyexp_hypothesis_abort_keeps_a_constant_solution(capsys):
                         "(x - 1)*1000000016000000063^x + (y - 1)*2^y = 0")
     assert code == 0
     assert (rep["status"], rep["constant_solution"]["witness"]) == ("PR_CONSTANT", "1")
+    # two exponent variables still factor their entries
     assert "hypothesis" not in rep
     assert rep["notes"][-1] == "hypothesis check aborted: " + INCOMPLETE_NOTE % ""
+
+
+def test_decide_one_variable_unfactorable_base_is_decided(capsys):
+    # one exponent variable: the hypothesis compares |a_i| with |a_j| and factors nothing
+    code, rep = run_cli(capsys, "decide", "--expr", "(x^2 + 1)*1000000016000000063^x + 2^x = 0")
+    assert code == 0
+    assert (rep["status"], rep["hypothesis"]["trivial_for_all"]) == ("NOT_PR", True)
+    assert not any("aborted" in note for note in rep["notes"])
+    assert "dominance" in rep["certificates"]
+    assert rep["constant_solution"]["note"] == "window scanned exhaustively; no integer zero exists"
+
+
+def test_decide_one_variable_opposite_unfactorable_bases_name_the_pair(capsys):
+    # a and -a agree at every even z, a failure found without factoring a
+    code, rep = run_cli(capsys, "decide", "--expr",
+                        "(x^2 + 1)*1000000016000000063^x - (-1000000016000000063)^x + 2^x = 0")
+    assert code == 2
+    assert (rep["status"], rep["hypothesis"]["trivial_for_all"]) == ("UNKNOWN", False)
+    assert rep["hypothesis"]["failing_partition"] == [[1, 2], [3]]
+    assert not any("aborted" in note for note in rep["notes"])
+    assert rep["notes"][-1] == (
+        "no constant solution, but the character-group hypothesis fails on "
+        "partition ((0, 1), (2,)); no regularity claim either way")
 
 
 def test_decide_group_beyond_the_factoring_budget_still_decides(capsys):
@@ -303,6 +327,17 @@ def test_decide_sunit_route(capsys):
     assert code2 == 0
     assert rep2["status"] == "PR_CONSTANT"
     assert rep2["rank"] == 2
+
+
+@pytest.mark.parametrize("expr, status, witness", [
+    ("x + y - 2*z = 0", "PR_CONSTANT", "all"),
+    ("x + y - z = 0", "NOT_PR", None),
+])
+def test_decide_group_reports_a_witness(capsys, expr, status, witness):
+    # a zero coefficient sum is solved by x = y = z = g for every group element g
+    code, rep = run_cli(capsys, "decide", "--expr", expr, "--group=2,3")
+    assert code == 0
+    assert (rep["status"], rep["witness"]) == (status, witness)
 
 
 def test_decide_domain_z(capsys):

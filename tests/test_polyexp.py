@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prtoolkit.algebra import BudgetExceeded, IncompleteFactorization, MultiPoly, UniPoly
+from prtoolkit.algebra import BudgetExceeded, IncompleteFactorization, MultiPoly, UniPoly, factor_integer
 from prtoolkit.equations import _num, classify, parse_equation_text
 from prtoolkit import cli, polyexp
 from prtoolkit.polyexp import (
@@ -1323,14 +1323,42 @@ def test_failing_pair_is_reported_as_its_partition():
 
 
 def test_hypothesis_factors_each_entry_once(monkeypatch):
-    # 36 pair checks over 9 bases share one factorization per |entry|
+    # 10 pair checks over two exponent variables share one factorization per |entry|
     calls = []
     factor = polyexp.factor_integer
     monkeypatch.setattr(polyexp, "factor_integer", lambda n, *a: calls.append(n) or factor(n, *a))
+    chars = [(2, 3), (4, -5), (6, 7), (9, 10), (-12, 2)]
+    report = check_hypothesis(constant_equation(chars))
+    assert report.trivial_for_all
+    assert sorted(calls) == sorted({abs(b) for c in chars for b in c})
+
+
+def test_one_variable_hypothesis_factors_nothing(monkeypatch):
+    # 36 pair checks over 9 bases compare absolute values only
+    def refuse(*args):
+        raise AssertionError("one exponent variable needs no factoring or rank")
+
+    monkeypatch.setattr(polyexp, "factor_integer", refuse)
+    monkeypatch.setattr(polyexp, "matrix_rank", refuse)
     bases = (2, 3, 4, -5, 6, 7, 9, 10, -12)
     report = check_hypothesis(parse_eq(" + ".join(("(%d)^x" if b < 0 else "%d^x") % b for b in bases) + " = 0"))
     assert report.trivial_for_all
-    assert sorted(calls) == sorted(abs(b) for b in bases)
+    assert report.checked_partitions == bell_number(9) - 1 == 21146
+    assert report.failing_partition is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.integers(1, 10 ** 6) | st.just(1),
+    b=st.integers(1, 10 ** 6) | st.just(1) | st.none(),
+    signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+)
+def test_one_variable_pair_check_matches_valuations(a, b, signs):
+    # b = None stands for |b| = |a|, so pairs a, -a and a, a are drawn often
+    a, b = signs[0] * a, signs[1] * (a if b is None else b)
+    va, vb = (dict(factor_integer(abs(x))[1]) for x in (a, b))
+    row = [va.get(p, 0) - vb.get(p, 0) for p in sorted({*va, *vb})]
+    assert character_group_trivial([(a,), (b,)], ((0, 1),)) == any(row)
 
 
 @pytest.mark.parametrize("count", [9, 12])
