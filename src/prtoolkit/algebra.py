@@ -308,11 +308,17 @@ class MultiPoly(Record):
         """Substitute every variable by a single variable w.
 
         The term c * x1^e1 * ... * xk^ek becomes c * w^(e1+...+ek).
+        A degree with one term keeps its coefficient; the coefficients of
+        a degree with more are summed as ints, and only a genuine fraction
+        makes the sum a Fraction.
         """
-        coeffs: Dict[int, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        coeffs: Dict[int, Rat] = {}
+        for exps, c in self.terms.items():
             d = sum(exps)
-            coeffs[d] = coeffs.get(d, Fraction(0)) + coeff
+            if d in coeffs:
+                a = coeffs[d]
+                c = (a.numerator if a.denominator == 1 else a) + (c.numerator if c.denominator == 1 else c)
+            coeffs[d] = c
         if not coeffs:
             return UniPoly(())
         out = [Fraction(0)] * (max(coeffs) + 1)

@@ -57,7 +57,13 @@ residues are 0, which every true zero satisfies; the certificate search
 walks modulo each modulus it tries in turn, and the certificate table
 and its re-verification modulo the certificate's modulus.  The dominance
 thresholds are found by doubling and bisection, since each defining
-inequality is monotone past its starting point.
+inequality is monotone past its starting point.  The inequalities read
+their absolute-coefficient polynomials as Horner rows, one step per run
+of consecutive exponents, so a sparse t^10000 + 1 costs one power of t.
+A probe whose exact sides would exceed _EXACT_BITS bits is settled first
+on integer brackets lo * 2^e <= x <= hi * 2^e with short mantissas
+(_Bracket), and forms the full powers b^t only when they overlap; the
+re-verification rechecks t1, tstar, T, T + 1 and T + 2 on exact integers.
 """
 
 from __future__ import annotations
@@ -92,6 +98,12 @@ DEFAULT_MODULUS_CAP = 200
 # answers UNKNOWN.
 MAX_WINDOW = 1 << 20
 MAX_THRESHOLD_BITS = 1 << 22
+
+# The threshold search settles a probe on _Brackets with mantissas of
+# _MANTISSA_BITS bits when the exact sides of its test would exceed
+# _EXACT_BITS bits; below that the exact integers are cheaper.
+_MANTISSA_BITS = 64
+_EXACT_BITS = 1 << 13
 
 # Residues are carried modulo the product of the primes 2^61 - 1 and
 # 2^31 - 1, that is modulo both at once.
@@ -167,8 +179,8 @@ class ExpSum(Record):
         (no power is formed when the numerator is 0).
         """
         if s >= 0:
-            return Fraction(_int_sum(self.int_terms, s))
-        num = _int_sum(_negation_transform(self.int_terms), -s)
+            return Fraction(_sum_at(_horner(self.int_terms), s))
+        num = _sum_at(_horner(_negation_transform(self.int_terms)), -s)
         if not num:
             return Fraction(0)
         return Fraction(num, prod(abs(b) for b, _ in self.int_terms) ** -s)
@@ -249,8 +261,6 @@ def character_group_trivial(
     characters: Sequence[Tuple[int, ...]],
     partition: Sequence[Sequence[int]],
     budget: int = DEFAULT_FACTOR_BUDGET,
-    *,
-    _cache: Optional[Dict[int, Dict[int, int]]] = None,
 ) -> bool:
     """Whether G = {z : a_i^z = a_j^z for i~j} is the zero subgroup of Z^n.
 
@@ -260,15 +270,9 @@ def character_group_trivial(
     trivial iff the stacked constraint matrix has rank n.  Signs are
     immaterial: the sign conditions carve out a finite-index subgroup,
     and a finite-index subgroup of a nontrivial lattice is nontrivial.
-
-    With one exponent variable (n = 1) the matrix has one column, so its
-    rank is 1 exactly when v_p(a_i) != v_p(a_j) for some prime p and
-    some in-block pair, that is, by unique factorization, when
-    |a_i| != |a_j|; entries +-1 have no rows, and |1| = |-1| agrees.
-    That case is decided by comparing absolute values, without
-    factoring.  For n >= 2, raises IncompleteFactorization when an entry
-    cannot be factored within the budget.  `_cache` maps |entry| to its
-    factorization; one dict shared across calls factors each entry once.
+    With one exponent variable no entry is factored (_pairs_trivial).
+    For n >= 2, raises IncompleteFactorization when an entry cannot be
+    factored within the budget.
     """
     chars = [tuple(c) for c in characters]
     if not chars:
@@ -278,11 +282,29 @@ def character_group_trivial(
         raise ValueError("characters must share a positive common length")
     if any(b == 0 for c in chars for b in c):
         raise ValueError("character entries must be nonzero")
-    if n == 1:
-        return any(abs(chars[i][0]) != abs(chars[j][0])
-                   for block in partition for i, j in combinations(block, 2))
+    pairs = [pair for block in partition for pair in combinations(block, 2)]
+    return _pairs_trivial(chars, pairs, budget, {})
 
-    cache = {} if _cache is None else _cache
+
+def _pairs_trivial(
+    chars: List[Tuple[int, ...]],
+    pairs: Iterable[Tuple[int, int]],
+    budget: int,
+    cache: Dict[int, Dict[int, int]],
+) -> bool:
+    """character_group_trivial on checked characters, given its in-block pairs.
+
+    With one exponent variable (n = 1) the matrix has one column, so its
+    rank is 1 exactly when v_p(a_i) != v_p(a_j) for some prime p and
+    some pair, that is, by unique factorization, when |a_i| != |a_j|;
+    entries +-1 have no rows, and |1| = |-1| agrees.  That case is
+    decided by comparing absolute values, without factoring.  `cache`
+    maps |entry| to its factorization, so a dict shared across calls
+    factors each entry once.
+    """
+    n = len(chars[0])
+    if n == 1:
+        return any(abs(chars[i][0]) != abs(chars[j][0]) for i, j in pairs)
 
     def vals(x: int) -> Dict[int, int]:
         x = abs(x)
@@ -291,11 +313,10 @@ def character_group_trivial(
         return cache[x]
 
     rows: List[List[int]] = []
-    for block in partition:
-        for i, j in combinations(block, 2):
-            pairs = [(vals(x), vals(y)) for x, y in zip(chars[i], chars[j])]
-            primes = sorted({p for u, v in pairs for p in (*u, *v)})
-            rows += [[u.get(p, 0) - v.get(p, 0) for u, v in pairs] for p in primes]
+    for i, j in pairs:
+        pair = [(vals(x), vals(y)) for x, y in zip(chars[i], chars[j])]
+        primes = sorted({p for u, v in pair for p in (*u, *v)})
+        rows += [[u.get(p, 0) - v.get(p, 0) for u, v in pair] for p in primes]
     # no rows (no pair constraints) means G = Z^n, never trivial for n >= 1
     return matrix_rank(rows) == n
 
@@ -407,18 +428,42 @@ class WindowTooWide(ValueError):
     """The certified window would exceed MAX_WINDOW or MAX_THRESHOLD_BITS."""
 
 
-def _abs_eval(coeffs: Sequence[int], t: int) -> int:
-    """sum |c_e| * t^e over the nonzero coefficients only."""
-    return sum(abs(c) * t ** e for e, c in enumerate(coeffs) if c)
+def _horner(terms: Iterable[IntTerm], absolute: bool = False) -> List[tuple]:
+    """The Horner rows of a sum of base^s * C(s): per term, (base, c, steps).
+
+    Horner over C's nonzero coefficients, highest exponent first: a starts
+    at the leading coefficient c, each step (gap, c_e) makes a = a * s^gap
+    + c_e, and a last step (e, 0) follows when the lowest exponent e is > 0.
+    A term whose C is zero has no row.  With `absolute` the rows are those
+    of sum |base|^s * Chat(s), Chat the absolute-coefficient companion of C.
+    """
+    plan = []
+    for base, coeffs in terms:
+        steps, gap = [], 0
+        for c in map(abs, reversed(coeffs)) if absolute else reversed(coeffs):
+            gap += 1
+            if c:
+                steps.append((gap, c))
+                gap = 0
+        if steps:
+            if gap:
+                steps.append((gap, 0))
+            plan.append((abs(base) if absolute else base, steps[0][1], steps[1:]))
+    return plan
 
 
-def _int_sum(terms: Sequence[IntTerm], t: int) -> int:
-    """sum_i b_i^t * C_i(t) over integer terms, t >= 0; b^t is skipped where C(t) = 0."""
+def _sum_at(rows: Sequence[tuple], t):
+    """sum_i b_i^t * C_i(t) over Horner rows (_horner), t >= 0; b^t is skipped where C(t) = 0.
+
+    A gap of 1 costs one multiplication by t and a larger gap one t ** gap,
+    so a sparse row such as t^10000 + 1 takes one step.
+    """
     total = 0
-    for b, coeffs in terms:
-        c = sum(x * t ** e for e, x in enumerate(coeffs) if x)
-        if c:
-            total += b ** t * c
+    for b, a, steps in rows:
+        for gap, c in steps:
+            a = (a * t if gap == 1 else a * t ** gap) + c
+        if a:
+            total += a * b ** t
     return total
 
 
@@ -431,11 +476,12 @@ def _negation_transform(terms: Sequence[IntTerm]) -> List[IntTerm]:
     bases, and all-positive bases stay positive.
     """
     total = prod(abs(b) for b, _ in terms)
-    return [
-        ((total // abs(b)) * (1 if b > 0 else -1),
-         tuple(-c if e % 2 else c for e, c in enumerate(coeffs)))
-        for b, coeffs in terms
-    ]
+    out = []
+    for b, coeffs in terms:
+        flipped = list(coeffs)
+        flipped[1::2] = [-c for c in coeffs[1::2]]
+        out.append((total // b if b > 0 else -(total // -b), tuple(flipped)))
+    return out
 
 
 # The rules of a branch certificate.  dominance_bound finds its thresholds
@@ -444,8 +490,7 @@ def _negation_transform(terms: Sequence[IntTerm]) -> List[IntTerm]:
 
 def _ordered(terms: Sequence[IntTerm]) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
     """A branch's bases and integer coefficients, by decreasing |base|."""
-    ordered = sorted(terms, key=lambda t: abs(t[0]), reverse=True)
-    return tuple(b for b, _ in ordered), tuple(c for _, c in ordered)
+    return tuple(zip(*sorted(terms, key=lambda t: abs(t[0]), reverse=True)))
 
 
 def _largest_root(coeffs: Sequence[int]) -> int:
@@ -461,20 +506,92 @@ def _ratio_tests(
     The first makes |C_1(t)| >= |lead| t^deg / 2 and the second makes
     every tail ratio term decrease; both are monotone from 1 on.  The
     third is the dominance inequality of BranchCertificate, monotone from
-    max(t1, tstar) on.
+    max(t1, tstar) on.  The absolute-coefficient companions are Horner
+    rows, built once here; the first test reads Chat_1 = |lead| t^deg +
+    (the rest), as 2 Chat_1(t) <= 3 |lead| t^deg.  Each test is one
+    expression in t, so it runs on a _Bracket as well as on an int.
     """
-    c1 = coeffs[0]
-    d1 = len(c1) - 1
-    cd = abs(c1[-1])
+    d1 = len(coeffs[0]) - 1
+    cd = abs(coeffs[0][-1])
     b1 = abs(bases[0])
     b2 = abs(bases[1])
-    dmax = max(len(c) - 1 for c in coeffs[1:])
-    tail = [(abs(b), c) for b, c in zip(bases[1:], coeffs[1:])]
+    dmax = max(map(len, coeffs[1:])) - 1
+    (_, a1, steps1), *tail = _horner(zip(bases, coeffs), True)
+    lead = [(1, a1, steps1)]
     return (
-        lambda t: 2 * _abs_eval(c1[:-1], t) <= cd * t ** d1,
+        lambda t: 2 * _sum_at(lead, t) <= 3 * cd * t ** d1,
         lambda t: (t + 1) ** dmax * b2 < t ** dmax * b1,
-        lambda t: 2 * sum(_abs_eval(c, t) * b ** t for b, c in tail) < cd * t ** d1 * b1 ** t,
+        lambda t: 2 * _sum_at(tail, t) < cd * t ** d1 * b1 ** t,
     )
+
+
+class _Overlap(ArithmeticError):
+    """A comparison of two _Brackets that overlap."""
+
+
+class _Bracket:
+    """An exact integer bracket  lo * 2^e <= x <= hi * 2^e  of a number x >= 0.
+
+    The ratio tests run on brackets before they form large integers:
+    sums, products and powers round lo down and hi up to mantissas of at
+    most _MANTISSA_BITS bits, so b^t costs about 2 log2 t small products
+    instead of a t log2 b-bit integer.  All operands of the tests are
+    nonnegative, so every operation is monotone and the bracket stays
+    valid.  A comparison answers exactly when the brackets of its sides
+    are disjoint and raises _Overlap when they are not.  An exponent must
+    be exact: an int, or a _Bracket made from an int below 2^_MANTISSA_BITS.
+    """
+
+    __slots__ = ("lo", "hi", "e")
+
+    def __init__(self, lo: int, hi: Optional[int] = None, e: int = 0):
+        hi = lo if hi is None else hi
+        s = hi.bit_length() - _MANTISSA_BITS
+        if s > 0:
+            lo, hi, e = lo >> s, -(-hi >> s), e + s
+        self.lo, self.hi, self.e = lo, hi, e
+
+    def __mul__(self, y):
+        y = y if type(y) is _Bracket else _Bracket(y)
+        return _Bracket(self.lo * y.lo, self.hi * y.hi, self.e + y.e)
+
+    def __add__(self, y):
+        y = y if type(y) is _Bracket else _Bracket(y)
+        x, y = (self, y) if self.e <= y.e else (y, self)
+        d = y.e - x.e  # x in units of 2^y.e, rounded outward
+        return _Bracket(y.lo + (x.lo >> d), y.hi - (-x.hi >> d), y.e)
+
+    __rmul__, __radd__ = __mul__, __add__
+
+    def __pow__(self, n: int):
+        r = _Bracket(1)
+        for bit in bin(n)[2:]:
+            r = r * r * self if bit == "1" else r * r
+        return r
+
+    def __rpow__(self, b: int):
+        return _Bracket(b) ** self.lo
+
+    def __lt__(self, y):
+        y = y if type(y) is _Bracket else _Bracket(y)
+        m = min(self.e, y.e)
+        p, q = self.e - m, y.e - m
+        if self.hi << p < y.lo << q:
+            return True
+        if self.lo << p < y.hi << q:
+            raise _Overlap
+        return False
+
+    def __le__(self, y):
+        return not (y if type(y) is _Bracket else _Bracket(y)) < self
+
+
+def _settled(holds: Callable[[int], bool], t: int) -> bool:
+    """holds(t), decided on _Bracket(t) unless the brackets overlap."""
+    try:
+        return holds(_Bracket(t))
+    except _Overlap:
+        return holds(t)
 
 
 def _branch(terms: Sequence[IntTerm], parity: str, direction: str) -> BranchCertificate:
@@ -484,10 +601,15 @@ def _branch(terms: Sequence[IntTerm], parity: str, direction: str) -> BranchCert
             parity, direction, bases, coeffs, "single", _largest_root(terms[0][1]), 0, 0
         )
     lead, ratio, dominance = _ratio_tests(bases, coeffs)
-    limit = min(MAX_WINDOW, MAX_THRESHOLD_BITS // abs(bases[0]).bit_length())
-    t1 = _least(lead, 1, limit)
-    tstar = _least(ratio, 1, limit)
-    T = _least(dominance, max(t1, tstar), limit)
+    bits = abs(bases[0]).bit_length()
+    limit = min(MAX_WINDOW, MAX_THRESHOLD_BITS // bits)
+    # the sides of a test at t have about t * bits + degree * log2(t) bits,
+    # more than _EXACT_BITS from about t = cut on
+    degree = max(map(len, coeffs)) - 1
+    cut = (_EXACT_BITS - degree * (_EXACT_BITS // bits).bit_length()) // bits
+    t1 = _least(lead, 1, limit, cut)
+    tstar = _least(ratio, 1, limit, cut)
+    T = _least(dominance, max(t1, tstar), limit, cut)
     return BranchCertificate(parity, direction, bases, coeffs, "ratio", T, t1, tstar)
 
 
@@ -528,16 +650,17 @@ def _window(branches: Iterable[BranchCertificate]) -> Tuple[int, int]:
     return reach["plus"], reach["minus"]
 
 
-def _least(holds: Callable[[int], bool], start: int, limit: int) -> int:
+def _least(holds: Callable[[int], bool], start: int, limit: int, cut: int) -> int:
     """Least t in [start, limit] with holds(t); WindowTooWide if none.
 
     holds must be monotone from start on (once true, true for every
     larger t), so doubling steps find a true point and bisection then
     finds the least one: the same t as a linear search, in O(log t)
-    evaluations.
+    evaluations.  From t = cut on, where the exact sides grow large,
+    each evaluation is _settled on brackets first.
     """
     lo, hi, step = start - 1, start, 1
-    while hi > limit or not holds(hi):
+    while hi > limit or not (holds(hi) if hi < cut else _settled(holds, hi)):
         if hi >= limit:
             raise WindowTooWide(
                 "a dominance threshold exceeds %d (MAX_WINDOW = %d, MAX_THRESHOLD_BITS = %d)"
@@ -546,7 +669,7 @@ def _least(holds: Callable[[int], bool], start: int, limit: int) -> int:
         lo, hi, step = hi, min(hi + step, limit), 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if holds(mid):
+        if holds(mid) if mid < cut else _settled(holds, mid):
             hi = mid
         else:
             lo = mid
@@ -706,23 +829,6 @@ def _modular_period(
 def _out_of_steps(where: str) -> BudgetExceeded:
     return BudgetExceeded("the modular search spent its step budget of %d walk steps %s"
                           % (_SEARCH_STEPS, where))
-
-
-def _horner(terms: Sequence[IntTerm]) -> List[tuple]:
-    """Per integer term of a sum of base^s * C(s), the (base, c, steps) that _walk reads.
-
-    Horner over C's nonzero coefficients, highest exponent first: a starts
-    at the leading coefficient c, each step (gap, c_e) makes a = a * s^gap
-    + c_e, and a last step (e, 0) follows when the lowest exponent e is > 0.
-    """
-    plan = []
-    for base, coeffs in terms:
-        exps = [e for e, c in enumerate(coeffs) if c][::-1]
-        steps = [(e - f, coeffs[f]) for e, f in zip(exps, exps[1:])]
-        if exps[-1]:
-            steps.append((exps[-1], 0))
-        plan.append((base, coeffs[exps[0]], steps))
-    return plan
 
 
 def _walk(plan: List[tuple], M: int, start: int) -> Iterator[int]:
@@ -1005,17 +1111,19 @@ def check_hypothesis(
     Pairs {i, j} are taken in lexicographic order, each as the single
     block ((i, j),), up to the first pair whose group is nontrivial; only
     that pair is written out as its full partition.  HypothesisReport
-    says why that is exact.  With one exponent variable each check
-    compares |a_i| with |a_j| and factors nothing; with two or more it
-    ranks valuation rows, and raises IncompleteFactorization when an
-    entry cannot be factored within the budget.
+    says why that is exact.  The characters are not checked again per
+    pair: PolyExpEquation checked them when the equation was built.
+    With one exponent variable each check compares |a_i| with |a_j| and
+    factors nothing; with two or more it ranks valuation rows, and raises
+    IncompleteFactorization when an entry cannot be factored within the
+    budget.
     """
     chars = [t.characters for t in eq.terms]
     m = len(chars)
     failing = None
     cache: Dict[int, Dict[int, int]] = {}
     for i, j in combinations(range(m), 2):
-        if not character_group_trivial(chars, ((i, j),), budget, _cache=cache):
+        if not _pairs_trivial(chars, ((i, j),), budget, cache):
             failing = tuple(sorted([(i, j)] + [(k,) for k in range(m) if k not in (i, j)]))
             break
     coprime, unit = mutually_coprime(chars)
@@ -1073,7 +1181,8 @@ def decide_polyexp_pr(
             notes.append(
                 "no constant solution, but the character-group hypothesis "
                 "fails on partition %r; no regularity claim either way"
-                % (hypothesis.failing_partition,)
+                # blocks of 1-based term numbers, as in the JSON report
+                % ([[i + 1 for i in block] for block in hypothesis.failing_partition],)
             )
     else:
         status = "UNKNOWN"

@@ -79,6 +79,41 @@ def test_diagonal_substitution():
         assert q.diagonal().eval(s) == q.eval((s, s))
 
 
+def fraction_diagonal(p):
+    """MultiPoly.diagonal summed on Fractions throughout."""
+    coeffs = {}
+    for exps, c in p.terms.items():
+        coeffs[sum(exps)] = coeffs.get(sum(exps), Fraction(0)) + c
+    out = [Fraction(0)] * (max(coeffs, default=-1) + 1)
+    for d, c in coeffs.items():
+        out[d] = c
+    return UniPoly(out)
+
+
+def test_integer_diagonal_matches_fraction_reference():
+    xy = ("x", "y")
+    F = Fraction
+    cases = [
+        MultiPoly(xy, {(1, 0): F(1, 2), (0, 1): F(1, 3), (0, 0): F(-5, 6)}),  # x/2 + y/3 - 5/6
+        MultiPoly(xy, {(1, 0): F(1, 2), (0, 1): F(1, 2), (0, 0): 3}),  # x/2 + y/2 + 3: w + 3
+        MultiPoly(xy, {(2, 0): F(2, 3), (1, 1): F(1, 3), (0, 2): -1, (1, 0): 4, (0, 1): F(-7, 2)}),
+        MultiPoly(xy, {(1, 0): 1, (0, 1): -1}),  # x - y: the zero polynomial
+        MultiPoly(xy, {}),
+    ]
+    rng = random.Random(616)
+    for _ in range(200):
+        cases.append(MultiPoly(xy, {
+            (rng.randint(0, 3), rng.randint(0, 3)):
+                rng.choice([F(rng.randint(-9, 9)), F(rng.randint(-9, 9), rng.randint(1, 6))])
+            for _ in range(rng.randint(0, 6))}))
+    for p in cases:
+        d = p.diagonal()
+        assert d == fraction_diagonal(p)
+        assert all(type(c) is Fraction for c in d.coeffs)
+    assert cases[0].diagonal().coeffs == (F(-5, 6), F(5, 6))
+    assert cases[1].diagonal().coeffs == (3, 1) and cases[3].diagonal().is_zero()
+
+
 # --- rank --------------------------------------------------------------
 
 

@@ -261,9 +261,10 @@ def test_decide_one_variable_opposite_unfactorable_bases_name_the_pair(capsys):
     assert (rep["status"], rep["hypothesis"]["trivial_for_all"]) == ("UNKNOWN", False)
     assert rep["hypothesis"]["failing_partition"] == [[1, 2], [3]]
     assert not any("aborted" in note for note in rep["notes"])
+    # the note names the partition in the same 1-based term numbers as the JSON
     assert rep["notes"][-1] == (
         "no constant solution, but the character-group hypothesis fails on "
-        "partition ((0, 1), (2,)); no regularity claim either way")
+        "partition [[1, 2], [3]]; no regularity claim either way")
 
 
 def test_decide_group_beyond_the_factoring_budget_still_decides(capsys):

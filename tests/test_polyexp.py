@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import count, islice
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +103,37 @@ def test_diagonal_of_printed_example():
         (35, (2, 2)),
         (143, (3, -1, 1)),
     ]
+
+
+def test_diagonalize_matches_fraction_diagonals():
+    # the integer diagonal gives the same ExpSum as diagonals summed on Fractions
+    def reference(eq):
+        out = []
+        for t in eq.terms:
+            coeffs = {}
+            for exps, c in t.poly.terms.items():
+                coeffs[sum(exps)] = coeffs.get(sum(exps), Fraction(0)) + c
+            dense = [coeffs.get(d, Fraction(0)) for d in range(max(coeffs) + 1)]
+            out.append((prod(t.characters), UniPoly(dense)))
+        return ExpSum(out)
+
+    texts = [
+        "(1/2*x + 1/3*y - 5/6)*2^x*3^y + (x - y)*5^x*7^y + 7*11^x*13^y = 0",
+        "(1/2*x + 1/2*y + 3)*2^x + (2/3*x - 1/3*y)*3^x + x*y*5^x = 0",
+        "(1/4*x^2 - 1/2*y)*2^x + (3*x - 1/7)*(-2)^x + 6^x = 0",
+    ]
+    rng = random.Random(617)
+    for _ in range(60):
+        parts = []
+        for base in rng.sample([2, 3, 5, -2, -3, 6, 7], rng.randint(1, 3)):
+            monos = rng.sample(["x", "y", "x*y", "x^2", "y^2", "1"], rng.randint(1, 3))
+            coeffs = ["%d/%d" % (rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(1, 4)) for _ in monos]
+            parts.append("(%s)*(%d)^x" % (" + ".join("%s*%s" % cm for cm in zip(coeffs, monos)), base))
+        texts.append(" + ".join(parts) + " = 0")
+    for text in texts:
+        eq = parse_eq(text)
+        g, want = diagonalize(eq), reference(eq)
+        assert g == want and g.terms == want.terms and g.int_terms == want.int_terms, text
 
 
 def test_diagonalize_multiplies_back():
@@ -323,23 +354,104 @@ def test_bisected_threshold_is_the_least_one_close_bases(k):
     assert verify_dominance(g, cert)
 
 
+# Sparse and high-degree rows, interior zero runs, a lead polynomial with
+# t1 > 1, and bases a and -a, whose even and odd parts both have a plus and
+# a minus branch.
+ROW_SUMS = [
+    expsum((2, [0] * 60 + [1]), (3, [1])),
+    expsum((2, [1] + [0] * 49 + [1]), (3, [1])),
+    expsum((5, [1, 0, 0, 0, 2, 0, 0, 3]), (7, [0, 0, 4, 0, 0, 0, 0, 0, 1])),
+    expsum((7, [3, 0, 0, 0, -1, 0, 0, 0, 0, 2]), (6, [0, 0, 0, 5]), (-5, [1, 0, 0, 0, 0, 0, 1])),
+    expsum((11, [0, -90, 0, 1]), (10, [7])),
+    expsum((5, [1, 0, 3]), (-5, [2, 0, 0, 1]), (3, [1])),
+    expsum((9, [0, 0, 0, 1]), (-9, [-4, 0, 1]), (8, [0, 1, 0, 0, 0, 0, 2])),
+]
+
+
 def test_bisected_threshold_is_the_least_one():
-    sums = [expsum((6, [2, -1, 1]), (35, [2, 2]), (143, [3, -1, 1]))]
+    sums = [expsum((6, [2, -1, 1]), (35, [2, 2]), (143, [3, -1, 1]))] + ROW_SUMS
     rng = random.Random(607)
-    while len(sums) < 60:
+    while len(sums) < 60 + len(ROW_SUMS):
         terms = []
         for base in rng.sample([b for b in range(-13, 14) if b != 0], rng.randint(2, 3)):
             coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
             coeffs[-1] = coeffs[-1] or 1
             terms.append((base, coeffs))
         sums.append(expsum(*terms))
-    checked = 0
+    checked, parities = 0, set()
     for g in sums:
         for br in dominance_bound(g).branches:
             if br.kind == "ratio":
                 assert (br.t1, br.tstar, br.threshold) == linear_thresholds(br)
                 checked += 1
+                parities.add((br.parity, br.direction))
     assert checked >= 100
+    assert parities == {(p, d) for p in ("all", "even", "odd") for d in ("plus", "minus")}
+    # the rows reach the lead test, sparse tails and a threshold in the thousands
+    ratio = [br for g in ROW_SUMS for br in dominance_bound(g).branches if br.kind == "ratio"]
+    assert max(br.t1 for br in ratio) > 1
+    assert max(br.threshold for br in ratio) > 1000
+
+
+def test_bracketed_probes_give_the_exact_thresholds(monkeypatch):
+    # with _EXACT_BITS = 0 every probe of the threshold search runs on brackets first
+    sums = ROW_SUMS + [expsum((101, [0] * k + [1]), (100, [1])) for k in (1, 3)]
+    exact = [dominance_bound(g) for g in sums]
+    monkeypatch.setattr(polyexp, "_EXACT_BITS", 0)
+    settled, settle = [], polyexp._settled
+    monkeypatch.setattr(polyexp, "_settled", lambda holds, t: settled.append(t) or settle(holds, t))
+    assert [dominance_bound(g) for g in sums] == exact
+    assert len(settled) > 200
+    for cert in exact:
+        for br in cert.branches:
+            if br.kind == "ratio":
+                assert (br.t1, br.tstar, br.threshold) == linear_thresholds(br)
+
+
+def test_brackets_contain_the_exact_values():
+    Bracket = polyexp._Bracket
+
+    def holds(x, exact):
+        return x.lo << x.e <= exact <= x.hi << x.e and x.hi.bit_length() <= polyexp._MANTISSA_BITS + 1
+
+    rng = random.Random(615)
+    for _ in range(300):
+        a, b = rng.randint(0, 10 ** rng.randint(1, 40)), rng.randint(1, 10 ** rng.randint(1, 40))
+        n = rng.randint(0, 3000)
+        x = Bracket(a) * b ** Bracket(n) + Bracket(b) ** 7
+        assert holds(x, a * b ** n + b ** 7)
+        y = 3 + Bracket(n) * a
+        assert holds(y, 3 + n * a)
+        # a comparison is exact or refuses
+        for left, right, want in ((x, y, a * b ** n + b ** 7 < 3 + n * a),
+                                  (y, x, 3 + n * a < a * b ** n + b ** 7)):
+            try:
+                assert (left < right) == want
+            except polyexp._Overlap:
+                pass
+    assert (Bracket(5) <= 5, Bracket(5) < 5, Bracket(5) < 6, Bracket(7) <= 6) == (True, False, True, False)
+    with pytest.raises(polyexp._Overlap):
+        Bracket(3) ** 200 < 3 ** 200  # equal sides, rounded: no answer
+
+
+def test_ratio_tests_on_brackets_agree_with_ints():
+    # every probe a bracket settles gets the exact answer
+    settled = 0
+    for g in ROW_SUMS + [expsum((101, [0, 0, 0, 1]), (100, [1]))]:
+        for br in dominance_bound(g).branches:
+            if br.kind != "ratio":
+                continue
+            tests = polyexp._ratio_tests(br.bases, br.coeffs)
+            for t in sorted({1, 2, 3, br.t1, br.tstar, br.threshold - 1, br.threshold,
+                             br.threshold + 1, 2 * br.threshold} - {0}):
+                for test in tests:
+                    try:
+                        got = test(polyexp._Bracket(t))
+                    except polyexp._Overlap:
+                        continue
+                    assert got == test(t), (br, t)
+                    settled += 1
+    assert settled > 200
 
 
 def test_dominance_zero_sum_rejected():
@@ -1347,6 +1459,31 @@ def test_one_variable_hypothesis_factors_nothing(monkeypatch):
     assert report.failing_partition is None
 
 
+def test_one_variable_hypothesis_matches_pair_checks():
+    # one character check per audit gives the verdicts of character_group_trivial pair by pair
+    entries = [-13, -12, -6, -3, -2, -1, 1, 2, 3, 6, 12, 13]
+    rng = random.Random(618)
+    outcomes = set()
+    for _ in range(300):
+        chars = [(a,) for a in rng.sample(entries, rng.randint(1, 7))]
+        report = check_hypothesis(constant_equation(chars))
+        pairs = [(i, j) for i in range(len(chars)) for j in range(i + 1, len(chars))]
+        failing = [p for p in pairs if not character_group_trivial(chars, (p,))]
+        assert report.trivial_for_all == (not failing)
+        if failing:
+            i, j = failing[0]
+            assert report.failing_partition == tuple(sorted(
+                [(i, j)] + [(k,) for k in range(len(chars)) if k not in (i, j)]))
+        outcomes.add(report.trivial_for_all)
+    assert outcomes == {True, False}
+    # +-1 agree in absolute value, so do a and -a; the first such pair is named
+    for chars, partition in (([(1,), (2,), (-1,), (3,)], ((0, 2), (1,), (3,))),
+                             ([(5,), (-7,), (3,), (7,), (-5,)], ((0, 4), (1,), (2,), (3,))),
+                             ([(2,), (3,), (-3,)], ((0,), (1, 2))),
+                             ([(-1,), (2,), (3,)], None)):
+        assert check_hypothesis(constant_equation(chars)).failing_partition == partition
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     a=st.integers(1, 10 ** 6) | st.just(1),
@@ -1410,17 +1547,28 @@ def test_one_term_sums_match_the_scan():
 # --- sparse absolute evaluation -----------------------------------------------
 
 
-def test_sparse_abs_eval_matches_dense_horner():
+def test_sparse_abs_rows_match_dense_horner():
     def dense(coeffs, t):
         total = 0
         for c in reversed(coeffs):
             total = total * t + abs(c)
         return total
 
+    def rows_at(coeffs, t, base=1):
+        return polyexp._sum_at(polyexp._horner([(base, coeffs)], True), t)
+
     rng = random.Random(614)
     for _ in range(200):
         coeffs = [rng.choice([0, 0, 0, rng.randint(-50, 50)]) for _ in range(rng.randint(1, 40))]
         for t in (0, 1, 2, rng.randint(3, 1000), 10 ** 12):
-            assert polyexp._abs_eval(coeffs, t) == dense(coeffs, t)
+            assert rows_at(coeffs, t) == dense(coeffs, t)
+        # signed rows, and |base|^t on absolute rows
+        for t in (0, 1, rng.randint(2, 100)):
+            assert polyexp._sum_at(polyexp._horner([(-3, coeffs)]), t) == (
+                sum(c * t ** e for e, c in enumerate(coeffs)) * (-3) ** t)
+            assert rows_at(coeffs, t, -3) == dense(coeffs, t) * 3 ** t
     monomial = (0,) * 5000 + (-7,)
-    assert polyexp._abs_eval(monomial, 3) == dense(monomial, 3) == 7 * 3 ** 5000
+    assert rows_at(monomial, 3) == dense(monomial, 3) == 7 * 3 ** 5000
+    # one step per gap: 7 t^5000 and 7 t^5001 + 1
+    assert polyexp._horner([(2, monomial)], True) == [(2, 7, [(5000, 0)])]
+    assert polyexp._horner([(2, (1,) + monomial)], True) == [(2, 7, [(5001, 1)])]
