@@ -548,7 +548,7 @@ def matrix_rank(mat) -> int:
     return m - len(rows)
 
 
-def integer_roots(p: UniPoly, budget: int = DEFAULT_FACTOR_BUDGET) -> List[int]:
+def integer_roots(p: UniPoly) -> List[int]:
     """All integer roots of a nonzero rational polynomial, ascending.
 
     Denominators are cleared, powers of w stripped (recording 0 as a root
@@ -574,7 +574,7 @@ def integer_roots(p: UniPoly, budget: int = DEFAULT_FACTOR_BUDGET) -> List[int]:
             w = _iroot(c0 // cn, len(body) - 1)
             candidates = [w, -w] if cn * w ** (len(body) - 1) == c0 else []
         else:
-            _, factors = factor_integer(body[0], budget)
+            _, factors = factor_integer(body[0])
             candidates = [c for d in divisors_from_factors(factors) for c in (d, -d)]
         for cand in candidates:
             total = 0

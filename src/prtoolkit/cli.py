@@ -37,7 +37,6 @@ from .equations import (
     PolyExpEquation,
     SchemaError,
     TwoVarPolySystem,
-    _bound_num,
     _num,
     class_from_json,
     class_to_json,
@@ -55,8 +54,8 @@ EXIT_UNKNOWN = 2
 # Python `signal` docs
 EXIT_BROKEN_PIPE = 1
 
-# certified bounds above this many bits (about 180,000 digits) are
-# reported in factored form instead of in full
+# `bound` writes the solution-count bound in full up to this many bits
+# (about 180,000 digits), and by its factors above
 _MAX_BOUND_BITS = 600_000
 
 
@@ -310,12 +309,8 @@ def _cmd_decide(args) -> dict:
                 verdict.result, report["certificates"])
         constants = compute_constants(cls)
         report["constants"] = {"A": _num(constants.A), "B": _num(constants.B)}
-        bits = 35 * constants.B ** 3
-        if bits <= _MAX_BOUND_BITS:
-            report["solution_bound"] = _bound_num(bell_number(len(cls.terms)), constants.B)
-        else:
-            report["notes"].append(
-                "solution-count bound omitted: 2^(35 B^3) needs %d bits" % bits)
+        report["solution_bound_factored"] = _bound_factored(
+            bell_number(len(cls.terms)), constants.B, 1)
         report["notes"].extend(verdict.notes)
         report["summary"] = "%s (polyexponential equation over Z)" % verdict.status
 
@@ -434,8 +429,18 @@ def _cmd_rank(args) -> dict:
     }
 
 
+def _bound_factored(bell: int, B: int, d: int) -> dict:
+    """The paper's solution-count bound Bell(m) * 2^(35 B^3) * d^(6 B^2), by its factors."""
+    return {
+        "bell_m": _num(bell),
+        "power_of_two_exponent": _num(35 * B ** 3),
+        "degree": _num(d),
+        "degree_exponent": _num(6 * B ** 2),
+    }
+
+
 def _cmd_bound(args) -> dict:
-    from .polyexp import bell_number, compute_constants
+    from .polyexp import bell_number, compute_constants, solution_count_bound
 
     cls = _load_class(args)
     if not isinstance(cls, PolyExpEquation):
@@ -456,19 +461,16 @@ def _cmd_bound(args) -> dict:
         "bell_m": _num(bell),
     }
     B = constants.B
-    bits = 35 * B ** 3 + 6 * B ** 2 * max(args.degree.bit_length() - 1, 0)
+    # a lower estimate, so that a huge --degree is never expanded: it
+    # leaves out Bell(m) and rounds log2 d down
+    bits = 35 * B ** 3 + 6 * B ** 2 * (args.degree.bit_length() - 1)
     if bits <= _MAX_BOUND_BITS:
-        # the estimate leaves out Bell(m) and rounds log2 d down; count exactly
-        bits = 35 * B ** 3 + (bell * args.degree ** (6 * B ** 2)).bit_length()
+        bound = solution_count_bound(cls, args.degree)
+        bits = bound.bit_length()
     if bits <= _MAX_BOUND_BITS:
-        report["bound"] = _bound_num(bell, B, args.degree)
+        report["bound"] = _num(bound)
     else:
-        report["bound_factored"] = {
-            "bell_m": _num(bell),
-            "power_of_two_exponent": _num(35 * B ** 3),
-            "degree": _num(args.degree),
-            "degree_exponent": _num(6 * B ** 2),
-        }
+        report["bound_factored"] = _bound_factored(bell, B, args.degree)
         report["note"] = "full decimal expansion suppressed (%d bits)" % bits
     return report
 
@@ -570,8 +572,7 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
     t0 = time.monotonic()
     try:
         report = _HANDLERS[args.command](args)
-    except (_UsageError, ParseError, ClassifyError, SchemaError, FileNotFoundError,
-            ValueError, json.JSONDecodeError) as e:
+    except (_UsageError, ParseError, ClassifyError, SchemaError, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     except (IncompleteFactorization, BudgetExceeded) as e:

@@ -42,7 +42,6 @@ value is ever truncated to 64 bits.
 from __future__ import annotations
 
 import decimal
-import functools
 import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -714,27 +713,6 @@ def _num(x) -> str:
     return digits if x > 0 else "-" + digits
 
 
-# at most 25 entries: callers pass e = 35 B^3 <= cli._MAX_BOUND_BITS, so B <= 25 (about 0.5 MB)
-@functools.lru_cache(maxsize=None)
-def _power_of_two(e: int) -> decimal.Decimal:
-    return _EXACT.power(2, e)
-
-
-def _bound_num(bell: int, B: int, d: int = 1) -> str:
-    """Exact decimal string of Bell(m) * 2^(35 B^3) * d^(6 B^2), the
-    solution-count bound, computed from its factors in `decimal`.
-
-    The same text as _num(polyexp.solution_count_bound(...)), without
-    building the int: libmpdec raises 2 and d to their powers directly,
-    and _EXACT makes any rounding raise.  2^(35 B^3) is computed once per
-    B in a process, by _power_of_two, and each call multiplies into a new Decimal.
-    """
-    x = _EXACT.multiply(decimal.Decimal(bell), _power_of_two(35 * B ** 3))
-    if d > 1:
-        x = _EXACT.multiply(x, _EXACT.power(d, 6 * B ** 2))
-    return str(x)
-
-
 def _rat_from(v) -> Fraction:
     if isinstance(v, bool):
         raise SchemaError("booleans are not numbers")
@@ -763,6 +741,16 @@ def _json_list(d: dict, key: str) -> list:
     if not isinstance(v, list):
         raise SchemaError("'%s' must be a list" % key)
     return v
+
+
+def _json_names(d: dict, key: str) -> Tuple[str, ...]:
+    """The distinct names under d[key]; absent or null reads as empty."""
+    names = tuple(_json_list(d, key))
+    if not all(isinstance(v, str) for v in names):
+        raise SchemaError("'%s' must be a list of names" % key)
+    if len(set(names)) != len(names):
+        raise SchemaError("'%s' repeats a name" % key)
+    return names
 
 
 def _poly_to_json(p: MultiPoly) -> List[dict]:
@@ -836,7 +824,7 @@ def class_from_json(d: dict) -> EquationClass:
             raise SchemaError("'A' must be a list of rows")
         rows = [[_rat_from(x) for x in row] for row in A]
         ncols = len(rows[0]) if rows else 0
-        variables = tuple(_json_list(d, "vars") or ("x%d" % (i + 1) for i in range(ncols)))
+        variables = _json_names(d, "vars") or tuple("x%d" % (i + 1) for i in range(ncols))
         if not variables:
             raise SchemaError("the system has no variables")
         if rows and any(len(r) != len(variables) for r in rows):
@@ -846,7 +834,7 @@ def class_from_json(d: dict) -> EquationClass:
             raise SchemaError("'b' must have one entry per row")
         return LinearSystem(variables, RatMatrix(rows), tuple(_rat_from(x) for x in b))
     if cls in ("twovar_poly_system", "general_poly_system"):
-        variables = tuple(_json_list(d, "vars"))
+        variables = _json_names(d, "vars")
         if not variables:
             raise SchemaError("polynomial system needs 'vars'")
         polys = tuple(_poly_from_json(e, variables) for e in _json_list(d, "equations"))
@@ -856,11 +844,15 @@ def class_from_json(d: dict) -> EquationClass:
             return TwoVarPolySystem(variables, polys)
         return GeneralPolySystem(variables, polys)
     if cls == "polyexp_equation":
-        variables = tuple(_json_list(d, "vars"))
-        exp_vars = tuple(_json_list(d, "exp_vars"))
+        variables = _json_names(d, "vars")
+        exp_vars = _json_names(d, "exp_vars")
         if not variables or not exp_vars:
             raise SchemaError("polyexp equation needs 'vars' and 'exp_vars'")
+        if not set(exp_vars) <= set(variables):
+            raise SchemaError("'exp_vars' must be members of 'vars'")
         param = d.get("param")
+        if param is not None and (param not in variables or param in exp_vars):
+            raise SchemaError("'param' must be null or a member of 'vars' outside 'exp_vars'")
         terms = []
         for t in _json_list(d, "terms"):
             if not isinstance(t, dict) or "characters" not in t or "poly" not in t:
@@ -876,8 +868,8 @@ def class_from_json(d: dict) -> EquationClass:
                 # the factor f(param) of the older schema: P * f is one polynomial
                 if not isinstance(f, list):
                     raise SchemaError("term 'f' must be a list of coefficients")
-                if param not in variables or param in exp_vars:
-                    raise SchemaError("term 'f' needs a 'param' among 'vars' and not in 'exp_vars'")
+                if param is None:
+                    raise SchemaError("term 'f' needs a 'param'")
                 k = variables.index(param)
                 poly = poly * MultiPoly(variables, {
                     tuple(e if i == k else 0 for i in range(len(variables))): _rat_from(c)

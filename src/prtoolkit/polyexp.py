@@ -75,7 +75,6 @@ from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
-    DEFAULT_FACTOR_BUDGET,
     BudgetExceeded,
     IncompleteFactorization,
     Record,
@@ -260,7 +259,6 @@ def enumerate_partitions(m: int, cap: int = DEFAULT_PARTITION_CAP):
 def character_group_trivial(
     characters: Sequence[Tuple[int, ...]],
     partition: Sequence[Sequence[int]],
-    budget: int = DEFAULT_FACTOR_BUDGET,
 ) -> bool:
     """Whether G = {z : a_i^z = a_j^z for i~j} is the zero subgroup of Z^n.
 
@@ -272,7 +270,7 @@ def character_group_trivial(
     and a finite-index subgroup of a nontrivial lattice is nontrivial.
     With one exponent variable no entry is factored (_pairs_trivial).
     For n >= 2, raises IncompleteFactorization when an entry cannot be
-    factored within the budget.
+    factored within the default trial-division budget.
     """
     chars = [tuple(c) for c in characters]
     if not chars:
@@ -283,13 +281,12 @@ def character_group_trivial(
     if any(b == 0 for c in chars for b in c):
         raise ValueError("character entries must be nonzero")
     pairs = [pair for block in partition for pair in combinations(block, 2)]
-    return _pairs_trivial(chars, pairs, budget, {})
+    return _pairs_trivial(chars, pairs, {})
 
 
 def _pairs_trivial(
     chars: List[Tuple[int, ...]],
     pairs: Iterable[Tuple[int, int]],
-    budget: int,
     cache: Dict[int, Dict[int, int]],
 ) -> bool:
     """character_group_trivial on checked characters, given its in-block pairs.
@@ -309,7 +306,7 @@ def _pairs_trivial(
     def vals(x: int) -> Dict[int, int]:
         x = abs(x)
         if x not in cache:
-            cache[x] = dict(factor_integer(x, budget)[1])
+            cache[x] = dict(factor_integer(x)[1])
         return cache[x]
 
     rows: List[List[int]] = []
@@ -1102,10 +1099,7 @@ class PolyExpVerdict(Record):
     notes: Tuple[str, ...]
 
 
-def check_hypothesis(
-    eq: PolyExpEquation,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-) -> HypothesisReport:
+def check_hypothesis(eq: PolyExpEquation) -> HypothesisReport:
     """Audit the character-group hypothesis with one check per pair.
 
     Pairs {i, j} are taken in lexicographic order, each as the single
@@ -1116,14 +1110,14 @@ def check_hypothesis(
     With one exponent variable each check compares |a_i| with |a_j| and
     factors nothing; with two or more it ranks valuation rows, and raises
     IncompleteFactorization when an entry cannot be factored within the
-    budget.
+    default trial-division budget.
     """
     chars = [t.characters for t in eq.terms]
     m = len(chars)
     failing = None
     cache: Dict[int, Dict[int, int]] = {}
     for i, j in combinations(range(m), 2):
-        if not _pairs_trivial(chars, ((i, j),), budget, cache):
+        if not _pairs_trivial(chars, ((i, j),), cache):
             failing = tuple(sorted([(i, j)] + [(k,) for k in range(m) if k not in (i, j)]))
             break
     coprime, unit = mutually_coprime(chars)

@@ -33,7 +33,7 @@ from math import gcd, prod
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import DEFAULT_FACTOR_BUDGET, IncompleteFactorization, Record, factor_integer, matrix_rank
+from .algebra import IncompleteFactorization, Record, factor_integer, matrix_rank
 
 Rational = Union[int, Fraction]
 
@@ -57,28 +57,26 @@ class GroupSpec(Record):
     rank: int
 
 
-def _exponent_map(q: Fraction, budget: int) -> Dict[int, int]:
+def _exponent_map(q: Fraction) -> Dict[int, int]:
     out: Dict[int, int] = {}
     num, den = abs(q.numerator), q.denominator
     if num != 1:
-        for p, e in factor_integer(num, budget)[1]:
+        for p, e in factor_integer(num)[1]:
             out[p] = out.get(p, 0) + e
     if den != 1:
-        for p, e in factor_integer(den, budget)[1]:
+        for p, e in factor_integer(den)[1]:
             out[p] = out.get(p, 0) - e
     return {p: e for p, e in out.items() if e != 0}
 
 
-def make_group(
-    generators: Sequence[Rational], budget: int = DEFAULT_FACTOR_BUDGET
-) -> GroupSpec:
+def make_group(generators: Sequence[Rational]) -> GroupSpec:
     """Derive the exponent lattice, signs and rank from the generators."""
     gens = tuple(Fraction(g) for g in generators)
     if not gens:
         raise ValueError("need at least one generator")
     if any(g == 0 for g in gens):
         raise ValueError("generators must be nonzero")
-    maps = [_exponent_map(g, budget) for g in gens]
+    maps = [_exponent_map(g) for g in gens]
     primes = tuple(sorted({p for m in maps for p in m}))
     rows = tuple(tuple(m.get(p, 0) for p in primes) for m in maps)
     return GroupSpec(
@@ -90,16 +88,13 @@ def make_group(
     )
 
 
-def _as_group(group: Union[GroupSpec, Sequence[Rational]], budget: int) -> GroupSpec:
-    return group if isinstance(group, GroupSpec) else make_group(group, budget)
+def _as_group(group: Union[GroupSpec, Sequence[Rational]]) -> GroupSpec:
+    return group if isinstance(group, GroupSpec) else make_group(group)
 
 
-def subgroup_rank(
-    generators: Union[GroupSpec, Sequence[Rational]],
-    budget: int = DEFAULT_FACTOR_BUDGET,
-) -> int:
+def subgroup_rank(generators: Union[GroupSpec, Sequence[Rational]]) -> int:
     """Rank of the free part of the generated group: {2,3} -> 2, {-1} -> 0."""
-    return _as_group(generators, budget).rank
+    return _as_group(generators).rank
 
 
 def sunit_solution_bound(r: int) -> int:
@@ -121,8 +116,6 @@ def two_term_unit_bound(r: int) -> int:
 def enumerate_group_elements(
     group: Union[GroupSpec, Sequence[Rational]],
     exp_bound: int,
-    budget: int = DEFAULT_FACTOR_BUDGET,
-    max_cells: int = DEFAULT_ENUM_CELLS,
 ) -> List[Fraction]:
     """All products g_1^{e_1} .. g_k^{e_k} with |e_i| <= exp_bound, sorted.
 
@@ -135,11 +128,12 @@ def enumerate_group_elements(
     generators such as 2 and 4 collapse early.  The elements are sorted
     by an exact integer key, the value times the common denominator
     prod p^max(-e_p), and one Fraction is built per distinct element.
+    A box of more than DEFAULT_ENUM_CELLS cells raises ValueError.
     """
     if exp_bound < 0:
         raise ValueError("exponent bound must be nonnegative")
-    spec = _as_group(group, budget)
-    if (2 * exp_bound + 1) ** len(spec.generators) > max_cells:
+    spec = _as_group(group)
+    if (2 * exp_bound + 1) ** len(spec.generators) > DEFAULT_ENUM_CELLS:
         raise ValueError("enumeration box too large")
     box = {(0, (0,) * len(spec.primes))}
     for sign, row in zip(spec.signs, spec.exponents):
@@ -160,7 +154,6 @@ def count_unit_equation_solutions(
     b: Rational,
     group: Union[GroupSpec, Sequence[Rational]],
     exp_bound: int,
-    budget: int = DEFAULT_FACTOR_BUDGET,
 ) -> Tuple[int, Tuple[Tuple[Fraction, Fraction], ...]]:
     """Pairs (x, y) in the exponent box with a x + b y = 1, exactly.
 
@@ -175,7 +168,7 @@ def count_unit_equation_solutions(
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("coefficients must be nonzero")
-    spec = _as_group(group, budget)
+    spec = _as_group(group)
     members = {(x.numerator, x.denominator): x
                for x in enumerate_group_elements(spec, exp_bound)}
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
@@ -218,15 +211,14 @@ def decide_sunit_3var(
     b: Rational,
     c: Rational,
     group: Union[GroupSpec, Sequence[Rational], None] = None,
-    budget: int = DEFAULT_FACTOR_BUDGET,
 ) -> SUnitVerdict:
     """Decide a x + b y + c z = 0 for x, y, z ranging over the group.
 
     The criterion a + b + c = 0 is scale-invariant and independent of
     the particular group; the group, when given, only furnishes the
     rank and the finiteness bound reported for context.  When a
-    generator cannot be factored within the budget, both are None and
-    the note says so; the verdict stands.
+    generator cannot be factored within the trial-division budget, both
+    are None and the note says so; the verdict stands.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if 0 in (a, b, c):
@@ -243,7 +235,7 @@ def decide_sunit_3var(
     bound = None
     if group is not None:
         try:
-            rank = _as_group(group, budget).rank
+            rank = _as_group(group).rank
         except IncompleteFactorization as e:
             note += "; rank and bound not computed: %s" % e
         else:

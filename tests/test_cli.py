@@ -19,18 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prtoolkit import cli, equations
+from prtoolkit import cli
 from prtoolkit.cli import EXIT_BROKEN_PIPE, main
 from prtoolkit.equations import (
     _EXACT,
     _LEAF_BITS,
     ParseError,
-    _bound_num,
     _num,
     classify,
     parse_equation_text,
 )
-from prtoolkit.polyexp import bell_number, compute_constants, solution_count_bound
+from prtoolkit.polyexp import bell_number
 
 
 def run_cli(capsys, *argv):
@@ -754,72 +753,55 @@ def test_num_arithmetic_is_exact_or_raises():
         narrow.multiply(123456, 7)
 
 
-def test_decide_renders_the_full_solution_bound(capsys):
-    # A = B = 22: Bell(2) * 2^(35 * 22^3) has 372,681 bits and 112,189 digits
-    code, rep = run_cli(capsys, "decide", "--expr", "3*x^20*2^x - 4*3^x = 0")
+def _factors(bell_m, power_of_two_exponent, degree_exponent):
+    return {"bell_m": bell_m, "power_of_two_exponent": power_of_two_exponent,
+            "degree": "1", "degree_exponent": degree_exponent}
+
+
+@pytest.mark.parametrize("eq, B, factors", [
+    ("3*x^20*2^x - 4*3^x = 0", "22", _factors("2", "372680", "2904")),  # 112,189 digits in full
+    ("x^24*2^x = 0", "25", _factors("1", "546875", "3750")),
+    ("x^25*2^x = 0", "26", _factors("1", "615160", "4056")),
+], ids=["B22", "B25", "B26"])
+def test_decide_reports_the_solution_bound_by_its_factors(capsys, eq, B, factors):
+    code, rep = run_cli(capsys, "decide", "--expr", eq)
     assert code == 0
-    assert rep["constants"] == {"A": "22", "B": "22"}
-    with unlimited_int_str():
-        assert rep["solution_bound"] == str(2 * 2 ** 372680)
-    assert len(rep["solution_bound"]) == 112189
-
-
-def _bound_equation(B, m):
-    """x^(B - m)*2^x plus m - 1 constant terms: m terms with A = B."""
-    text = " + ".join(["x^%d*2^x" % (B - m)] + ["%d^x" % b for b in (3, 5, 7, 11, 13)[:m - 1]])
-    eq = classify(parse_equation_text(text + " = 0"))
-    assert (len(eq.terms), compute_constants(eq).B) == (m, B)
-    return eq
-
-
-def _times(digits, k):
-    """str(k * int(digits)) for a small k >= 1, by long multiplication on 100-digit chunks."""
-    chunks, carry = [], 0
-    for end in range(len(digits), 0, -100):
-        carry, r = divmod(int(digits[max(end - 100, 0):end]) * k + carry, 10 ** 100)
-        chunks.append("%0100d" % r)
-    text = "".join(reversed(chunks))
-    return str(carry) + text if carry else text.lstrip("0")
-
-
-def test_bound_num_matches_exact_ints():
-    # every B whose bound fits _MAX_BOUND_BITS (B <= 25), m in 1..min(B, 6) and
-    # field degree d in 1..3.  str() of the exact m = 1 bound (Bell(1) = 1) is
-    # the reference, and Bell(m) times it, by long multiplication, that of
-    # m > 1: one quadratic str() per (B, d) instead of one per case.  Up to
-    # B = 12 every case is also compared with str() of its own bound.
-    with unlimited_int_str():
-        for B in range(1, 26):
-            for d in (1, 2, 3):
-                assert 35 * B ** 3 + 6 * B ** 2 * (d.bit_length() - 1) <= cli._MAX_BOUND_BITS
-                one = str(solution_count_bound(_bound_equation(B, 1), d))
-                for m in range(1, min(B, 6) + 1):
-                    text = _bound_num(bell_number(m), B, d)
-                    assert text == _times(one, bell_number(m)), (B, m, d)
-                    if B <= 12:
-                        assert text == str(solution_count_bound(_bound_equation(B, m), d))
-    # one cached 2^(35 B^3) per B, whatever m and d
-    assert equations._power_of_two.cache_info().currsize <= 25
+    assert rep["constants"]["B"] == B
+    assert rep["solution_bound_factored"] == factors
+    assert "solution_bound" not in rep
+    assert not any("bound" in note for note in rep["notes"])
+    # the key sits where the decimal solution_bound was, after the constants
+    keys = list(rep)
+    assert keys.index("solution_bound_factored") == keys.index("constants") + 1
 
 
 def test_solution_bound_cap_boundary(capsys):
-    # B = 25: 2^(35 B^3) has 546,875 bits, within _MAX_BOUND_BITS, and is
-    # rendered; B = 26 needs 615,160 bits: decide notes the omission and
-    # bound reports the factors
-    code, rep = run_cli(capsys, "decide", "--expr", "x^24*2^x = 0")
-    assert (code, rep["constants"]["B"]) == (0, "25")
-    assert rep["solution_bound"] == _bound_num(1, 25)
+    # B = 25: 2^(35 B^3) has 546,875 bits, within _MAX_BOUND_BITS, and
+    # bound renders it in full; B = 26 needs 615,160 bits, so bound
+    # reports the factors that decide reports for every B
+    code, rep = run_cli(capsys, "bound", "--expr", "x^24*2^x = 0")
+    with unlimited_int_str():
+        assert (code, rep["bound"]) == (0, str(2 ** 546875))
     code, rep = run_cli(capsys, "bound", "--expr", "x^24*2^x = 0", "--degree", "3")
-    assert (code, rep["bound"]) == (0, _bound_num(1, 25, 3))
-    code, rep = run_cli(capsys, "decide", "--expr", "x^25*2^x = 0")
-    assert (code, rep["constants"]["B"]) == (0, "26")
-    assert "solution_bound" not in rep
-    assert "solution-count bound omitted: 2^(35 B^3) needs 615160 bits" in rep["notes"]
+    with unlimited_int_str():
+        assert (code, rep["bound"]) == (0, str(2 ** 546875 * 3 ** 3750))
     code, rep = run_cli(capsys, "bound", "--expr", "x^25*2^x = 0")
     assert code == 0 and "bound" not in rep
-    assert rep["bound_factored"] == {
-        "bell_m": "1", "power_of_two_exponent": "615160", "degree": "1", "degree_exponent": "4056",
-    }
+    assert rep["bound_factored"] == _factors("1", "615160", "4056")
+    _, decided = run_cli(capsys, "decide", "--expr", "x^25*2^x = 0")
+    assert decided["solution_bound_factored"] == rep["bound_factored"]
+
+
+def test_bound_renders_the_exact_int(capsys):
+    # A = B = 22: Bell(2) * 2^(35 B^3) has 112,189 digits; d = 3 adds 3^(6 B^2)
+    eq = "3*x^20*2^x - 4*3^x = 0"
+    for d in (1, 2, 3):
+        code, rep = run_cli(capsys, "bound", "--expr", eq, "--degree", str(d))
+        assert (code, rep["bell_m"], rep["B"]) == (0, "2", "22")
+        with unlimited_int_str():
+            assert rep["bound"] == str(2 * 2 ** 372680 * d ** 2904)
+        if d == 1:
+            assert len(rep["bound"]) == 112189
 
 
 def test_bound_degree_cap_counts_exact_bits(capsys):
@@ -836,25 +818,6 @@ def test_bound_degree_cap_counts_exact_bits(capsys):
         assert rep["note"] == "full decimal expansion suppressed (603125 bits)"
 
 
-def test_bound_num_leaves_the_cached_power_unchanged():
-    one = _bound_num(1, 22)
-    assert _bound_num(2, 22) == _times(one, 2)
-    assert _bound_num(1, 22) == one
-
-
-def test_repeated_decide_reuses_the_power(capsys):
-    # the second decide on a B = 22 sum writes the same report and reads
-    # 2^(35 B^3) from the cache: one hit, no miss
-    argv = ["decide", "--expr", "3*x^20*2^x - 4*3^x = 0"]
-    outs, infos = [], []
-    for _ in range(2):
-        assert main(argv) == 0
-        outs.append(re.sub(r'"time_ms": \d+', '"time_ms": 0', capsys.readouterr().out))
-        infos.append(equations._power_of_two.cache_info())
-    assert outs[0] == outs[1]
-    assert (infos[1].hits - infos[0].hits, infos[1].misses - infos[0].misses) == (1, 0)
-
-
 # --- input channels and errors ----------------------------------------------------
 
 
@@ -869,6 +832,14 @@ def test_file_and_json_inputs(tmp_path, capsys):
     code2, rep2 = run_cli(capsys, "decide", "--json", str(j))
     assert code2 == 0 and rep2["status"] == "PR_COLUMNS"
     assert rep2["class"] == rep["class"]
+
+
+@pytest.mark.parametrize("flag", ["--file", "--json"])
+def test_directory_input_is_a_one_line_error(tmp_path, capsys, flag):
+    assert main(["decide", flag, str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
 
 def test_usage_errors_exit_one(capsys):
@@ -946,12 +917,12 @@ def test_console_script_usage_error():
 
 
 def test_closed_pipe_is_a_clean_exit_in_both_buffer_modes():
-    # the 112,189-digit report is larger than a pipe buffer, so the write
-    # meets EPIPE, both through the buffer and unbuffered (-u)
+    # the report of the 112,189-digit bound is larger than a pipe buffer,
+    # so the write meets EPIPE, both through the buffer and unbuffered (-u)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     for flags in ([], ["-u"]):
         p = subprocess.Popen(
-            [sys.executable, *flags, "-m", "prtoolkit.cli", "decide",
+            [sys.executable, *flags, "-m", "prtoolkit.cli", "bound",
              "--expr", "3*x^20*2^x - 4*3^x = 0"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
@@ -998,6 +969,41 @@ def test_malformed_json_fields_are_one_line_errors(tmp_path, capsys, doc):
     j = tmp_path / "bad.json"
     j.write_text(json.dumps(doc))
     assert main(["decide", "--json", str(j)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
+def _polyexp_doc(variables, exp_vars, param):
+    """Schema dict of (x + 1)*2^x + 3^x = 0 with the given names."""
+    poly = [{"coeff": "1", "exps": [1] + [0] * (len(variables) - 1)},
+            {"coeff": "1", "exps": [0] * len(variables)}]
+    return {"class": "polyexp_equation", "vars": variables, "exp_vars": exp_vars,
+            "param": param, "terms": [
+                {"characters": ["2"] * len(exp_vars), "poly": poly},
+                {"characters": ["3"] * len(exp_vars), "poly": [{"coeff": "1", "exps": [0] * len(variables)}]},
+            ]}
+
+
+@pytest.mark.parametrize("doc", [
+    _polyexp_doc(["x", "x"], ["x"], None),  # vars repeats a name
+    _polyexp_doc(["x"], ["y"], None),  # an exponent variable that is not declared
+    _polyexp_doc(["x", "y"], ["x", "x"], None),  # exp_vars repeats a name
+    _polyexp_doc(["x", "y"], ["x"], "z"),  # param not among vars
+    _polyexp_doc(["x", "y"], ["x"], "x"),  # param is an exponent variable
+    _polyexp_doc(["x", "y"], [["x"]], None),  # a name that is not a string
+    {"class": "twovar_poly_system", "vars": ["x", "x"],
+     "equations": [[{"coeff": "1", "exps": [1, 0]}, {"coeff": "-2", "exps": [0, 1]}]]},
+    {"class": "linear_system", "vars": ["x", "y", "x"], "A": [["1", "1", "-1"]]},
+], ids=["repeated var", "undeclared exp_var", "repeated exp_var", "undeclared param",
+        "exponent param", "list name", "repeated two-variable var", "repeated linear var"])
+@pytest.mark.parametrize("argv", [
+    ["decide"], ["search", "--range", "5", "--colors", "2"], ["enumerate", "--range", "5"],
+])
+def test_ill_formed_variable_names_are_one_line_errors(tmp_path, capsys, doc, argv):
+    j = tmp_path / "bad.json"
+    j.write_text(json.dumps(doc))
+    assert main(argv + ["--json", str(j)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err

@@ -65,7 +65,7 @@ def test_rank_invariant_under_recombination():
 def test_rank_budget():
     p = 2_147_483_647
     with pytest.raises(IncompleteFactorization):
-        subgroup_rank([p * p], budget=10**4)
+        subgroup_rank([p * p])
 
 
 # --- bounds -------------------------------------------------------------------
@@ -248,13 +248,13 @@ def test_sunit_criterion_with_group_context():
 
 def test_sunit_verdict_without_a_factorization():
     # the verdict reads the coefficient sum alone; rank and bound need the
-    # generator factored, beyond the budget here
+    # generator factored, beyond the trial-division budget of 10^6
     p = 2_147_483_647
     for (a, b, c), status in (((1, 1, -2), "PR_CONSTANT"), ((1, 1, -1), "NOT_PR")):
-        v = decide_sunit_3var(a, b, c, group=[2, p * p], budget=10**4)
+        v = decide_sunit_3var(a, b, c, group=[2, p * p])
         assert (v.status, v.rank, v.bound) == (status, None, None)
         assert v.note.endswith("; rank and bound not computed: factorization of %d "
-                               "incomplete: cofactor %d exceeds budget^2 = %d" % (p * p, p * p, 10**8))
+                               "incomplete: cofactor %d exceeds budget^2 = %d" % (p * p, p * p, 10**12))
 
 
 def test_sunit_rejects_zero_coefficients():
