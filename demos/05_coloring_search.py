@@ -7,7 +7,6 @@ a machine-checkable certificate.
 
 from prtoolkit.equations import classify, parse_equation_text
 from prtoolkit.ramsey import (
-    canonical_coloring,
     enumerate_solutions,
     filter_injectivity,
     search_avoiding_coloring,
@@ -35,10 +34,10 @@ for N in (8, 9):
     r = search_avoiding_coloring(progression, N, 2, min_injectivity=2)
     print(f"3-term progressions, N={N}: {r.status}")
 
-# a named coloring rather than a searched one: powers of 2 by exponent
+# a coloring written down rather than searched: powers of 2 by exponent
 # parity avoid y = 2x on an exponentially long interval
 doubling = classify(parse_equation_text("2*x - y = 0"))
-coloring = canonical_coloring("dyadic", 2**12, 2)
+coloring = tuple((n.bit_length() - 1) % 2 for n in range(1, 2**12 + 1))
 sols = filter_injectivity(enumerate_solutions(doubling, 2**12), 2)
 ok, _ = verify_coloring(coloring, sols)
 print("dyadic coloring avoids y = 2x up to 4096:", ok)

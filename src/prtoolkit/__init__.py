@@ -38,10 +38,8 @@ _SUBMODULE = {
     "class_to_json": "equations",
     "classify": "equations",
     "format_system": "equations",
-    "from_json": "equations",
     "parse_equation_text": "equations",
     "polyexp_eval": "equations",
-    "to_json": "equations",
     "LinearVerdict": "rado",
     "columns_condition": "rado",
     "decide_linear": "rado",
@@ -81,7 +79,6 @@ _SUBMODULE = {
     "verify_dominance": "polyexp",
     "verify_modular": "polyexp",
     "SearchResult": "ramsey",
-    "canonical_coloring": "ramsey",
     "enumerate_solutions": "ramsey",
     "filter_injectivity": "ramsey",
     "search_avoiding_coloring": "ramsey",

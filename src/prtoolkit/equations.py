@@ -42,7 +42,6 @@ value is ever truncated to 64 bits.
 from __future__ import annotations
 
 import decimal
-import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -884,16 +883,3 @@ def class_from_json(d: dict) -> EquationClass:
         )
     raise SchemaError("unknown class %r" % cls)
 
-
-def to_json(obj: EquationClass) -> str:
-    """Serialize a classified equation as JSON text (round-trips with from_json)."""
-    return json.dumps(class_to_json(obj), indent=2)
-
-
-def from_json(text: str) -> EquationClass:
-    """Parse JSON text produced by to_json (or the bare matrix form)."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError("invalid JSON: %s" % e) from None
-    return class_from_json(data)

@@ -58,15 +58,20 @@ and clears the bans that were fresh, so the undo record of e is only
 the part of its hits that was banned already: usually 0, and never a
 whole ban word, which would make the memory quadratic in N.
 
-Budgets guard both enumeration (grid cells) and search (assignment
-nodes); the PRTOOLKIT_BUDGET environment variable overrides the node
-default, with a tenth of it used for cells.
+Exponential equations are scanned point by point over the whole grid.
+Every value is a positive integer, so every b^v is an integer: the
+terms are scaled once by one common denominator, which keeps the zero
+set, and each point is valued in int arithmetic.
+
+Fixed limits guard enumeration (DEFAULT_CELL_BUDGET grid cells), the
+search (DEFAULT_NODE_BUDGET assignment nodes) and the support masks of
+the search (about SUPPORT_BYTES); each is read at call time, and a
+search past one ends UNKNOWN with a note saying which ran out.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from itertools import compress, product, repeat
 from operator import add, and_, eq, itemgetter, lshift, mul, not_, or_
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -78,7 +83,6 @@ from .equations import (
     PolyExpEquation,
     TwoVarPolySystem,
     linear_polys,
-    polyexp_eval,
 )
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -87,20 +91,13 @@ DEFAULT_CELL_BUDGET = 10_000_000
 TABLE_BYTES = 1 << 23
 # about the most memory the coloring search's memo of hits may take
 MEMO_BYTES = 1 << 23
+# about the most memory the coloring search's support masks may take,
+# charged as N / 8 bytes for each solution
+SUPPORT_BYTES = 1 << 29
 
 Coloring = Tuple[int, ...]
 # an integer coefficient times prod(point[j]**e) over its (j, e) pairs
 Term = Tuple[int, Tuple[Tuple[int, int], ...]]
-
-
-def _budgets(node_budget: Optional[int], cell_budget: Optional[int]) -> Tuple[int, int]:
-    env = os.environ.get("PRTOOLKIT_BUDGET")
-    base = int(env) if env else DEFAULT_NODE_BUDGET
-    nodes = node_budget if node_budget is not None else base
-    cells = cell_budget if cell_budget is not None else (
-        base // 10 if env else DEFAULT_CELL_BUDGET
-    )
-    return nodes, cells
 
 
 def _system_polys(cls) -> Tuple[Tuple[str, ...], List[MultiPoly]]:
@@ -202,11 +199,7 @@ def _linear_roots(c0: int, c1: int, N: int) -> Optional[List[int]]:
     return [q] if r == 0 and 1 <= q <= N else []
 
 
-def enumerate_solutions(
-    cls,
-    N: int,
-    cell_budget: Optional[int] = None,
-) -> Tuple[Tuple[int, ...], ...]:
+def enumerate_solutions(cls, N: int) -> Tuple[Tuple[int, ...], ...]:
     """All solutions of the system with every variable in [1, N].
 
     Each polynomial, linear rows included, is scaled once to integer
@@ -218,34 +211,31 @@ def enumerate_solutions(
     evaluating each scaled polynomial exactly, over whole columns of
     candidates at once (see `_rechecked`).  Exponential equations
     are scanned directly.  Output is in lexicographic order.  A system
-    with no variables raises ValueError.  The cell budget is charged
+    with no variables raises ValueError.  DEFAULT_CELL_BUDGET is charged
     before the walk: N^(k-2) outer prefixes (one for k = 1), times the
     values of the second-to-last variable (one where a non-pivot linear
     row pins it or k = 1, else N), times those of the last (one where an
     equation holds it, else N); a direct scan is charged N^k.
     """
-    return _enumerated(cls, N, cell_budget)[0]
+    return _enumerated(cls, N)[0]
 
 
 # solutions as rows, and the same solutions as columns: list(zip(*rows))
 _RowsCols = Tuple[Tuple[Tuple[int, ...], ...], List[Tuple[int, ...]]]
 
 
-def _enumerated(cls, N: int, cell_budget: Optional[int]) -> _RowsCols:
+def _enumerated(cls, N: int) -> _RowsCols:
     """`enumerate_solutions`, with the solutions also as columns."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    _, cells_max = _budgets(None, cell_budget)
+    cells_max = DEFAULT_CELL_BUDGET
 
     if isinstance(cls, PolyExpEquation):
         k = len(cls.variables)
         if N ** k > cells_max:
             raise BudgetExceeded("direct scan needs %d cells" % (N ** k))
-        rows = tuple(
-            vals
-            for vals in product(range(1, N + 1), repeat=k)
-            if polyexp_eval(cls, vals) == 0
-        )
+        terms = _exp_terms(cls)
+        rows = tuple(p for p in product(range(1, N + 1), repeat=k) if not _exp_value(terms, p))
         return rows, list(zip(*rows))
 
     vars_, polys = _system_polys(cls)
@@ -262,6 +252,33 @@ def _enumerated(cls, N: int, cell_budget: Optional[int]) -> _RowsCols:
         raise BudgetExceeded("enumeration needs %d cells" % cells)
     candidates = _linear_candidates(pivot, rows, k, N) if linear else _back_substituted(scaled, k, N)
     return _rechecked(tuple(candidates), scaled)
+
+
+def _exp_terms(eq: PolyExpEquation) -> List[Tuple[List[Term], Tuple[Tuple[int, int], ...]]]:
+    """The terms of `eq` as (polynomial terms, ((j, b), ..)) over its variables,
+    every coefficient times one common denominator: at positive integer
+    points the sum is then an int that vanishes where `polyexp_eval` does.
+    Bases 1 are left out.
+    """
+    polys = [t.poly.with_vars(eq.variables) for t in eq.terms]
+    coeffs = iter(_clear_denominators(c for p in polys for c in p.terms.values()))
+    index = eq.variables.index
+    return [([(next(coeffs), _sparse(exps)) for exps in p.terms],
+             tuple((index(v), b) for v, b in zip(eq.exp_vars, t.characters) if b != 1))
+            for p, t in zip(polys, eq.terms)]
+
+
+def _exp_value(terms, point: Sequence[int]) -> int:
+    """The sum of the `_exp_terms` at `point`: each polynomial times its
+    prod(b**point[j])."""
+    total = 0
+    for poly, chars in terms:
+        v = _value(poly, point)
+        if v:
+            for j, b in chars:
+                v *= b ** point[j]
+            total += v
+    return total
 
 
 def _rechecked(candidates: Tuple[Tuple[int, ...], ...], scaled) -> _RowsCols:
@@ -585,15 +602,14 @@ def search_avoiding_coloring(
     N: int,
     colors: int,
     min_injectivity: int = 1,
-    node_budget: Optional[int] = None,
-    cell_budget: Optional[int] = None,
 ) -> SearchResult:
     """Search all r-colorings of [1, N] for one avoiding the system.
 
     `min_injectivity` = 2 ignores constant solutions (which force
     trivially); a threshold below 1 or above the number of variables is
-    a ValueError, whatever N.  Budget exhaustion yields an UNKNOWN outcome
-    with the partial node count.
+    a ValueError, whatever N.  A search past DEFAULT_CELL_BUDGET,
+    SUPPORT_BYTES or DEFAULT_NODE_BUDGET yields an UNKNOWN outcome with
+    the partial node count.
     """
     if colors < 1:
         raise ValueError("need at least one color")
@@ -601,13 +617,22 @@ def search_avoiding_coloring(
         raise ValueError("injectivity threshold must be at least 1")
     if min_injectivity > len(cls.variables):
         raise ValueError("injectivity threshold exceeds tuple arity")
-    nodes_max, _ = _budgets(node_budget, cell_budget)
+    nodes_max = DEFAULT_NODE_BUDGET
     try:
-        solutions, cols = _enumerated(cls, N, cell_budget)
+        solutions, cols = _enumerated(cls, N)
     except BudgetExceeded as e:
         return SearchResult(
             status="UNKNOWN", coloring=None, N=N, colors=colors, nodes=0,
             solution_count=0, note=str(e),
+        )
+
+    support_bytes = len(solutions) * N // 8
+    if support_bytes > SUPPORT_BYTES:
+        return SearchResult(
+            status="UNKNOWN", coloring=None, N=N, colors=colors, nodes=0,
+            solution_count=len(solutions),
+            note="support masks need about %d bytes, over SUPPORT_BYTES = %d"
+            % (support_bytes, SUPPORT_BYTES),
         )
 
     # each solution's support, its set of values, as a bitmask OR-ed over
@@ -731,25 +756,3 @@ def search_avoiding_coloring(
         solution_count=len(solutions),
         note="search space exhausted",
     )
-
-
-def canonical_coloring(kind: str, N: int, r: int = 2) -> Coloring:
-    """Classical colorings for experiments, as explicit tables.
-
-    "parity": n mod 2.  "mod": n mod r (residue classes).  "dyadic":
-    floor(log2 n) mod r (blocks [2^k, 2^(k+1))), which for r = 2 avoids
-    y = 2 x at every N.
-    """
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    if kind == "parity":
-        return tuple(n % 2 for n in range(1, N + 1))
-    if kind == "mod":
-        if r < 2:
-            raise ValueError("mod coloring needs r >= 2")
-        return tuple(n % r for n in range(1, N + 1))
-    if kind == "dyadic":
-        if r < 2:
-            raise ValueError("dyadic coloring needs r >= 2")
-        return tuple((n.bit_length() - 1) % r for n in range(1, N + 1))
-    raise ValueError("unknown coloring kind %r" % (kind,))

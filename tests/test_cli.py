@@ -842,6 +842,17 @@ def test_directory_input_is_a_one_line_error(tmp_path, capsys, flag):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
 
+@pytest.mark.parametrize("argv", [["decide"], ["search", "--range", "5", "--colors", "2"],
+                                  ["enumerate", "--range", "5"]])
+def test_json_file_that_is_not_json_is_a_one_line_error(tmp_path, capsys, argv):
+    path = tmp_path / "class.json"
+    path.write_text("{not json")
+    assert main([*argv, "--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["decide"]) == 1
     capsys.readouterr()

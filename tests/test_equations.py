@@ -1,5 +1,6 @@
 """Parser, printer, classifier and the JSON schema round-trip."""
 
+import json
 import random
 import sys
 import time
@@ -42,9 +43,7 @@ from prtoolkit.equations import (
     class_to_json,
     classify,
     format_system,
-    from_json,
     parse_equation_text,
-    to_json,
 )
 from prtoolkit.polyexp import PolyExpTerm, decide_polyexp_pr
 
@@ -548,7 +547,7 @@ def _outcome(classifier, ast):
     except ClassifyError as e:
         return "ClassifyError: %s" % e
     polys = list(getattr(cls, "polys", ())) + [t.poly for t in getattr(cls, "terms", ())]
-    return repr(cls), to_json(cls), [list(p.terms) for p in polys]
+    return repr(cls), json.dumps(class_to_json(cls), indent=2), [list(p.terms) for p in polys]
 
 
 _NAMES = st.sampled_from(("x", "y", "z"))
@@ -902,8 +901,8 @@ def test_parser_matches_its_previous_version(text):
 
 def test_json_round_trip_linear():
     cls = classify(parse_equation_text("2*x - y = 7 ; x + y = 1"))
-    blob = to_json(cls)
-    back = from_json(blob)
+    blob = json.dumps(class_to_json(cls), indent=2)
+    back = class_from_json(json.loads(blob))
     assert isinstance(back, LinearSystem)
     assert back.matrix.rows == cls.matrix.rows
     assert back.rhs == cls.rhs
@@ -919,7 +918,7 @@ def test_json_round_trip_all_classes():
     ]
     for t in texts:
         cls = classify(parse_equation_text(t))
-        back = from_json(to_json(cls))
+        back = class_from_json(json.loads(json.dumps(class_to_json(cls), indent=2)))
         assert type(back) is type(cls), t
         assert class_to_json(back) == class_to_json(cls), t
 
@@ -938,8 +937,6 @@ def test_json_rationals_are_decimal_strings():
 
 
 def test_bad_json_rejected():
-    with pytest.raises(SchemaError):
-        from_json("{not json")
     with pytest.raises(SchemaError):
         class_from_json({"class": "no_such_class"})
 
@@ -997,5 +994,5 @@ def test_random_linear_round_trip():
             cls = classify(parse_equation_text(text))
         except ClassifyError:
             continue  # all-zero rows can defeat classification
-        back = from_json(to_json(cls))
+        back = class_from_json(json.loads(json.dumps(class_to_json(cls), indent=2)))
         assert class_to_json(back) == class_to_json(cls)

@@ -7,7 +7,6 @@ with the classical values.
 """
 
 import itertools
-import os
 import random
 from fractions import Fraction
 from unittest import mock
@@ -25,10 +24,9 @@ from prtoolkit.equations import (
     linear_polys,
     parse_equation_text,
 )
-from prtoolkit.polyexp import PolyExpEquation, polyexp_eval
+from prtoolkit.polyexp import PolyExpEquation, PolyExpTerm, polyexp_eval
 from prtoolkit.ramsey import (
     BudgetExceeded,
-    canonical_coloring,
     enumerate_solutions,
     filter_injectivity,
     search_avoiding_coloring,
@@ -269,6 +267,45 @@ def test_enumeration_polyexp_direct_scan():
     assert named == [{"x": a, "y": 2 * a} for a in range(1, 5)]
 
 
+@st.composite
+def small_polyexps(draw):
+    """(equation, N): x and y in exponent position, bases in [-3, 3],
+    rational coefficients, a parameter t when drawn, and y folded to
+    base 1 in every term when drawn.  The first term's constant is set
+    so that the sum vanishes at a drawn point of [1, N]^k."""
+    variables = ("x", "y", "t") if draw(st.booleans()) else ("x", "y")
+    k, N = len(variables), draw(st.integers(1, 5))
+    bases = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    ybases = st.just(1) if draw(st.booleans()) else bases
+    chars = draw(st.lists(st.tuples(bases, ybases), min_size=1, max_size=3, unique=True))
+    coeffs = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    monos = st.dictionaries(st.tuples(*[st.integers(0, 2)] * k), coeffs, min_size=1, max_size=3)
+    terms = [PolyExpTerm(MultiPoly(variables, draw(monos)), c) for c in chars]
+    param = "t" if k == 3 else None
+    eq = PolyExpEquation(variables, ("x", "y"), param, tuple(terms))
+    point = draw(st.tuples(*[st.integers(1, N)] * k))
+    x, y = point[:2]
+    unit = Fraction(chars[0][0]) ** x * Fraction(chars[0][1]) ** y
+    first = terms[0].poly + MultiPoly.constant(variables, -polyexp_eval(eq, point) / unit)
+    if first.is_zero():
+        return eq, N
+    return PolyExpEquation(variables, ("x", "y"), param,
+                           (PolyExpTerm(first, chars[0]), *terms[1:])), N
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_polyexps())
+def test_polyexp_int_scan_matches_polyexp_eval(case):
+    eq, N = case
+    k = len(eq.variables)
+    assert enumerate_solutions(eq, N) == scan(lambda *s: polyexp_eval(eq, s) == 0, k, N)
+    # one common denominator: the int sum is the exact value times one positive constant
+    terms = ramsey._exp_terms(eq)
+    ratios = {ramsey._exp_value(terms, p) / polyexp_eval(eq, p)
+              for p in itertools.product(range(1, N + 1), repeat=k) if polyexp_eval(eq, p)}
+    assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+
+
 def test_multirow_enumeration():
     # x + y = z and y = 2x: solutions (a, 2a, 3a)
     sys_ = classify(parse_equation_text("x + y - z = 0 ; 2*x - y = 0"))
@@ -403,7 +440,7 @@ def test_quadratic_roots_match_divisor_scan(abc, low, N):
 
 def test_cell_budget():
     with pytest.raises(BudgetExceeded):
-        enumerate_solutions(SCHUR, 10**6, cell_budget=1000)
+        enumerate_solutions(SCHUR, 10**6)
     # the charge is N^(k-2) outer prefixes, times N values of the
     # second-to-last variable (one where a non-pivot row pins it), times
     # N values of the last (one where an equation holds it): exactly at
@@ -414,9 +451,11 @@ def test_cell_budget():
     for cls, N, cells, count in ((SCHUR, 10, 100, 45), (ap4, 35, 35 ** 2, 409),
                                  (linsys((2, -1)), 7, 7, 3), (identity, 6, 6, 6),
                                  (commuted, 5, 25, 25)):
-        assert len(enumerate_solutions(cls, N, cell_budget=cells)) == count
-        with pytest.raises(BudgetExceeded, match="enumeration needs %d cells" % cells):
-            enumerate_solutions(cls, N, cell_budget=cells - 1)
+        with mock.patch.object(ramsey, "DEFAULT_CELL_BUDGET", cells):
+            assert len(enumerate_solutions(cls, N)) == count
+        with mock.patch.object(ramsey, "DEFAULT_CELL_BUDGET", cells - 1), \
+                pytest.raises(BudgetExceeded, match="enumeration needs %d cells" % cells):
+            enumerate_solutions(cls, N)
 
 
 def test_system_without_variables_is_an_error():
@@ -673,7 +712,7 @@ def test_four_color_schur_at_44():
     assert ok
 
 
-def search_by_trail(cls, N, colors, min_injectivity=1, node_budget=None):
+def search_by_trail(cls, N, colors, min_injectivity=1, max_nodes=None):
     """(status, coloring, nodes, solution_count) of `search_avoiding_coloring`
     by the search loop it ran before its ban words: the colors forbidden
     at each element as one int, restored from a per-element trail of
@@ -682,7 +721,7 @@ def search_by_trail(cls, N, colors, min_injectivity=1, node_budget=None):
     supports = [sum(1 << v for v in set(s)) for s in solutions]
     if 1 in map(int.bit_count, supports):
         return "FORCED", None, 0, len(solutions)
-    nodes_max = ramsey._budgets(node_budget, None)[0]
+    nodes_max = ramsey.DEFAULT_NODE_BUDGET if max_nodes is None else max_nodes
     triggers = triggers_by_loop(supports, N)
     masks = [0] * min(colors, N)
     every = (1 << len(masks)) - 1
@@ -743,9 +782,11 @@ def dfs_searches(draw):
     return linsys(coeffs, rhs), N, draw(st.integers(2, 4)), draw(st.sampled_from((1, 2)))
 
 
-def search_outcome(cls, N, colors, min_injectivity, node_budget):
-    r = search_avoiding_coloring(cls, N, colors, min_injectivity=min_injectivity,
-                                 node_budget=node_budget)
+def search_outcome(cls, N, colors, min_injectivity, max_nodes):
+    if max_nodes is None:
+        max_nodes = ramsey.DEFAULT_NODE_BUDGET
+    with mock.patch.object(ramsey, "DEFAULT_NODE_BUDGET", max_nodes):
+        r = search_avoiding_coloring(cls, N, colors, min_injectivity=min_injectivity)
     return r.status, r.coloring, r.nodes, r.solution_count
 
 
@@ -996,16 +1037,23 @@ def test_singleton_support_short_circuit():
 
 
 def test_search_respects_node_budget():
-    r = search_avoiding_coloring(SCHUR, 30, 2, node_budget=3)
+    with mock.patch.object(ramsey, "DEFAULT_NODE_BUDGET", 3):
+        r = search_avoiding_coloring(SCHUR, 30, 2)
     assert r.status == "UNKNOWN"
     assert "exceeded" in r.note
     assert r.coloring is None
 
 
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("PRTOOLKIT_BUDGET", "5")
-    r = search_avoiding_coloring(SCHUR, 30, 2)
-    assert r.status == "UNKNOWN"
+def test_support_masks_past_their_cap_end_unknown():
+    # y = 2x on [1, 2000]: 1,000 solutions of 250 bytes each
+    doubling = linsys((-2, 1))
+    with mock.patch.object(ramsey, "SUPPORT_BYTES", 250_000):
+        r = search_avoiding_coloring(doubling, 2000, 2)
+    assert r.status == "AVOIDING"
+    with mock.patch.object(ramsey, "SUPPORT_BYTES", 249_999):
+        r = search_avoiding_coloring(doubling, 2000, 2)
+    assert (r.status, r.coloring, r.nodes, r.solution_count) == ("UNKNOWN", None, 0, 1000)
+    assert r.note == "support masks need about 250000 bytes, over SUPPORT_BYTES = 249999"
 
 
 def test_forced_stable_under_variable_relabeling():
@@ -1014,23 +1062,3 @@ def test_forced_stable_under_variable_relabeling():
     alt = classify(parse_equation_text("z - x - y = 0"))
     assert search_avoiding_coloring(alt, 5, 2).status == "FORCED"
     assert search_avoiding_coloring(alt, 4, 2).status == "AVOIDING"
-
-
-# --- canonical colorings ----------------------------------------------------------------
-
-
-def test_canonical_colorings():
-    assert canonical_coloring("parity", 6) == (1, 0, 1, 0, 1, 0)
-    assert canonical_coloring("mod", 6, 3) == (1, 2, 0, 1, 2, 0)
-    dyadic = canonical_coloring("dyadic", 16, 2)
-    assert dyadic == (0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 0)
-    with pytest.raises(ValueError):
-        canonical_coloring("nope", 4)
-
-
-def test_dyadic_avoids_doubling():
-    # y = 2x never lands in one dyadic block
-    N = 2**12
-    col = canonical_coloring("dyadic", N, 2)
-    for x in range(1, N // 2 + 1):
-        assert col[x - 1] != col[2 * x - 1]
